@@ -209,6 +209,9 @@ pub struct EngineProfile {
     /// Allocation activity across the whole run (zeros unless the binary
     /// installed the counting allocator).
     pub alloc: AllocSnapshot,
+    /// True when the steady-state cluster recorded a flight log (the
+    /// `TCA_FLIGHT_RING` audit), which allocates one label per event.
+    pub flight_recorded: bool,
 }
 
 /// One neighbour-shift round: every node puts `len` bytes to its ring
@@ -312,6 +315,7 @@ pub fn run_engine_profile(label: &str, params: EngineWorkload) -> EngineProfile 
         dispatch,
         tlp: tca_pcie::tlp_counts().since(&tlp0),
         alloc: tca_sim::alloc_snapshot().since(&alloc0),
+        flight_recorded: c.fabric.flight().is_some(),
     }
 }
 
@@ -804,9 +808,12 @@ impl EngineBench {
                 self.ns_per_event
             ));
         }
-        if self.alloc_counted && self.allocs_per_event > 64.0 {
+        // Payloads travel as views and copy once at their destination, so
+        // the steady state allocates per transfer, not per TLP (~0.01). A
+        // flight recorder allocates per event by design, so it is exempt.
+        if self.alloc_counted && !self.profile.flight_recorded && self.allocs_per_event > 0.05 {
             v.push(format!(
-                "steady.allocs_per_event = {:.2} above the 64 ceiling",
+                "steady.allocs_per_event = {:.4} above the 0.05 ceiling",
                 self.allocs_per_event
             ));
         }

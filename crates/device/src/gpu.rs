@@ -21,7 +21,9 @@
 
 use crate::params::GpuParams;
 use std::collections::VecDeque;
-use tca_pcie::{AddrRange, Ctx, Device, DeviceId, PageMemory, PortIdx, Tlp, TlpKind, PAGE_SIZE};
+use tca_pcie::{
+    AddrRange, Bytes, Ctx, Device, DeviceId, PageMemory, PortIdx, Tlp, TlpKind, PAGE_SIZE,
+};
 use tca_sim::{
     BandwidthMeter, Counter, CounterId, Dur, GaugeId, HistogramId, LatencyHistogram, MeterId,
     MetricsHub, SimTime, TraceLevel,
@@ -276,10 +278,10 @@ impl Device for Gpu {
         ctx.release_credits(pr.credits);
         let dev_addr = pr.addr - self.bar.base();
         let data = if self.is_pinned(dev_addr, pr.len as u64) {
-            self.gddr.read(dev_addr, pr.len as usize)
+            self.gddr.read_payload(dev_addr, pr.len as usize)
         } else {
             self.faults.inc();
-            vec![0u8; pr.len as usize]
+            Bytes::from(vec![0u8; pr.len as usize])
         };
         let chunk = self.completion_chunk as usize;
         let total = data.len();
@@ -293,7 +295,7 @@ impl Device for Gpu {
                     pr.tag,
                     pr.requester,
                     off as u32,
-                    data[off..off + n].to_vec(),
+                    data.slice(off..off + n),
                     last,
                 ),
             );

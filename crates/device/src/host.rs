@@ -14,8 +14,8 @@
 //! * host-software hook ([`HostAgent`]) for driver and runtime models.
 
 use crate::params::HostParams;
-use std::collections::HashMap;
-use tca_pcie::{AddrRange, Ctx, Device, DeviceId, PageMemory, PortIdx, Tlp, TlpKind};
+use std::collections::VecDeque;
+use tca_pcie::{AddrRange, Bytes, Ctx, Device, DeviceId, PageMemory, PortIdx, Tlp, TlpKind};
 use tca_sim::{Counter, SimTime, TraceCtx, TraceLevel};
 
 /// Identifier of a poll watch registered on a host.
@@ -70,8 +70,13 @@ pub struct HostCore {
     mem: PageMemory,
     dram: AddrRange,
     windows: Vec<(AddrRange, PortIdx)>,
-    id_routes: HashMap<u32, PortIdx>,
-    pending_reads: Vec<Option<PendingRead>>,
+    /// Completion routes, indexed by requester device id.
+    id_routes: Vec<Option<PortIdx>>,
+    /// DRAM reads waiting out the memory latency. Timer tags carry the
+    /// absolute read index; `pending_reads[0]` is read `read_base`, and
+    /// served reads are popped off the front.
+    pending_reads: VecDeque<Option<PendingRead>>,
+    read_base: u64,
     watches: Vec<Watch>,
     /// (delivery time, handler-entry time, vector) for every MSI.
     interrupts: Vec<(SimTime, SimTime, u32)>,
@@ -123,7 +128,11 @@ impl HostCore {
 
     /// Registers the port leading to `device`, for completion routing.
     pub fn add_id_route(&mut self, device: DeviceId, port: PortIdx) {
-        self.id_routes.insert(device.0, port);
+        let i = device.0 as usize;
+        if self.id_routes.len() <= i {
+            self.id_routes.resize(i + 1, None);
+        }
+        self.id_routes[i] = Some(port);
     }
 
     /// Registers a poll watch over `range`; device writes covering any part
@@ -191,7 +200,10 @@ impl HostCore {
         let port = self
             .route_port(addr)
             .unwrap_or_else(|| panic!("cpu_store to unmapped address {addr:#x}"));
-        ctx.send(port, Tlp::write(addr, data.to_vec()).with_span(span));
+        ctx.send(
+            port,
+            Tlp::write(addr, Bytes::copy_from_slice(data)).with_span(span),
+        );
     }
 
     /// Copies `data` to a device window through the CPU write-combining
@@ -269,8 +281,9 @@ impl HostBridge {
                 params,
                 mem: PageMemory::new(),
                 windows: Vec::new(),
-                id_routes: HashMap::new(),
-                pending_reads: Vec::new(),
+                id_routes: Vec::new(),
+                pending_reads: VecDeque::new(),
+                read_base: 0,
                 watches: Vec::new(),
                 interrupts: Vec::new(),
                 irq_spans: Vec::new(),
@@ -382,13 +395,13 @@ impl Device for HostBridge {
                 requester,
             } => {
                 if self.core.dram.contains(addr) {
-                    let idx = self.core.pending_reads.len() as u64;
+                    let idx = self.core.read_base + self.core.pending_reads.len() as u64;
                     if let Some(sp) = tlp.span {
                         let now = ctx.now();
                         let until = now + self.core.params.mem_read_latency;
                         ctx.spans().segment(sp, "dram_read", now, until, None);
                     }
-                    self.core.pending_reads.push(Some(PendingRead {
+                    self.core.pending_reads.push_back(Some(PendingRead {
                         port,
                         addr,
                         len,
@@ -409,10 +422,12 @@ impl Device for HostBridge {
                     requester, self.core.id,
                     "host CPU loads from devices are not modelled (PIO is store-only, §III-F1)"
                 );
-                let out = *self
+                let out = self
                     .core
                     .id_routes
-                    .get(&requester.0)
+                    .get(requester.0 as usize)
+                    .copied()
+                    .flatten()
                     .unwrap_or_else(|| panic!("no id route to {requester:?}"));
                 ctx.send(out, tlp);
             }
@@ -441,11 +456,16 @@ impl Device for HostBridge {
         let val = tag & ((1 << 56) - 1);
         match kind {
             KIND_READ => {
-                let pr = self.core.pending_reads[val as usize]
+                let core = &mut self.core;
+                let pr = core.pending_reads[(val - core.read_base) as usize]
                     .take()
                     .expect("read already served");
-                let chunk = self.core.params.completion_chunk as usize;
-                let data = self.core.mem.read(pr.addr, pr.len as usize);
+                while let Some(None) = core.pending_reads.front() {
+                    core.pending_reads.pop_front();
+                    core.read_base += 1;
+                }
+                let chunk = core.params.completion_chunk as usize;
+                let data = core.mem.read_payload(pr.addr, pr.len as usize);
                 let total = data.len();
                 let mut off = 0usize;
                 while off < total {
@@ -457,7 +477,7 @@ impl Device for HostBridge {
                             pr.tag,
                             pr.requester,
                             off as u32,
-                            data[off..off + n].to_vec(),
+                            data.slice(off..off + n),
                             last,
                         )
                         .with_span(pr.span),

@@ -21,7 +21,7 @@
 
 use crate::params::IbParams;
 use std::collections::HashMap;
-use tca_pcie::{Ctx, Device, DeviceId, PortIdx, ReadReassembly, TagPool, Tlp, TlpKind};
+use tca_pcie::{Bytes, Ctx, Device, DeviceId, PortIdx, ReadReassembly, TagPool, Tlp, TlpKind};
 use tca_sim::{Counter, CounterId, GaugeId, MetricsHub, TraceLevel};
 
 /// Bit position of the node tag in an IB wire address.
@@ -176,7 +176,7 @@ impl IbHca {
                 break;
             }
             // Peek the contiguous prefix out of the reassembly buffer.
-            let frame = a.buf.peek(a.framed as usize, cut as usize);
+            let frame = Bytes::copy_from_slice(a.buf.peek(a.framed as usize, cut as usize));
             let rail = PortIdx(1 + (a.frame_seq % rails) as u8);
             let addr = ib_addr(a.op.dst_node, a.op.dst + a.framed);
             ctx.send(rail, Tlp::write(addr, frame));
@@ -192,7 +192,7 @@ impl IbHca {
                 let addr = ib_addr(op.dst_node, op.flags_addr + rail as u64 * 4);
                 ctx.send(
                     PortIdx(1 + rail),
-                    Tlp::write(addr, op.flag_value.to_le_bytes().to_vec()),
+                    Tlp::write(addr, Bytes::copy_from_slice(&op.flag_value.to_le_bytes())),
                 );
             }
             ctx.trace(TraceLevel::Txn, || {
@@ -217,14 +217,16 @@ impl IbHca {
         ctx.timer_in(delay, T_FWD | slot as u64);
     }
 
-    /// Re-segments an inbound frame into host-link TLPs.
-    fn deliver_frame(&mut self, addr: u64, data: &[u8], ctx: &mut Ctx<'_>) {
+    /// Re-segments an inbound frame into host-link TLPs that share the
+    /// frame's payload.
+    fn deliver_frame(&mut self, addr: u64, data: &Bytes, ctx: &mut Ctx<'_>) {
         let (node, local) = ib_decode(addr);
         assert_eq!(node, self.node, "{}: misrouted frame", self.name);
         self.frames_rx.inc();
         let mps = self.params.pcie_link.max_payload as usize;
-        for (i, chunk) in data.chunks(mps).enumerate() {
-            let tlp = Tlp::write(local + (i * mps) as u64, chunk.to_vec());
+        for start in (0..data.len()).step_by(mps) {
+            let end = data.len().min(start + mps);
+            let tlp = Tlp::write(local + start as u64, data.slice(start..end));
             self.forward_after(self.params.rx_forward, PortIdx(0), tlp, ctx);
         }
     }

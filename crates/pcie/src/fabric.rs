@@ -22,7 +22,7 @@ use crate::link::{LinkParams, WireState};
 use crate::slab::{TlpHandle, TlpSlab};
 use crate::tlp::{DeviceId, Dir, FcClass, PortIdx, Tlp, TlpKind};
 use std::any::Any;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use tca_sim::metrics::{CounterId, GaugeId, MeterId};
 use tca_sim::{
     Dur, EventQueue, FlightRecorder, Fnv64, MetricsHub, MetricsSnapshot, Sampler, SimRng, SimTime,
@@ -194,7 +194,9 @@ pub struct LinkDirStats {
 pub struct Fabric {
     queue: EventQueue<Ev>,
     devices: Vec<Box<dyn Device>>,
-    ports: HashMap<(DeviceId, PortIdx), (u32, Dir)>,
+    /// `(link, transmit direction)` of each connected port, indexed
+    /// `[device][port]`: every TLP send looks its port up here.
+    ports: Vec<Vec<Option<(u32, Dir)>>>,
     links: Vec<LinkState>,
     tracer: Tracer,
     metrics: MetricsHub,
@@ -233,7 +235,7 @@ impl Fabric {
         Fabric {
             queue: EventQueue::new(),
             devices: Vec::new(),
-            ports: HashMap::new(),
+            ports: Vec::new(),
             links: Vec::new(),
             tracer: Tracer::default(),
             metrics: MetricsHub::new(),
@@ -432,7 +434,15 @@ impl Fabric {
                 "unknown device {:?}",
                 pt.0
             );
-            let prev = self.ports.insert(pt, (id, end));
+            let (dev, port) = (pt.0 .0 as usize, pt.1 .0 as usize);
+            if self.ports.len() <= dev {
+                self.ports.resize_with(dev + 1, Vec::new);
+            }
+            let row = &mut self.ports[dev];
+            if row.len() <= port {
+                row.resize(port + 1, None);
+            }
+            let prev = row[port].replace((id, end));
             assert!(prev.is_none(), "port {pt:?} already connected");
         }
         let metrics = &mut self.metrics;
@@ -534,9 +544,12 @@ impl Fabric {
     /// connected. Lets upper layers (the PEACH2 firmware's register file)
     /// map their local port numbering onto fabric link statistics.
     pub fn port_link(&self, dev: DeviceId, port: PortIdx) -> Option<(LinkId, Dir)> {
-        self.ports
-            .get(&(dev, port))
-            .map(|&(link, dir)| (LinkId(link), dir))
+        self.port_slot(dev, port)
+            .map(|(link, dir)| (LinkId(link), dir))
+    }
+
+    fn port_slot(&self, dev: DeviceId, port: PortIdx) -> Option<(u32, Dir)> {
+        *self.ports.get(dev.0 as usize)?.get(port.0 as usize)?
     }
 
     /// The parameters a link was connected with (read-only introspection
@@ -971,7 +984,7 @@ impl Fabric {
     /// as a diagnostic.
     #[track_caller]
     fn submit(&mut self, src: DeviceId, port: PortIdx, tlp: Tlp) {
-        let Some(&(link, end)) = self.ports.get(&(src, port)) else {
+        let Some((link, end)) = self.port_slot(src, port) else {
             let err = ConfigError::UnconnectedPort { device: src, port };
             self.tracer.emit(TraceLevel::Txn, self.queue.now(), || {
                 format!("{err}: dropping {tlp:?}")

@@ -49,6 +49,7 @@ pub mod tagpool;
 pub mod tlp;
 
 pub use addr::{align_down, align_up, is_aligned, AddrRange};
+pub use bytes::Bytes;
 pub use device::{CreditHold, Ctx, Device};
 pub use fabric::{ConfigError, Fabric, FabricProf, LinkDirStats, LinkId, StepKind};
 pub use link::{LinkParams, PcieGen, WireState};

@@ -4,17 +4,58 @@
 //! integrity is testable, but a 6 GB GPU obviously cannot be backed by a
 //! dense allocation. [`PageMemory`] materializes 4 KiB pages on first touch
 //! and reads zeroes from untouched pages, like freshly mapped memory.
+//!
+//! Pages are copy-on-write: [`PageMemory::read_payload`] hands out an O(1)
+//! [`Bytes`] view of a page, and a later write to that page copies it
+//! first, so the view keeps the bytes it was read with. A payload is
+//! therefore copied once, when it commits at its destination.
 
+use bytes::Bytes;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::{Arc, OnceLock};
 
 /// Page size of the sparse store (also the pinning granularity GPUDirect
 /// RDMA uses — "GPU memory at page granularity", §III-C).
 pub const PAGE_SIZE: u64 = 4096;
 
+/// Multiplicative hash for page numbers. Every payload write and read
+/// looks a page up, and SipHash's flooding resistance buys nothing for
+/// keys the simulator computes itself.
+#[derive(Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A freshly allocated all-zero page.
+fn zeroed_page() -> Arc<[u8]> {
+    std::iter::repeat_n(0u8, PAGE_SIZE as usize).collect()
+}
+
+/// The process-wide all-zero page that untouched pages read as.
+fn zero_page() -> &'static Arc<[u8]> {
+    static ZERO: OnceLock<Arc<[u8]>> = OnceLock::new();
+    ZERO.get_or_init(zeroed_page)
+}
+
 /// A sparse, zero-initialized byte store.
 #[derive(Default)]
 pub struct PageMemory {
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE as usize]>>,
+    pages: HashMap<u64, Arc<[u8]>, BuildHasherDefault<PageHasher>>,
 }
 
 impl PageMemory {
@@ -36,11 +77,9 @@ impl PageMemory {
             let page = cur / PAGE_SIZE;
             let off = (cur % PAGE_SIZE) as usize;
             let n = rest.len().min(PAGE_SIZE as usize - off);
-            let p = self
-                .pages
-                .entry(page)
-                .or_insert_with(|| Box::new([0u8; PAGE_SIZE as usize]));
-            p[off..off + n].copy_from_slice(&rest[..n]);
+            // `make_mut` copies a page a payload view still shares.
+            let p = self.pages.entry(page).or_insert_with(zeroed_page);
+            Arc::make_mut(p)[off..off + n].copy_from_slice(&rest[..n]);
             rest = &rest[n..];
             cur += n as u64;
         }
@@ -51,6 +90,21 @@ impl PageMemory {
         let mut out = vec![0u8; len];
         self.read_into(addr, &mut out);
         out
+    }
+
+    /// Reads `len` bytes starting at `addr` as a payload snapshot. A range
+    /// inside one page is an O(1) view of it (of the shared zero page when
+    /// untouched); a range crossing pages is copied once. Later writes do
+    /// not change the returned bytes.
+    pub fn read_payload(&self, addr: u64, len: usize) -> Bytes {
+        let off = (addr % PAGE_SIZE) as usize;
+        if off + len <= PAGE_SIZE as usize {
+            let page = self.pages.get(&(addr / PAGE_SIZE)).unwrap_or(zero_page());
+            return Bytes::view(Arc::clone(page), off..off + len);
+        }
+        let mut buf: Arc<[u8]> = std::iter::repeat_n(0u8, len).collect();
+        self.read_into(addr, Arc::get_mut(&mut buf).expect("fresh buffer"));
+        Bytes::from(buf)
     }
 
     /// Reads into a caller-provided buffer.
@@ -195,6 +249,40 @@ mod tests {
         byte[0] ^= 0xff;
         m.write(0x10_0042, &byte);
         assert_eq!(m.verify_pattern(0x10_0000, 64 * 1024, 7), Err(0x10_0042));
+    }
+
+    #[test]
+    fn payload_is_a_snapshot_and_later_writes_land() {
+        let mut m = PageMemory::new();
+        m.write(0x100, &[1, 2, 3, 4]);
+        let before = m.read_payload(0x100, 4);
+        m.write(0x102, &[9, 9]);
+        assert_eq!(&before[..], &[1, 2, 3, 4], "view keeps the old bytes");
+        assert_eq!(&m.read_payload(0x100, 4)[..], &[1, 2, 9, 9]);
+        assert_eq!(m.read(0x100, 4), vec![1, 2, 9, 9]);
+        assert_eq!(m.resident_pages(), 1);
+    }
+
+    #[test]
+    fn payload_of_untouched_page_is_zero_and_stays_sparse() {
+        let m = PageMemory::new();
+        let p = m.read_payload(7 << 30, 256);
+        assert_eq!(&p[..], &[0u8; 256][..]);
+        assert_eq!(m.resident_pages(), 0);
+    }
+
+    #[test]
+    fn payload_across_pages_is_correct() {
+        let mut m = PageMemory::new();
+        m.fill_pattern(0, 3 * PAGE_SIZE, 5);
+        let addr = PAGE_SIZE - 100;
+        let p = m.read_payload(addr, 300);
+        assert_eq!(&p[..], &m.read(addr, 300)[..]);
+        // Spanning a resident page and an untouched one.
+        let q = m.read_payload(3 * PAGE_SIZE - 4, 8);
+        assert_eq!(&q[..4], &m.read(3 * PAGE_SIZE - 4, 4)[..]);
+        assert_eq!(&q[4..], &[0; 4]);
+        assert_eq!(m.resident_pages(), 3);
     }
 
     #[test]

@@ -96,12 +96,12 @@ impl ReadReassembly {
         self.buf
     }
 
-    /// Copies out `[offset, offset+len)`; callers that stream a contiguous
+    /// Borrows `[offset, offset+len)`; callers that stream a contiguous
     /// prefix (the HCA frame cutter) use this without consuming the buffer.
     #[track_caller]
-    pub fn peek(&self, offset: usize, len: usize) -> Vec<u8> {
+    pub fn peek(&self, offset: usize, len: usize) -> &[u8] {
         assert!(offset + len <= self.buf.len(), "peek out of range");
-        self.buf[offset..offset + len].to_vec()
+        &self.buf[offset..offset + len]
     }
 
     /// Total bytes received so far.

@@ -20,7 +20,8 @@ use crate::regs::{RegEffect, RegError, RegFile, RouteRule, SRAM_OFFSET};
 use std::collections::{HashMap, VecDeque};
 use tca_device::map::{gpu_bar, TcaBlock, TcaMap};
 use tca_pcie::{
-    Ctx, Device, DeviceId, Fabric, PageMemory, PortIdx, ReadReassembly, TagPool, Tlp, TlpKind,
+    Bytes, Ctx, Device, DeviceId, Fabric, PageMemory, PortIdx, ReadReassembly, TagPool, Tlp,
+    TlpKind,
 };
 use tca_sim::{
     Counter, CounterId, Dur, GaugeId, HistogramId, LatencyHistogram, MetricsHub, SimTime, TraceCtx,
@@ -392,7 +393,7 @@ impl Peach2 {
     /// Emits a DMA-engine write to `addr` (any byte count ≤ MPS), routing
     /// it like the hardware: own slice → translate → port N; other slice →
     /// routing registers → E/W/S; non-window → port N as-is.
-    fn emit_write(&mut self, addr: u64, data: Vec<u8>, ctx: &mut Ctx<'_>) {
+    fn emit_write(&mut self, addr: u64, data: Bytes, ctx: &mut Ctx<'_>) {
         let span = self.dma.span;
         match self.map.classify(addr) {
             Some((node, block, off)) if node == self.regs.node_id => {
@@ -596,7 +597,9 @@ impl Peach2 {
         let src_off = own_internal.offset_of(d.src) - SRAM_OFFSET;
         let mps = self.params.host_link.max_payload as u64;
         let n = mps.min(d.len - self.dma.wr_off);
-        let data = self.sram.read(src_off + self.dma.wr_off, n as usize);
+        let data = self
+            .sram
+            .read_payload(src_off + self.dma.wr_off, n as usize);
         self.emit_write(d.dst + self.dma.wr_off, data, ctx);
         self.dma.wr_off += n;
         self.dma.run_bytes += n;
@@ -680,8 +683,11 @@ impl Peach2 {
             let count = self.runs.len() as u32;
             ctx.send(
                 PORT_N,
-                Tlp::write(self.regs.dma_status_addr, count.to_le_bytes().to_vec())
-                    .with_span(self.dma.span),
+                Tlp::write(
+                    self.regs.dma_status_addr,
+                    Bytes::copy_from_slice(&count.to_le_bytes()),
+                )
+                .with_span(self.dma.span),
             );
         }
         ctx.send(
@@ -746,7 +752,8 @@ impl Peach2 {
             .unwrap_or_else(|| panic!("{}: completion for unknown {tag:?}", self.name));
         let chunk = dr.chunk;
         let read_issued = dr.issued;
-        dr.received += data.len() as u32;
+        let len = data.len() as u64;
+        dr.received += len as u32;
         let req_done = last && dr.received >= chunk.len;
         if req_done {
             self.dma.data_reads.remove(&tag.0);
@@ -757,16 +764,17 @@ impl Peach2 {
                     .segment(sp, "dma_read", read_issued, now, Some(self.id.0));
             }
         }
+        self.dma.run_bytes += len;
         if chunk.write_out {
-            self.dma.fifo_in_flight -= data.len() as u64;
-            self.dma.run_bytes += data.len() as u64;
-            self.emit_write(chunk.dst + offset as u64, data.to_vec(), ctx);
+            // Pipelined engine: the completion's payload is forwarded as
+            // the write, uncopied.
+            self.dma.fifo_in_flight -= len;
+            self.emit_write(chunk.dst + offset as u64, data, ctx);
         } else {
             self.sram.write(chunk.dst + offset as u64, &data);
-            self.dma.run_bytes += data.len() as u64;
         }
         let rem = &mut self.dma.desc_remaining[chunk.desc as usize];
-        *rem -= data.len() as u64;
+        *rem -= len;
         if *rem == 0 {
             self.desc_done(chunk.desc, ctx);
             if self.dma.issue_waiting_data && chunk.desc == self.dma.issue_idx {

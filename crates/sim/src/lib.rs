@@ -61,7 +61,7 @@ pub use params::{
     fingerprint_hex, fingerprint_pairs, nest_id, unnest_id, ParamDesc, ParamSet, ParamUnit,
     Parameterized,
 };
-pub use prof::{alloc_snapshot, AllocSnapshot, ProfCounters};
+pub use prof::{alloc_snapshot, thread_alloc_snapshot, AllocSnapshot, ProfCounters};
 pub use rng::SimRng;
 pub use sampler::{GaugeSeries, Sampler, StallReport, Watchdog};
 pub use span::{SpanId, SpanStore, TraceCtx, WriteRec};

@@ -1,5 +1,5 @@
 //! Host-side engine profiling: wall-clock-free counters plus (behind the
-//! `host-prof` feature) process-wide allocation accounting.
+//! `host-prof` feature) process-wide and per-thread allocation accounting.
 //!
 //! This is the *counter* half of `tca-prof`. Everything in this module is
 //! observationally neutral to the simulation: counters are plain integers
@@ -97,6 +97,7 @@ impl AllocSnapshot {
 #[cfg(feature = "host-prof")]
 mod hostalloc {
     use super::AllocSnapshot;
+    use std::cell::Cell;
     use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
     static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -105,11 +106,40 @@ mod hostalloc {
     static CURRENT: AtomicU64 = AtomicU64::new(0);
     static PEAK: AtomicU64 = AtomicU64::new(0);
 
+    /// The calling thread's share of `ALLOCS`, `FREES` and `BYTES`.
+    struct ThreadTally {
+        allocs: Cell<u64>,
+        frees: Cell<u64>,
+        bytes: Cell<u64>,
+    }
+
+    thread_local! {
+        // Const-initialised and drop-free, so touching it never allocates
+        // and is safe from inside the allocator.
+        static TALLY: ThreadTally = const {
+            ThreadTally {
+                allocs: Cell::new(0),
+                frees: Cell::new(0),
+                bytes: Cell::new(0),
+            }
+        };
+    }
+
+    fn bump(c: &Cell<u64>, by: u64) {
+        c.set(c.get() + by);
+    }
+
     pub(super) fn record_alloc(size: u64) {
         ALLOCS.fetch_add(1, Relaxed);
         BYTES.fetch_add(size, Relaxed);
         let now = CURRENT.fetch_add(size, Relaxed) + size;
         PEAK.fetch_max(now, Relaxed);
+        // `try_with`: allocations during thread teardown go uncounted
+        // per thread instead of panicking.
+        let _ = TALLY.try_with(|t| {
+            bump(&t.allocs, 1);
+            bump(&t.bytes, size);
+        });
     }
 
     pub(super) fn record_dealloc(size: u64) {
@@ -117,6 +147,7 @@ mod hostalloc {
         // Saturating: a binary may install the allocator after some
         // allocations already happened, so frees can outrun allocs.
         let _ = CURRENT.fetch_update(Relaxed, Relaxed, |c| Some(c.saturating_sub(size)));
+        let _ = TALLY.try_with(|t| bump(&t.frees, 1));
     }
 
     pub(super) fn snapshot() -> AllocSnapshot {
@@ -129,10 +160,21 @@ mod hostalloc {
         }
     }
 
+    pub(super) fn thread_snapshot() -> AllocSnapshot {
+        let global = snapshot();
+        TALLY.with(|t| AllocSnapshot {
+            allocs: t.allocs.get(),
+            frees: t.frees.get(),
+            bytes_allocated: t.bytes.get(),
+            ..global
+        })
+    }
+
     /// System-allocator passthrough that counts every request. The only
     /// `unsafe` in the workspace: each method forwards verbatim to
-    /// [`std::alloc::System`] and touches nothing but relaxed atomics, so
-    /// it upholds exactly the contract `System` already satisfies.
+    /// [`std::alloc::System`] and touches nothing but relaxed atomics and
+    /// the allocation-free thread-local tally, so it upholds exactly the
+    /// contract `System` already satisfies.
     #[allow(unsafe_code)]
     mod allocator {
         use std::alloc::{GlobalAlloc, Layout, System};
@@ -175,8 +217,8 @@ mod hostalloc {
 /// static ALLOC: tca_sim::prof::CountingAllocator = tca_sim::prof::CountingAllocator;
 /// ```
 ///
-/// Counting is two relaxed atomic adds per call — uniform overhead that
-/// cannot observe or perturb simulated time.
+/// Counting is a few relaxed atomic adds plus a thread-local tally per
+/// call — uniform overhead that cannot observe or perturb simulated time.
 #[cfg(feature = "host-prof")]
 pub use hostalloc::CountingAllocator;
 
@@ -187,6 +229,23 @@ pub fn alloc_snapshot() -> AllocSnapshot {
     #[cfg(feature = "host-prof")]
     {
         hostalloc::snapshot()
+    }
+    #[cfg(not(feature = "host-prof"))]
+    {
+        AllocSnapshot::default()
+    }
+}
+
+/// The calling thread's allocation counters: `allocs`, `frees` and
+/// `bytes_allocated` count only this thread's requests, so a measured
+/// window is not polluted by other threads (parallel tests, `--jobs N`
+/// sweeps). `current_bytes` and `peak_bytes` stay process-wide, since a
+/// block may be freed by a thread other than the one that allocated it.
+/// All zeros under the same conditions as [`alloc_snapshot`].
+pub fn thread_alloc_snapshot() -> AllocSnapshot {
+    #[cfg(feature = "host-prof")]
+    {
+        hostalloc::thread_snapshot()
     }
     #[cfg(not(feature = "host-prof"))]
     {

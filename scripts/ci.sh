@@ -8,7 +8,9 @@ cargo fmt --all -- --check
 cargo clippy --workspace --all-targets --offline -- -D warnings
 cargo build --release --offline --workspace --bins
 cargo build --release --offline
-cargo test -q --offline
+# Every crate's tests, not only the root package's: the per-crate unit
+# tests (payload views in pcie/vendor, device models, the chip) gate too.
+cargo test -q --offline --workspace
 
 # Scenario-runner smoke: the registry lists, a TCA-only sweep and a
 # backend-aware sweep both run, and the parallel runner emits the same

@@ -1,19 +1,15 @@
-//! Zero-allocation guarantees of the rewritten engine hot path.
+//! Allocation guarantees of the engine hot path and the bulk-DMA path.
 //!
-//! These tests live in their own binary because the counting allocator's
-//! tallies are process-global: a `delta.allocs == 0` assertion is only
-//! meaningful when no other test thread can allocate inside the measured
-//! window. The two tests below additionally serialize their measured
-//! sections through a shared lock.
+//! These tests live in their own binary because they install the
+//! counting allocator. Every window is measured with the calling
+//! thread's own tally (`thread_alloc_snapshot`), so test threads running
+//! in parallel never count each other's allocations.
 
-use std::sync::Mutex;
+use tca::sim::prof::thread_alloc_snapshot;
+use tca_bench::{Direction, Target};
 
 #[global_allocator]
 static ALLOC: tca::sim::prof::CountingAllocator = tca::sim::prof::CountingAllocator;
-
-/// Serializes the measured windows so the in-process test threads never
-/// allocate inside each other's snapshots.
-static MEASURE: Mutex<()> = Mutex::new(());
 
 /// Steady-state stepping on a warmed fabric performs zero heap
 /// allocations: the timing-wheel slab and free list, the TLP slab, the
@@ -35,11 +31,9 @@ fn steady_state_stepping_is_allocation_free() {
     // Round 2: identical traffic; payloads are allocated here, before
     // the measurement starts.
     tf.inject(dests);
-    let guard = MEASURE.lock().unwrap();
-    let before = tca::sim::alloc_snapshot();
+    let before = thread_alloc_snapshot();
     tf.fabric.run_until_idle();
-    let delta = tca::sim::alloc_snapshot().since(&before);
-    drop(guard);
+    let delta = thread_alloc_snapshot().since(&before);
     assert_eq!(
         delta.allocs, 0,
         "steady-state stepping allocated on a warmed fabric: {delta:?}"
@@ -63,16 +57,42 @@ fn metric_lookup_hits_do_not_allocate() {
     let g_first = hub.gauge("gpu0.bar1.read_q_depth");
     let h_first = hub.histogram("gpu0.bar1.read_q_wait_ns");
 
-    let guard = MEASURE.lock().unwrap();
-    let before = tca::sim::alloc_snapshot();
+    let before = thread_alloc_snapshot();
     let again = hub.counter("gpu0.bar1.reads");
     let g_again = hub.gauge("gpu0.bar1.read_q_depth");
     let h_again = hub.histogram("gpu0.bar1.read_q_wait_ns");
-    let delta = tca::sim::alloc_snapshot().since(&before);
-    drop(guard);
+    let delta = thread_alloc_snapshot().since(&before);
 
     assert_eq!(first, again, "re-registration must return the same id");
     assert_eq!(g_first, g_again);
     assert_eq!(h_first, h_again);
     assert_eq!(delta.allocs, 0, "metric lookup hit allocated: {delta:?}");
+}
+
+/// Payloads ride the chained-DMA path as views of the source memory and
+/// are copied once, into the destination, so a warmed 255 × 64 KiB run
+/// (65 280 payload TLPs) allocates per descriptor, never per TLP.
+#[test]
+fn bulk_dma_allocates_per_descriptor_not_per_tlp() {
+    const COUNT: u64 = 255;
+    const SIZE: u64 = 64 * 1024;
+    for (target, dir) in [
+        (Target::LocalCpu, Direction::Write),
+        (Target::LocalCpu, Direction::Read),
+        (Target::RemoteCpu, Direction::Write),
+    ] {
+        let mut r = tca_bench::rig(2);
+        for _ in 0..2 {
+            tca_bench::dma_bandwidth(&mut r, target, dir, COUNT, SIZE);
+        }
+        let before = thread_alloc_snapshot();
+        tca_bench::dma_bandwidth(&mut r, target, dir, COUNT, SIZE);
+        let delta = thread_alloc_snapshot().since(&before);
+        assert!(
+            delta.allocs < 2 * COUNT,
+            "{target:?} {dir:?}: {} allocations for {} payload TLPs: {delta:?}",
+            delta.allocs,
+            COUNT * SIZE / 256
+        );
+    }
 }
