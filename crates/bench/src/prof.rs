@@ -548,9 +548,9 @@ fn replay_race_workload<Q: RaceQueue>(q: &mut Q, total_events: u64) -> u64 {
 pub struct QueueRace {
     /// Events popped by each queue (identical by construction).
     pub events: u64,
-    /// Wheel throughput, pops per host second.
+    /// Wheel throughput, pops per host second (median replay).
     pub wheel_events_per_sec: f64,
-    /// Reference-heap throughput, pops per host second.
+    /// Reference-heap throughput, pops per host second (median replay).
     pub ref_events_per_sec: f64,
     /// `wheel_events_per_sec / ref_events_per_sec`.
     pub speedup: f64,
@@ -559,42 +559,63 @@ pub struct QueueRace {
     pub checksum: u64,
 }
 
+/// Timed replays per queue in [`queue_race`]; the race compares medians.
+const RACE_REPS: usize = 5;
+
+/// Replays the race workload through a fresh `Q`; returns
+/// `(events popped, checksum, host seconds)`.
+fn timed_race<Q: RaceQueue>(mut q: Q, total_events: u64) -> (u64, u64, f64) {
+    let t = Instant::now();
+    let sum = replay_race_workload(&mut q, total_events);
+    let wall = t.elapsed().as_secs_f64().max(1e-12);
+    (q.executed(), sum, wall)
+}
+
+/// Median of a small sample.
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
 /// Races `tca_sim::EventQueue` (the timing wheel) against
 /// [`RefQueue`] (the pre-rewrite heap) on the identical deterministic
 /// workload and asserts their pop streams match exactly.
+///
+/// Each queue replays the workload [`RACE_REPS`] times, alternating with
+/// the other so a slow patch of the host hits both, and the throughputs
+/// compared are the medians — a single ~20 ms shot per queue was at the
+/// mercy of host noise.
 ///
 /// # Panics
 /// Panics if the two queues disagree on the popped stream — the wheel
 /// would no longer be a drop-in replacement for the heap.
 pub fn queue_race(total_events: u64) -> QueueRace {
-    let mut wheel = EventQueue::<u64>::new();
-    let t = Instant::now();
-    let wheel_sum = replay_race_workload(&mut wheel, total_events);
-    let wheel_wall = t.elapsed().as_secs_f64().max(1e-12);
-
-    let mut reference = RefQueue::<u64>::new();
-    let t = Instant::now();
-    let ref_sum = replay_race_workload(&mut reference, total_events);
-    let ref_wall = t.elapsed().as_secs_f64().max(1e-12);
-
-    assert_eq!(
-        wheel.executed(),
-        reference.executed(),
-        "wheel and reference popped different event counts"
-    );
-    assert_eq!(
-        wheel_sum, ref_sum,
-        "wheel and reference pop streams diverged"
-    );
-    let events = wheel.executed();
-    let wheel_eps = events as f64 / wheel_wall;
-    let ref_eps = events as f64 / ref_wall;
+    let mut wheel_walls = Vec::with_capacity(RACE_REPS);
+    let mut ref_walls = Vec::with_capacity(RACE_REPS);
+    let (mut events, mut checksum) = (0, 0);
+    for _ in 0..RACE_REPS {
+        let (wheel_events, wheel_sum, wall) = timed_race(EventQueue::<u64>::new(), total_events);
+        wheel_walls.push(wall);
+        let (ref_events, ref_sum, wall) = timed_race(RefQueue::<u64>::new(), total_events);
+        ref_walls.push(wall);
+        assert_eq!(
+            wheel_events, ref_events,
+            "wheel and reference popped different event counts"
+        );
+        assert_eq!(
+            wheel_sum, ref_sum,
+            "wheel and reference pop streams diverged"
+        );
+        (events, checksum) = (wheel_events, wheel_sum);
+    }
+    let wheel_eps = events as f64 / median(wheel_walls);
+    let ref_eps = events as f64 / median(ref_walls);
     QueueRace {
         events,
         wheel_events_per_sec: wheel_eps,
         ref_events_per_sec: ref_eps,
         speedup: wheel_eps / ref_eps.max(1e-12),
-        checksum: wheel_sum,
+        checksum,
     }
 }
 

@@ -80,6 +80,11 @@ pub struct HostCore {
     watches: Vec<Watch>,
     /// (delivery time, handler-entry time, vector) for every MSI.
     interrupts: Vec<(SimTime, SimTime, u32)>,
+    /// `(vector, count)` per MSI vector seen, in first-seen order; kept
+    /// beside `interrupts` so counting one vector does not rescan them all.
+    /// Scanned linearly: a node raises a handful of vectors, and any
+    /// `u32` vector is legal, so it is not indexed by vector.
+    irq_tally: Vec<(u32, usize)>,
     /// Span context of each MSI, parallel to `interrupts`, so the handler
     /// entry can close the originating transfer's root span.
     irq_spans: Vec<Option<TraceCtx>>,
@@ -157,7 +162,10 @@ impl HostCore {
 
     /// Count of interrupts with the given vector.
     pub fn interrupt_count(&self, vector: u32) -> usize {
-        self.interrupts.iter().filter(|i| i.2 == vector).count()
+        self.irq_tally
+            .iter()
+            .find(|&&(v, _)| v == vector)
+            .map_or(0, |&(_, n)| n)
     }
 
     fn route_port(&self, addr: u64) -> Option<PortIdx> {
@@ -286,6 +294,7 @@ impl HostBridge {
                 read_base: 0,
                 watches: Vec::new(),
                 interrupts: Vec::new(),
+                irq_tally: Vec::new(),
                 irq_spans: Vec::new(),
                 dram_writes: Counter::new(),
                 dram_bytes_in: Counter::new(),
@@ -441,11 +450,18 @@ impl Device for HostBridge {
                     ctx.spans().segment(sp, "irq_entry", arrived, entry, None);
                 }
                 self.core.interrupts.push((arrived, arrived, vector));
+                match self.core.irq_tally.iter_mut().find(|(v, _)| *v == vector) {
+                    Some((_, n)) => *n += 1,
+                    None => self.core.irq_tally.push((vector, 1)),
+                }
                 self.core.irq_spans.push(tlp.span);
                 let idx = self.core.interrupts.len() as u64 - 1;
+                // The tag carries the vector's low 16 bits for trace
+                // readability only; the handler reads it back from
+                // `interrupts`, so a wider vector cannot clobber the index.
                 ctx.timer_in(
                     self.core.params.interrupt_entry,
-                    mk_tag(KIND_IRQ, (idx << 16) | vector as u64),
+                    mk_tag(KIND_IRQ, (idx << 16) | u64::from(vector & 0xffff)),
                 );
             }
         }
@@ -487,7 +503,7 @@ impl Device for HostBridge {
             }
             KIND_IRQ => {
                 let idx = (val >> 16) as usize;
-                let vector = (val & 0xffff) as u32;
+                let vector = self.core.interrupts[idx].2;
                 self.core.interrupts[idx].1 = ctx.now();
                 // The paper's DMA window closes at handler entry (§IV-A):
                 // close the originating transfer's root span here.
@@ -657,6 +673,26 @@ mod tests {
             entered.since(arrived),
             HostParams::default().interrupt_entry
         );
+    }
+
+    #[test]
+    fn interrupt_count_matches_a_filter_over_mixed_vectors() {
+        let (mut f, host, dev) = rig();
+        let vectors = [2u32, 7, 2, u32::MAX, 0, 2, 7];
+        f.drive::<Probe, _>(dev, |_, ctx| {
+            for v in vectors {
+                ctx.send(PortIdx(0), Tlp::msi(v));
+            }
+        });
+        f.run_until_idle();
+        let core = f.device::<HostBridge>(host).core();
+        assert_eq!(core.interrupts().len(), vectors.len());
+        for v in [0u32, 1, 2, 7, u32::MAX] {
+            let filtered = core.interrupts().iter().filter(|i| i.2 == v).count();
+            assert_eq!(core.interrupt_count(v), filtered, "vector {v}");
+        }
+        assert_eq!(core.interrupt_count(2), 3);
+        assert_eq!(core.interrupt_count(1), 0);
     }
 
     #[test]

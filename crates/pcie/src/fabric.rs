@@ -670,7 +670,7 @@ impl Fabric {
     }
 
     /// Host-side counters of the underlying event queue (pushes, pops,
-    /// cancels, wheel cascades, peak pending depth).
+    /// cancels, entries re-filed by wheel cascades, peak pending depth).
     pub fn queue_prof(&self) -> tca_sim::ProfCounters {
         *self.queue.prof()
     }
@@ -1071,11 +1071,8 @@ impl Fabric {
         loop {
             prof.tlp_transmits += 1;
             let wire_bytes = tlp.wire_bytes();
-            let (departure, arrival) = d.wire.reserve(queue.now(), &params, wire_bytes);
-            metrics.add(
-                d.m.wire_busy_ns,
-                params.serialize(wire_bytes).as_ps() / 1_000,
-            );
+            let (departure, arrival, tx) = d.wire.reserve(queue.now(), &params, wire_bytes);
+            metrics.add(d.m.wire_busy_ns, tx.as_ps() / 1_000);
             metrics.record_bytes(d.m.wire_bytes, departure, wire_bytes);
             if corrupt_p > 0.0 && rng.gen_bool(corrupt_p) {
                 // LCRC failure at the receiver: discard, NAK, replay. The

@@ -375,14 +375,14 @@ pub struct WireState {
 
 impl WireState {
     /// Reserves the wire for a packet of `wire_bytes` starting no earlier
-    /// than `now`; returns `(departure, arrival_at_other_end)` given the
-    /// serialization time and one-way latency.
+    /// than `now`; returns `(departure, arrival_at_other_end,
+    /// serialization_time)` given the link rate and one-way latency.
     pub fn reserve(
         &mut self,
         now: SimTime,
         params: &LinkParams,
         wire_bytes: u64,
-    ) -> (SimTime, SimTime) {
+    ) -> (SimTime, SimTime, Dur) {
         let departure = self.busy_until.max(now);
         let tx = params.serialize(wire_bytes);
         self.busy_until = departure + tx;
@@ -391,7 +391,7 @@ impl WireState {
         self.busy_time += tx;
         // Store-and-forward: the packet is available at the receiver when the
         // last symbol has arrived.
-        (departure, self.busy_until + params.latency)
+        (departure, self.busy_until + params.latency, tx)
     }
 }
 
@@ -434,11 +434,12 @@ mod tests {
     fn wire_reserve_serializes_back_to_back() {
         let p = LinkParams::gen2_x8().with_latency(Dur::from_ns(10));
         let mut w = WireState::default();
-        let (d1, a1) = w.reserve(SimTime::ZERO, &p, 280);
+        let (d1, a1, tx) = w.reserve(SimTime::ZERO, &p, 280);
+        assert_eq!(tx, p.serialize(280));
         assert_eq!(d1, SimTime::ZERO);
         assert_eq!(a1, SimTime::from_ps(80_000)); // 70 ns tx + 10 ns latency
                                                   // Second packet must queue behind the first.
-        let (d2, a2) = w.reserve(SimTime::ZERO, &p, 280);
+        let (d2, a2, _) = w.reserve(SimTime::ZERO, &p, 280);
         assert_eq!(d2, SimTime::from_ps(70_000));
         assert_eq!(a2, SimTime::from_ps(150_000));
         assert_eq!(w.packets, 2);
@@ -451,7 +452,7 @@ mod tests {
         let mut w = WireState::default();
         w.reserve(SimTime::ZERO, &p, 280);
         // Much later send starts immediately.
-        let (d, _) = w.reserve(SimTime::from_ps(1_000_000), &p, 280);
+        let (d, _, _) = w.reserve(SimTime::from_ps(1_000_000), &p, 280);
         assert_eq!(d, SimTime::from_ps(1_000_000));
     }
 

@@ -2,11 +2,11 @@
 //! travel through the event queue as an 8-byte handle instead of a full
 //! [`Tlp`] (24+ bytes of header plus a heap-backed payload handle).
 //!
-//! The event engine's timing wheel moves entries between levels as time
-//! advances (cascades); keeping the event payload small keeps those moves
-//! cheap and keeps the whole wheel cache-resident. The slab also removes
-//! the last reason for the fabric to clone a TLP on the hot path: the
-//! packet is inserted once when the wire reserves its arrival slot and
+//! The event engine's timing wheel scans small coarse buckets in place and
+//! re-files dense ones (cascades); keeping the event payload small keeps
+//! the entries those walks touch compact and cache-resident. The slab also
+//! removes the last reason for the fabric to clone a TLP on the hot path:
+//! the packet is inserted once when the wire reserves its arrival slot and
 //! taken out exactly once at delivery.
 //!
 //! Handles are generation-checked exactly like the event queue's

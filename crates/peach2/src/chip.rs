@@ -17,7 +17,7 @@ use crate::dma::{Descriptor, EngineKind, DESC_SIZE};
 use crate::nios::{Nios, PortLinkStats, PortRole};
 use crate::params::Peach2Params;
 use crate::regs::{RegEffect, RegError, RegFile, RouteRule, SRAM_OFFSET};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use tca_device::map::{gpu_bar, TcaBlock, TcaMap};
 use tca_pcie::{
     Bytes, Ctx, Device, DeviceId, Fabric, PageMemory, PortIdx, ReadReassembly, TagPool, Tlp,
@@ -87,6 +87,55 @@ struct DataRead {
     issued: SimTime,
 }
 
+/// In-flight DMA reads keyed by PCIe tag: a dense table indexed by tag
+/// (tags are bounded by `dma_tags`), grown on first use of a tag, with a
+/// live count.
+struct TagTable<T> {
+    slots: Vec<Option<T>>,
+    live: usize,
+}
+
+impl<T> Default for TagTable<T> {
+    fn default() -> Self {
+        TagTable {
+            slots: Vec::new(),
+            live: 0,
+        }
+    }
+}
+
+impl<T> TagTable<T> {
+    fn insert(&mut self, tag: u16, v: T) {
+        let i = usize::from(tag);
+        if self.slots.len() <= i {
+            self.slots.resize_with(i + 1, || None);
+        }
+        assert!(
+            self.slots[i].replace(v).is_none(),
+            "tag {tag} already in flight"
+        );
+        self.live += 1;
+    }
+
+    fn get_mut(&mut self, tag: u16) -> Option<&mut T> {
+        self.slots.get_mut(usize::from(tag))?.as_mut()
+    }
+
+    fn remove(&mut self, tag: u16) -> Option<T> {
+        let v = self.slots.get_mut(usize::from(tag))?.take();
+        self.live -= usize::from(v.is_some());
+        v
+    }
+
+    fn len(&self) -> usize {
+        self.live
+    }
+
+    fn is_empty(&self) -> bool {
+        self.live == 0
+    }
+}
+
 struct DmaState {
     phase: Phase,
     engine: EngineKind,
@@ -96,13 +145,13 @@ struct DmaState {
     fetch_next: u32,
     /// In-flight descriptor-table reads: tag → (index, issue time,
     /// reassembly). The issue time feeds the fetch-latency histogram.
-    fetch_reasm: HashMap<u16, (u32, SimTime, ReadReassembly)>,
+    fetch_reasm: TagTable<(u32, SimTime, ReadReassembly)>,
     issue_idx: u32,
     waiting_for_desc: bool,
     /// Current write-descriptor progress.
     wr_off: u64,
     read_q: VecDeque<ReadChunk>,
-    data_reads: HashMap<u16, DataRead>,
+    data_reads: TagTable<DataRead>,
     desc_remaining: Vec<u64>,
     descs_done: u32,
     issue_done: bool,
@@ -132,12 +181,12 @@ impl DmaState {
             count: 0,
             descs: Vec::new(),
             fetch_next: 0,
-            fetch_reasm: HashMap::new(),
+            fetch_reasm: TagTable::default(),
             issue_idx: 0,
             waiting_for_desc: false,
             wr_off: 0,
             read_q: VecDeque::new(),
-            data_reads: HashMap::new(),
+            data_reads: TagTable::default(),
             desc_remaining: Vec::new(),
             descs_done: 0,
             issue_done: false,
@@ -713,13 +762,12 @@ impl Peach2 {
             unreachable!()
         };
         assert_eq!(requester, self.id, "{}: foreign completion", self.name);
-        if let Some((idx, issued, mut reasm)) = self.dma.fetch_reasm.remove(&tag.0) {
+        if let Some((_, _, reasm)) = self.dma.fetch_reasm.get_mut(tag.0) {
             // Descriptor-table fetch.
-            let done = reasm.add(offset, &data);
-            if !done {
-                self.dma.fetch_reasm.insert(tag.0, (idx, issued, reasm));
+            if !reasm.add(offset, &data) {
                 return;
             }
+            let (idx, issued, reasm) = self.dma.fetch_reasm.remove(tag.0).expect("entry present");
             self.dma.tags.release(tag);
             self.desc_fetch_hist.record(ctx.now().since(issued));
             if let Some(sp) = self.dma.span {
@@ -748,7 +796,7 @@ impl Peach2 {
         let dr = self
             .dma
             .data_reads
-            .get_mut(&tag.0)
+            .get_mut(tag.0)
             .unwrap_or_else(|| panic!("{}: completion for unknown {tag:?}", self.name));
         let chunk = dr.chunk;
         let read_issued = dr.issued;
@@ -756,7 +804,7 @@ impl Peach2 {
         dr.received += len as u32;
         let req_done = last && dr.received >= chunk.len;
         if req_done {
-            self.dma.data_reads.remove(&tag.0);
+            self.dma.data_reads.remove(tag.0);
             self.dma.tags.release(tag);
             if let Some(sp) = self.dma.span {
                 let now = ctx.now();

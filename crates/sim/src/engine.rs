@@ -11,38 +11,53 @@
 //! are threaded onto intrusive doubly-linked lists hanging off a
 //! hierarchical timing wheel — [`LEVELS`] levels of [`SLOTS`] slots, each
 //! level covering a 256× longer horizon than the one below, over integer
-//! picoseconds. Level 0 slots each hold exactly one absolute timestamp;
-//! higher levels hold coarser buckets that are *cascaded* down (lazily
-//! re-binned) as the wheel's base time advances past their boundary.
-//! Events beyond the wheel horizon (`2^56` ps ≈ 20 simulated hours) park
-//! in a `BTreeMap` overflow tier keyed by `(time, seq)`.
+//! picoseconds. Eight 8-bit levels cover all of `u64`, so there is no
+//! far-future tier. An event is filed relative to the wheel `base` at the
+//! level of the highest byte in which its time differs from `base`, in the
+//! slot named by that byte. Level-0 slots each hold exactly one absolute
+//! timestamp; higher levels hold coarser buckets.
 //!
 //! * `schedule_at` / `cancel` are O(1): a slab allocation plus a list
 //!   append (or unlink) — no tombstones, no hashing, no re-heapification.
-//! * `pop` is O(1) amortized: find the first occupied slot via per-level
-//!   occupancy bitmaps, unlink the head.
+//! * The earliest bucket is the lowest set bit of a 32-bit occupancy
+//!   summary (one bit per 64-slot bitmap word), then of that word.
+//! * When that bucket is coarse (level > 0), one walk of its list finds
+//!   its earliest `(at, seq)` and its length. With at most [`SCAN_MAX`]
+//!   entries, that earliest entry is taken straight out of the list and
+//!   `base` stays put. A denser bucket is *cascaded*: `base` jumps to the
+//!   bucket's smallest time — the global minimum — and the bucket is
+//!   re-filed, which lands that minimum in level 0 in one step rather
+//!   than one level at a time. Sparse ns–µs traffic (PCIe TLP ticks,
+//!   deliveries and credit returns tens of ns to a few µs apart) thus
+//!   pops mostly in place, and a deep, dense queue stays O(1) amortized.
 //!
-//! Determinism is preserved exactly (see DESIGN.md "Timing-wheel event
-//! queue"): sequence numbers are monotone, slot lists only ever append, and
-//! cascades walk their source list head→tail, so every level-0 slot is in
+//! A slot is two `u32` links, so the whole wheel is 16 KiB and a new
+//! queue (one per fabric) stays cheap to build. A binary heap would be a
+//! little cheaper on the shallow queues of DMA traffic, but it is 2–3×
+//! slower on deep queues with cancels (the `bench_engine` queue race,
+//! ~17 k pending), so the wheel stays.
+//!
+//! Determinism is preserved exactly (see DESIGN.md "Event model"):
+//! sequence numbers are monotone, slot lists only ever append, and
+//! cascades walk their source list head→tail, so every slot list is in
 //! seq order and global pop order is lexicographic `(at, seq)` — the same
 //! total order the previous binary-heap implementation produced, byte for
 //! byte in every flight log.
 
 use crate::prof::ProfCounters;
 use crate::time::{Dur, SimTime};
-use std::collections::BTreeMap;
 
 /// Bits of the slot index at each wheel level (256 slots per level).
 const SLOT_BITS: u32 = 8;
 /// Slots per wheel level.
 const SLOTS: usize = 1 << SLOT_BITS;
-/// Wheel levels; together they cover `2^(8*7) = 2^56` picoseconds.
-const LEVELS: usize = 7;
+/// Wheel levels; together they cover `2^(8*8) = 2^64` picoseconds.
+const LEVELS: usize = 8;
+/// A coarse bucket with at most this many entries is popped in place
+/// (a linear scan for its minimum) instead of being cascaded.
+const SCAN_MAX: usize = 4;
 /// Null link in the intrusive slot lists.
 const NIL: u32 = u32::MAX;
-/// `Entry::level` marker: parked in the overflow `BTreeMap`.
-const LVL_OVERFLOW: u8 = 0xFF;
 /// `Entry::level` marker: entry is on the free list.
 const LVL_FREE: u8 = 0xFE;
 
@@ -65,15 +80,15 @@ impl EventId {
     }
 }
 
-/// One slab slot: an event (live in a wheel slot or the overflow tier) or
-/// a free-list entry awaiting reuse.
+/// One slab slot: an event live in a wheel slot, or a free-list entry
+/// awaiting reuse.
 struct Entry<E> {
     at: u64,
     seq: u64,
     gen: u32,
     prev: u32,
     next: u32,
-    /// Wheel level, or `LVL_OVERFLOW` / `LVL_FREE`.
+    /// Wheel level, or `LVL_FREE`.
     level: u8,
     slot: u8,
     payload: Option<E>,
@@ -103,12 +118,11 @@ pub struct EventQueue<E> {
     wheel: Vec<SlotList>,
     /// Per-level slot-occupancy bitmaps (256 bits each).
     occ: [[u64; 4]; LEVELS],
-    /// Far-future tier: events whose time differs from `base` above the
-    /// wheel horizon, keyed `(at, seq)` so drain order is pop order.
-    overflow: BTreeMap<(u64, u64), u32>,
-    /// Wheel origin in ps. Equal to `now` between operations; advances
-    /// only inside `pop`/`pop_run` (never in `peek_time` — scheduling
-    /// between a peek and the pop it predicts must stay legal).
+    /// Bit `4 * level + word` is set while `occ[level][word] != 0`.
+    summary: u32,
+    /// Wheel origin in ps, at or before `now`. Moves only when a bucket
+    /// is cascaded inside `pop`/`pop_run` (never in `peek_time` —
+    /// scheduling between a peek and the pop it predicts must stay legal).
     base: u64,
     live: usize,
     now: SimTime,
@@ -134,7 +148,7 @@ impl<E> EventQueue<E> {
             free: Vec::new(),
             wheel: vec![EMPTY_SLOT; LEVELS * SLOTS],
             occ: [[0; 4]; LEVELS],
-            overflow: BTreeMap::new(),
+            summary: 0,
             base: 0,
             live: 0,
             now: SimTime::ZERO,
@@ -231,25 +245,17 @@ impl<E> EventQueue<E> {
     }
 
     /// Cancels a previously scheduled event in O(1): the entry is unlinked
-    /// from its wheel slot (or overflow tier) immediately — no tombstone
-    /// is parked and nothing is drained later. Returns `true` only if the
-    /// event was still pending; an event that already fired, was already
-    /// cancelled, or was never scheduled returns `false` (the slab
-    /// generation check makes this exact).
+    /// from its wheel slot immediately — no tombstone is parked and
+    /// nothing is drained later. Returns `true` only if the event was
+    /// still pending; an event that already fired, was already cancelled,
+    /// or was never scheduled returns `false` (the slab generation check
+    /// makes this exact).
     pub fn cancel(&mut self, id: EventId) -> bool {
-        let (idx, gen) = id.decode();
-        let Some(e) = self.slab.get(idx as usize) else {
-            return false;
-        };
-        if e.gen != gen || e.level == LVL_FREE {
+        if !self.is_pending(id) {
             return false;
         }
-        if e.level == LVL_OVERFLOW {
-            let key = (e.at, e.seq);
-            self.overflow.remove(&key);
-        } else {
-            self.unlink(idx);
-        }
+        let (idx, _) = id.decode();
+        self.unlink(idx);
         self.release(idx);
         self.live -= 1;
         self.prof.cancels += 1;
@@ -258,32 +264,11 @@ impl<E> EventQueue<E> {
 
     /// Pops the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        loop {
-            if self.live == 0 {
-                return None;
-            }
-            let Some((level, slot)) = self.first_occupied() else {
-                self.admit_overflow();
-                continue;
-            };
-            if level > 0 {
-                self.cascade(level, slot);
-                continue;
-            }
-            let idx = self.wheel[slot].head;
-            self.unlink(idx);
-            let e = &mut self.slab[idx as usize];
-            let at = e.at;
-            let payload = e.payload.take().expect("live entry has a payload");
-            debug_assert!(at >= self.now.as_ps(), "event queue went backwards");
-            self.release(idx);
-            self.base = at;
-            self.now = SimTime::from_ps(at);
-            self.live -= 1;
-            self.popped += 1;
-            self.prof.pops += 1;
-            return Some((self.now, payload));
-        }
+        let (_, idx) = self.earliest()?;
+        self.unlink(idx);
+        let at = self.slab[idx as usize].at;
+        self.advance_to(at);
+        Some((self.now, self.take(idx)))
     }
 
     /// Pops the entire run of events sharing the earliest timestamp into
@@ -292,41 +277,41 @@ impl<E> EventQueue<E> {
     ///
     /// Equivalent to calling [`EventQueue::pop`] until the head timestamp
     /// changes — a level-0 wheel slot holds exactly one absolute
-    /// timestamp, so the whole batch is one list detach. Events the caller
-    /// schedules *at the same timestamp* while dispatching the batch carry
-    /// larger seqs and surface in a later run, exactly as they would have
-    /// popped after the batch one-by-one.
+    /// timestamp, so there the whole batch is one list detach; a small
+    /// coarse bucket gives up every entry at its minimum time, in list
+    /// (seq) order. Events the caller schedules *at the same timestamp*
+    /// while dispatching the batch carry larger seqs and surface in a
+    /// later run, exactly as they would have popped after the batch
+    /// one-by-one.
     pub fn pop_run(&mut self, out: &mut Vec<E>) -> Option<SimTime> {
-        loop {
-            if self.live == 0 {
-                return None;
-            }
-            let Some((level, slot)) = self.first_occupied() else {
-                self.admit_overflow();
-                continue;
-            };
-            if level > 0 {
-                self.cascade(level, slot);
-                continue;
-            }
-            let mut idx = self.detach_all(slot);
-            let at = self.slab[idx as usize].at;
-            debug_assert!(at >= self.now.as_ps(), "event queue went backwards");
-            self.base = at;
-            self.now = SimTime::from_ps(at);
+        let (level, first) = self.earliest()?;
+        let at = self.slab[first as usize].at;
+        self.advance_to(at);
+        if level == 0 {
+            let mut idx = self.detach_all(self.slab[first as usize].slot as usize);
             while idx != NIL {
-                let e = &mut self.slab[idx as usize];
-                debug_assert_eq!(e.at, at, "level-0 slot mixed timestamps");
-                let next = e.next;
-                out.push(e.payload.take().expect("live entry has a payload"));
-                self.release(idx);
-                self.live -= 1;
-                self.popped += 1;
-                self.prof.pops += 1;
+                debug_assert_eq!(
+                    self.slab[idx as usize].at, at,
+                    "level-0 slot mixed timestamps"
+                );
+                let next = self.slab[idx as usize].next;
+                out.push(self.take(idx));
                 idx = next;
             }
-            return Some(self.now);
+        } else {
+            // Entries before `first` in the list are all later than it.
+            let mut idx = first;
+            while idx != NIL {
+                let e = &self.slab[idx as usize];
+                let next = e.next;
+                if e.at == at {
+                    self.unlink(idx);
+                    out.push(self.take(idx));
+                }
+                idx = next;
+            }
         }
+        Some(self.now)
     }
 
     /// Timestamp of the next event without popping it.
@@ -335,29 +320,16 @@ impl<E> EventQueue<E> {
     /// `now <= t <= peek_time()` must remain legal between a peek and the
     /// pop it predicts (the `run_until` + `drive` pattern relies on it).
     pub fn peek_time(&self) -> Option<SimTime> {
-        if self.live == 0 {
-            return None;
+        let (level, slot) = self.first_occupied()?;
+        if level == 0 {
+            // A level-0 slot holds exactly one timestamp: base's page
+            // with the slot index as the low byte.
+            let page = self.base & !u64::from(u8::MAX);
+            return Some(SimTime::from_ps(page | slot as u64));
         }
-        if let Some((level, slot)) = self.first_occupied() {
-            if level == 0 {
-                // A level-0 slot holds exactly one timestamp: base's page
-                // with the slot index as the low byte.
-                let page = self.base & !u64::from(u8::MAX);
-                return Some(SimTime::from_ps(page | (slot & (SLOTS - 1)) as u64));
-            }
-            // Coarser buckets mix timestamps; scan the (short) list.
-            let mut min = u64::MAX;
-            let mut idx = self.wheel[level * SLOTS + (slot & (SLOTS - 1))].head;
-            while idx != NIL {
-                let e = &self.slab[idx as usize];
-                min = min.min(e.at);
-                idx = e.next;
-            }
-            return Some(SimTime::from_ps(min));
-        }
-        self.overflow
-            .first_key_value()
-            .map(|(&(at, _), _)| SimTime::from_ps(at))
+        // Coarser buckets mix timestamps; scan the list.
+        let (_, min, _) = self.scan_bucket(level * SLOTS + slot);
+        Some(SimTime::from_ps(min))
     }
 
     /// True when no events remain.
@@ -367,43 +339,22 @@ impl<E> EventQueue<E> {
 
     // -- wheel internals ----------------------------------------------------
 
-    /// Wheel level for time `at` given the current base: the index of the
-    /// highest 8-bit block in which `at` differs from `base`, or
-    /// `LEVELS..` (overflow) when they differ above the wheel horizon.
-    #[inline]
-    fn level_for(&self, at: u64) -> usize {
-        let x = at ^ self.base;
-        if x == 0 {
-            0
-        } else {
-            ((63 - x.leading_zeros()) / SLOT_BITS) as usize
-        }
-    }
-
-    /// Files entry `idx` into the wheel slot (or overflow tier) its time
-    /// maps to relative to the current base, appending at the tail so
+    /// Files entry `idx` into the wheel slot its time maps to relative to
+    /// the current base — the level of the highest byte in which the two
+    /// differ, the slot named by that byte — appending at the tail so
     /// every slot list stays in ascending-seq order.
+    #[inline]
     fn place(&mut self, idx: u32) {
-        let (at, seq) = {
-            let e = &self.slab[idx as usize];
-            (e.at, e.seq)
-        };
-        let level = self.level_for(at);
-        if level >= LEVELS {
-            let e = &mut self.slab[idx as usize];
-            e.level = LVL_OVERFLOW;
-            e.prev = NIL;
-            e.next = NIL;
-            self.overflow.insert((at, seq), idx);
-            return;
-        }
-        let slot = ((at >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
-        let cell = level * SLOTS + slot;
+        let at = self.slab[idx as usize].at;
+        // `| 1` maps `at == base` to level 0 without a branch.
+        let level = ((63 - ((at ^ self.base) | 1).leading_zeros()) / SLOT_BITS) as usize;
+        let slot = (at >> (SLOT_BITS * level as u32)) as u8;
+        let cell = level * SLOTS + usize::from(slot);
         let tail = self.wheel[cell].tail;
         {
             let e = &mut self.slab[idx as usize];
             e.level = level as u8;
-            e.slot = slot as u8;
+            e.slot = slot;
             e.prev = tail;
             e.next = NIL;
         }
@@ -413,11 +364,13 @@ impl<E> EventQueue<E> {
             self.slab[tail as usize].next = idx;
         }
         self.wheel[cell].tail = idx;
-        self.occ[level][slot >> 6] |= 1u64 << (slot & 63);
+        let word = usize::from(slot >> 6);
+        self.occ[level][word] |= 1u64 << (slot & 63);
+        self.summary |= 1 << (4 * level + word);
     }
 
     /// Unlinks entry `idx` from its wheel slot list, clearing the
-    /// occupancy bit when the slot empties.
+    /// occupancy bits when the slot empties.
     fn unlink(&mut self, idx: u32) {
         let (prev, next, level, slot) = {
             let e = &self.slab[idx as usize];
@@ -435,47 +388,91 @@ impl<E> EventQueue<E> {
             self.slab[next as usize].prev = prev;
         }
         if self.wheel[cell].head == NIL {
-            self.occ[level][slot >> 6] &= !(1u64 << (slot & 63));
+            self.clear_occupied(level, slot);
+        }
+    }
+
+    /// Marks `(level, slot)` empty in the bitmap and, if its word empties,
+    /// in the summary.
+    #[inline]
+    fn clear_occupied(&mut self, level: usize, slot: usize) {
+        let word = slot >> 6;
+        self.occ[level][word] &= !(1u64 << (slot & 63));
+        if self.occ[level][word] == 0 {
+            self.summary &= !(1 << (4 * level + word));
         }
     }
 
     /// Detaches and returns the whole list of level-0 slot `slot`.
     fn detach_all(&mut self, slot: usize) -> u32 {
-        let slot = slot & (SLOTS - 1);
         let head = self.wheel[slot].head;
         self.wheel[slot] = EMPTY_SLOT;
-        self.occ[0][slot >> 6] &= !(1u64 << (slot & 63));
+        self.clear_occupied(0, slot);
         head
     }
 
-    /// First occupied `(level, slot)`, scanning coarse levels only when
-    /// every finer one is empty. By the wheel invariant the finest
+    /// First occupied `(level, slot)`. By the wheel invariant the finest
     /// occupied level's lowest slot holds the earliest event.
     #[inline]
     fn first_occupied(&self) -> Option<(usize, usize)> {
-        for (level, words) in self.occ.iter().enumerate() {
-            for (w, &bits) in words.iter().enumerate() {
-                if bits != 0 {
-                    return Some((level, w * 64 + bits.trailing_zeros() as usize));
-                }
-            }
+        if self.summary == 0 {
+            return None;
         }
-        None
+        let bit = self.summary.trailing_zeros() as usize;
+        let (level, word) = (bit / 4, bit % 4);
+        Some((
+            level,
+            word * 64 + self.occ[level][word].trailing_zeros() as usize,
+        ))
     }
 
-    /// Advances the base into level-`level` slot `slot` (zeroing all finer
-    /// blocks) and re-files that bucket's events one level down. Walking
-    /// the source list head→tail preserves ascending-seq order in every
-    /// target slot — the cornerstone of the FIFO tie-break.
-    fn cascade(&mut self, level: usize, slot: usize) {
-        let slot = slot & (SLOTS - 1);
+    /// The earliest `(at, seq)` entry of the non-empty list in `cell`, its
+    /// time, and the list's length. The list is in seq order, so the first
+    /// entry at the minimum time wins ties.
+    #[inline]
+    fn scan_bucket(&self, cell: usize) -> (u32, u64, usize) {
+        let mut idx = self.wheel[cell].head;
+        let (mut best, mut min, mut len) = (NIL, u64::MAX, 0);
+        while idx != NIL {
+            let e = &self.slab[idx as usize];
+            if best == NIL || e.at < min {
+                (best, min) = (idx, e.at);
+            }
+            len += 1;
+            idx = e.next;
+        }
+        (best, min, len)
+    }
+
+    /// The level holding the earliest `(at, seq)` entry and that entry's
+    /// slab index, still linked; `None` when the queue is empty. A coarse
+    /// bucket of at most [`SCAN_MAX`] entries is answered by its scan; a
+    /// denser one is cascaded, after which its minimum is at level 0.
+    fn earliest(&mut self) -> Option<(usize, u32)> {
+        let (level, slot) = self.first_occupied()?;
+        let cell = level * SLOTS + slot;
+        if level == 0 {
+            return Some((0, self.wheel[cell].head));
+        }
+        let (idx, min, len) = self.scan_bucket(cell);
+        if len <= SCAN_MAX {
+            return Some((level, idx));
+        }
+        self.cascade(level, slot, min);
+        Some((0, self.wheel[min as u8 as usize].head))
+    }
+
+    /// Moves the base to `min`, bucket `(level, slot)`'s smallest time and
+    /// so the global minimum, and re-files the bucket's events relative to
+    /// it; the minimum lands in level 0. Walking the source list head→tail
+    /// preserves ascending-seq order in every target slot — the
+    /// cornerstone of the FIFO tie-break.
+    fn cascade(&mut self, level: usize, slot: usize, min: u64) {
         let cell = level * SLOTS + slot;
         let mut idx = self.wheel[cell].head;
         self.wheel[cell] = EMPTY_SLOT;
-        self.occ[level][slot >> 6] &= !(1u64 << (slot & 63));
-        let shift = SLOT_BITS * level as u32;
-        let keep_above = !((1u64 << (shift + SLOT_BITS)) - 1);
-        self.base = (self.base & keep_above) | ((slot as u64) << shift);
+        self.clear_occupied(level, slot);
+        self.base = min;
         while idx != NIL {
             let next = self.slab[idx as usize].next;
             self.place(idx);
@@ -484,23 +481,26 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// The wheel is empty but overflow is not: jump the base to the first
-    /// overflow timestamp and admit every overflow event that now fits the
-    /// horizon, in `(at, seq)` order (which keeps slot lists seq-sorted).
-    fn admit_overflow(&mut self) {
-        let (&(at, _), _) = self
-            .overflow
-            .first_key_value()
-            .expect("live events but empty wheel implies a non-empty overflow tier");
-        self.base = at;
-        while let Some((&(at, _), _)) = self.overflow.first_key_value() {
-            if self.level_for(at) >= LEVELS {
-                break;
-            }
-            let ((_, _), idx) = self.overflow.pop_first().expect("peeked entry");
-            self.place(idx);
-            self.prof.cascades += 1;
-        }
+    /// Advances the clock to `at`, the time of the entry being popped.
+    #[inline]
+    fn advance_to(&mut self, at: u64) {
+        debug_assert!(at >= self.now.as_ps(), "event queue went backwards");
+        self.now = SimTime::from_ps(at);
+    }
+
+    /// Takes the payload of the unlinked entry `idx`, frees the entry and
+    /// counts the pop.
+    #[inline]
+    fn take(&mut self, idx: u32) -> E {
+        let payload = self.slab[idx as usize]
+            .payload
+            .take()
+            .expect("live entry has a payload");
+        self.release(idx);
+        self.live -= 1;
+        self.popped += 1;
+        self.prof.pops += 1;
+        payload
     }
 
     /// Returns entry `idx` to the free list, bumping its generation so any
@@ -684,9 +684,11 @@ mod tests {
         // Times straddling level boundaries (255/256 = level 0→1 edge,
         // 65535/65536 = level 1→2 edge) plus same-time pairs scheduled
         // out of order: pop order must be (time, schedule-order) exactly.
+        // Level-1 slot 1 (256..=511) gets more than SCAN_MAX entries, so
+        // it cascades instead of being popped in place.
         let mut q = EventQueue::new();
         let times = [
-            65_536u64, 256, 255, 65_535, 257, 256, 1, 0, 65_536, 16_777_216, 255,
+            65_536u64, 256, 255, 65_535, 257, 256, 1, 0, 65_536, 16_777_216, 255, 300, 299, 300,
         ];
         for (i, &t) in times.iter().enumerate() {
             q.schedule_at(SimTime::from_ps(t), (t, i));
@@ -699,16 +701,18 @@ mod tests {
     }
 
     #[test]
-    fn far_future_events_park_in_overflow_and_return_in_order() {
+    fn far_future_events_return_in_order() {
+        // Times past 2^56 ps (about 20 simulated hours) live in the top
+        // wheel level like any other event.
         let mut q = EventQueue::new();
-        let horizon = 1u64 << (SLOT_BITS as usize * LEVELS);
+        let horizon = 1u64 << 56;
         let far_a = q.schedule_at(SimTime::from_ps(horizon + 50), "far_a");
         q.schedule_at(SimTime::from_ps(horizon + 50), "far_b");
         q.schedule_at(SimTime::from_ps(3 * horizon), "farther");
         q.schedule_at(SimTime::from_ps(40), "near");
         assert_eq!(q.peek_time(), Some(SimTime::from_ps(40)));
         assert_eq!(q.pop().unwrap().1, "near");
-        // Cancel inside the overflow tier.
+        // Cancel far beyond 2^56.
         assert!(q.cancel(far_a));
         assert_eq!(q.pop().unwrap().1, "far_b");
         assert_eq!(q.now(), SimTime::from_ps(horizon + 50));
@@ -721,14 +725,12 @@ mod tests {
 
     #[test]
     fn horizon_edge_events_pop_in_time_seq_order_and_survive_cancel() {
-        // The wheel covers [now, now + 2^56); times at or past the
-        // horizon park in the BTreeMap overflow tier. Straddling the
-        // exact edge — horizon-1 in the top wheel level, horizon and
-        // horizon+1 in overflow, plus duplicates at the horizon itself —
-        // must still pop in (time, schedule-order), and cancels must
-        // land in whichever tier holds the event.
+        // 2^56 is the edge between wheel levels 6 and 7. Straddling it —
+        // horizon-1 in level 6, horizon and horizon+1 in level 7, plus
+        // duplicates at the edge itself — must still pop in
+        // (time, schedule-order), and cancels must land on either side.
         let mut q = EventQueue::new();
-        let horizon = 1u64 << (SLOT_BITS as usize * LEVELS);
+        let horizon = 1u64 << 56;
         let times = [
             horizon + 1,
             horizon - 1,
@@ -743,9 +745,9 @@ mod tests {
         for (i, &t) in times.iter().enumerate() {
             ids.push(q.schedule_at(SimTime::from_ps(t), (t, i)));
         }
-        // Cancel one wheel-resident and one overflow-resident event.
-        assert!(q.cancel(ids[1]), "cancel below the horizon (wheel tier)");
-        assert!(q.cancel(ids[3]), "cancel at the horizon (overflow tier)");
+        // Cancel one event below the edge and one on it.
+        assert!(q.cancel(ids[1]), "cancel below the 2^56 edge");
+        assert!(q.cancel(ids[3]), "cancel at the 2^56 edge");
         assert!(!q.cancel(ids[3]), "double cancel must report false");
         let mut expect: Vec<(u64, usize)> = times
             .iter()
@@ -765,13 +767,24 @@ mod tests {
         // off-by-one hot spot of hierarchical wheels: an event at 256^k
         // lives in level k's first slot and must cascade down — not fire
         // early with its whole slot, nor be skipped. Schedule boundary^k
-        // for every level, each with a (boundary - 1) and (boundary + 1)
-        // neighbour, out of order, and mix in cancels.
+        // for every level up to 2^56, each with a (boundary - 1) and
+        // (boundary + 1) neighbour, out of order, and mix in cancels. Three
+        // more entries at boundary + 2 keep every boundary bucket above
+        // SCAN_MAX after the cancels, so each one cascades rather than
+        // popping in place.
         let mut q = EventQueue::new();
         let mut times = Vec::new();
-        for k in 1..=LEVELS {
+        for k in 1..LEVELS {
             let boundary = 1u64 << (SLOT_BITS as usize * k);
-            times.extend([boundary + 1, boundary - 1, boundary, boundary]);
+            times.extend([
+                boundary + 1,
+                boundary - 1,
+                boundary,
+                boundary,
+                boundary + 2,
+                boundary + 2,
+                boundary + 2,
+            ]);
         }
         let mut ids = Vec::new();
         for (i, &t) in times.iter().enumerate() {
@@ -781,7 +794,7 @@ mod tests {
         // their original schedule order, not renumber.
         let mut cancelled = Vec::new();
         for (i, _) in times.iter().enumerate() {
-            if i % 4 == 3 {
+            if i % 7 == 3 {
                 assert!(q.cancel(ids[i]));
                 cancelled.push(i);
             }
@@ -843,6 +856,81 @@ mod tests {
         assert_eq!(via_pop, via_run);
     }
 
+    #[test]
+    fn small_coarse_buckets_pop_in_place_without_cascading() {
+        // 900 and 1000 ps share level-1 slot 3; 70 000 ps is a lone
+        // level-2 entry. Neither bucket exceeds SCAN_MAX, so every pop is
+        // a scan of the bucket and the base never moves.
+        let mut q = EventQueue::new();
+        q.schedule_at(SimTime::from_ps(1_000), "c");
+        q.schedule_at(SimTime::from_ps(900), "a");
+        q.schedule_at(SimTime::from_ps(70_000), "lone");
+        q.schedule_at(SimTime::from_ps(900), "b");
+        assert_eq!(q.peek_time(), Some(SimTime::from_ps(900)));
+        assert_eq!(q.pop(), Some((SimTime::from_ps(900), "a")));
+        // Scheduled inside the bucket being scanned, after its minimum.
+        q.schedule_at(SimTime::from_ps(950), "d");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, ["b", "d", "c", "lone"]);
+        assert_eq!(q.prof().cascades, 0, "sparse buckets must not cascade");
+        assert_eq!(q.base, 0);
+    }
+
+    #[test]
+    fn pop_run_drains_a_small_coarse_bucket_by_timestamp() {
+        let mut q = EventQueue::new();
+        for (i, t) in [900u64, 1_000, 900, 950].into_iter().enumerate() {
+            q.schedule_at(SimTime::from_ps(t), i);
+        }
+        let mut batch = Vec::new();
+        assert_eq!(q.pop_run(&mut batch), Some(SimTime::from_ps(900)));
+        assert_eq!(batch, [0, 2], "only the minimum time, in seq order");
+        // Same-time arrivals scheduled after the batch come next run.
+        q.schedule_at(SimTime::from_ps(950), 4);
+        batch.clear();
+        assert_eq!(q.pop_run(&mut batch), Some(SimTime::from_ps(950)));
+        assert_eq!(batch, [3, 4]);
+        batch.clear();
+        assert_eq!(q.pop_run(&mut batch), Some(SimTime::from_ps(1_000)));
+        assert_eq!(batch, [1]);
+        assert_eq!(q.prof().cascades, 0);
+    }
+
+    #[test]
+    fn dense_coarse_bucket_cascades_straight_to_its_minimum() {
+        // Six entries in level-1 slot 3 exceed SCAN_MAX: one cascade
+        // moves the base to their minimum, which lands in level 0, so
+        // each entry is re-filed once rather than level by level.
+        let mut q = EventQueue::new();
+        for (i, t) in [1_000u64, 990, 900, 1_020, 900, 960]
+            .into_iter()
+            .enumerate()
+        {
+            q.schedule_at(SimTime::from_ps(t), i);
+        }
+        assert_eq!(q.pop(), Some((SimTime::from_ps(900), 2)));
+        assert_eq!(q.base, 900);
+        assert_eq!(q.prof().cascades, 6);
+        let rest: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(rest, [4, 5, 1, 0, 3]);
+    }
+
+    #[test]
+    fn times_at_the_top_of_u64_pop_in_order() {
+        let mut q = EventQueue::new();
+        q.schedule_at(SimTime::from_ps(u64::MAX), "max_a");
+        q.schedule_at(SimTime::from_ps(u64::MAX - 1), "max-1");
+        q.schedule_at(SimTime::from_ps(u64::MAX), "max_b");
+        q.schedule_at(SimTime::from_ps(5), "near");
+        assert_eq!(q.pop().unwrap().1, "near");
+        assert_eq!(q.peek_time(), Some(SimTime::from_ps(u64::MAX - 1)));
+        assert_eq!(q.pop().unwrap().1, "max-1");
+        let mut batch = Vec::new();
+        assert_eq!(q.pop_run(&mut batch), Some(SimTime::from_ps(u64::MAX)));
+        assert_eq!(batch, ["max_a", "max_b"]);
+        assert!(q.is_idle());
+    }
+
     // The determinism contract, checked against a naive reference model:
     // under any schedule/cancel/pop interleaving, pop order must equal a
     // sorted-Vec model ordered by (time, schedule seq), `is_pending` must
@@ -888,9 +976,21 @@ mod tests {
             }
         }
 
+        /// Schedules `arg` at `at` in both the wheel and the model.
+        fn schedule(
+            q: &mut EventQueue<u32>,
+            model: &mut RefModel,
+            ids: &mut Vec<(u64, EventId)>,
+            at: u64,
+            arg: u32,
+        ) {
+            let seq = model.schedule(at, arg);
+            ids.push((seq, q.schedule_at(SimTime::from_ps(at), arg)));
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig {
-                cases: 64,
+                cases: 128,
                 .. ProptestConfig::default()
             })]
 
@@ -904,31 +1004,28 @@ mod tests {
                 let mut ids: Vec<(u64, EventId)> = Vec::new();
                 for word in ops {
                     let (op, arg) = ((word & 0xFF) as u8, (word >> 8) as u32);
-                    match op % 5 {
+                    let now = model.now;
+                    match op % 9 {
                         // Near future: exercises level 0/1 and cascades.
                         0 => {
-                            let at = model.now + u64::from(arg % 4096);
-                            let seq = model.schedule(at, arg);
-                            ids.push((seq, q.schedule_at(SimTime::from_ps(at), arg)));
+                            let at = now.saturating_add(u64::from(arg % 4096));
+                            schedule(&mut q, &mut model, &mut ids, at, arg);
                         }
-                        // Far future: exercises high levels and overflow.
+                        // Far future: exercises the high levels.
                         1 => {
-                            let at = model.now
-                                + (u64::from(arg % 64) << (8 * u32::from(arg as u8 % 8)));
-                            let seq = model.schedule(at, arg);
-                            ids.push((seq, q.schedule_at(SimTime::from_ps(at), arg)));
+                            let far = u64::from(arg % 64) << (8 * u32::from(arg as u8 % 8));
+                            schedule(&mut q, &mut model, &mut ids, now.saturating_add(far), arg);
                         }
-                        // Edge times: exactly on a level-cascade boundary
+                        // Edge times: exactly on a level boundary
                         // (now + m * 256^k) or hugging it by one, for every
-                        // level up to and past the 2^56 horizon — the
-                        // off-by-one hot spots of hierarchical wheels.
+                        // level up to and including 2^56 — the off-by-one
+                        // hot spots of hierarchical wheels.
                         2 => {
-                            let k = 1 + usize::from(arg as u8 % LEVELS as u8);
+                            let k = 1 + usize::from(arg as u8 % (LEVELS as u8 - 1));
                             let m = u64::from((arg >> 8) % 3) + 1;
                             let nudge = [0u64, 1, u64::MAX][(arg >> 4) as usize % 3];
-                            let at = (model.now + (m << (8 * k))).wrapping_add(nudge);
-                            let seq = model.schedule(at, arg);
-                            ids.push((seq, q.schedule_at(SimTime::from_ps(at), arg)));
+                            let at = now.saturating_add(m << (8 * k)).wrapping_add(nudge);
+                            schedule(&mut q, &mut model, &mut ids, at.max(now), arg);
                         }
                         3 if !ids.is_empty() => {
                             let (seq, id) = ids[arg as usize % ids.len()];
@@ -937,6 +1034,49 @@ mod tests {
                                 model.cancel(seq),
                                 "cancel result diverged from the model"
                             );
+                        }
+                        // A cluster in one coarse bucket: a lone entry, a
+                        // few (popped in place), or more than SCAN_MAX
+                        // (cascaded); step 0 puts them all at one time.
+                        5 => {
+                            let n = 1 + arg % 8;
+                            let first = now.saturating_add(256 + u64::from((arg >> 3) % 65_536));
+                            let step = u64::from((arg >> 19) % 3);
+                            for j in 0..u64::from(n) {
+                                let at = first.saturating_add(j * step);
+                                schedule(&mut q, &mut model, &mut ids, at, arg);
+                            }
+                        }
+                        // `pop_run` drains exactly the earliest timestamp,
+                        // whether it sits in level 0 or a coarse bucket.
+                        6 => {
+                            let mut batch = Vec::new();
+                            let got = q.pop_run(&mut batch).map(SimTime::as_ps);
+                            let want_at = model.events.first().map(|e| e.0);
+                            let mut want = Vec::new();
+                            while model.events.first().map(|e| e.0) == want_at && want_at.is_some() {
+                                want.push(model.pop().expect("non-empty").1);
+                            }
+                            prop_assert_eq!(got, want_at, "pop_run time diverged");
+                            prop_assert_eq!(batch, want, "pop_run batch diverged");
+                        }
+                        // Schedule between a peek and the pop it predicts,
+                        // at or before the peeked time — usually inside the
+                        // very bucket the peek scanned.
+                        7 => {
+                            let peeked = q.peek_time().map(SimTime::as_ps);
+                            prop_assert_eq!(peeked, model.events.first().map(|e| e.0));
+                            if let Some(t) = peeked {
+                                let back = u64::from(arg) % (t - now).saturating_add(1);
+                                schedule(&mut q, &mut model, &mut ids, t - back, arg);
+                            }
+                            let got = q.pop();
+                            prop_assert_eq!(got.map(|(t, e)| (t.as_ps(), e)), model.pop());
+                        }
+                        // Times at the very top of u64: the top wheel level.
+                        8 => {
+                            let at = (u64::MAX - u64::from(arg % 512)).max(now);
+                            schedule(&mut q, &mut model, &mut ids, at, arg);
                         }
                         _ => {
                             let got = q.pop();

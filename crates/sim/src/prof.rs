@@ -30,8 +30,9 @@ pub struct ProfCounters {
     pub pops: u64,
     /// Successful cancellations (entry unlinked eagerly, O(1)).
     pub cancels: u64,
-    /// Entries re-filed one wheel level down (or admitted from the
-    /// overflow tier) as the wheel base advanced past their bucket.
+    /// Entries re-filed when a coarse wheel bucket denser than the
+    /// in-place scan limit was cascaded (the base jumps to the bucket's
+    /// minimum and every entry in it moves to a finer level).
     pub cascades: u64,
     /// Maximum number of simultaneously pending events observed.
     pub peak_pending: u64,

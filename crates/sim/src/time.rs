@@ -151,8 +151,18 @@ impl Dur {
     #[inline]
     pub fn for_bytes(bytes: u64, bytes_per_sec: u64) -> Dur {
         assert!(bytes_per_sec > 0, "zero-rate link");
-        // ps = bytes * 1e12 / rate, in u128 to avoid overflow for large bursts.
-        let ps = (bytes as u128 * PS_PER_S as u128).div_ceil(bytes_per_sec as u128);
+        // ps = bytes * 1e12 / rate: exact in u64 up to ~18 MB, in u128
+        // beyond (a 128-bit divide is a libcall, too slow per packet).
+        match bytes.checked_mul(PS_PER_S) {
+            Some(n) => Dur(n.div_ceil(bytes_per_sec)),
+            None => Self::for_bytes_wide(bytes, bytes_per_sec),
+        }
+    }
+
+    /// [`Dur::for_bytes`] computed in u128, for bursts whose
+    /// `bytes * PS_PER_S` overflows u64.
+    fn for_bytes_wide(bytes: u64, bytes_per_sec: u64) -> Dur {
+        let ps = (u128::from(bytes) * u128::from(PS_PER_S)).div_ceil(u128::from(bytes_per_sec));
         Dur(ps.try_into().expect("duration overflow"))
     }
 
@@ -334,6 +344,44 @@ mod tests {
         // 1 GiB at 1 GB/s ≈ 1.07 s; must not overflow intermediate math.
         let d = Dur::for_bytes(1 << 30, 1_000_000_000);
         assert!(d.as_s_f64() > 1.0 && d.as_s_f64() < 1.1);
+    }
+
+    #[test]
+    fn for_bytes_u64_path_matches_u128_at_edge_sizes() {
+        // The largest burst the u64 path takes, and the first it hands to
+        // u128, plus packet sizes; rates that divide evenly and that don't.
+        let edge = u64::MAX / PS_PER_S;
+        let sizes = [
+            0,
+            1,
+            24,
+            280,
+            4_120,
+            1 << 20,
+            edge - 1,
+            edge,
+            edge + 1,
+            1 << 40,
+        ];
+        let rates = [
+            1,
+            3,
+            4_000_000_000,
+            7_876_923_076,
+            3_000_000_000_000,
+            u64::MAX,
+        ];
+        for bytes in sizes {
+            for rate in rates {
+                let want = (u128::from(bytes) * u128::from(PS_PER_S)).div_ceil(u128::from(rate));
+                if let Ok(want) = u64::try_from(want) {
+                    let got = Dur::for_bytes(bytes, rate);
+                    assert_eq!(got.as_ps(), want, "{bytes} B at {rate} B/s");
+                }
+            }
+        }
+        assert!(edge.checked_mul(PS_PER_S).is_some());
+        assert!((edge + 1).checked_mul(PS_PER_S).is_none());
     }
 
     #[test]
