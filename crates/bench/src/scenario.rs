@@ -802,7 +802,7 @@ pub fn scenarios() -> Vec<Scenario> {
                             let spec = (entry.build)();
                             let an = tca_verify::analyze(&spec);
                             let m = tca_verify::topo_metrics(&spec, &an);
-                            let rep = tca_verify::lint_topo(&spec);
+                            let rep = tca_verify::lint_analyzed(&spec, &an);
                             // Dynamic counterpart of the static metrics:
                             // a cheap strided run (8 destinations per
                             // node) through the real event engine, so

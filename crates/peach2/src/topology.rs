@@ -290,6 +290,16 @@ impl std::fmt::Display for TopoParseError {
 
 impl std::error::Error for TopoParseError {}
 
+/// Largest `nodes` count [`TopoSpec::parse`] accepts. The route table is
+/// `nodes²` entries, so an unchecked count in a hostile file would try to
+/// allocate it whole; 4096 nodes (a 32 MiB table) is 16× the largest
+/// registry topology.
+pub const MAX_TOPO_NODES: u32 = 4096;
+
+/// Largest number of port names [`TopoSpec::parse`] accepts: a port index
+/// is a `u8`.
+pub const MAX_TOPO_PORTS: usize = u8::MAX as usize;
+
 /// A declarative topology: nodes, named ports, cables, and a total static
 /// route table — pure data, no fabric required.
 ///
@@ -324,7 +334,7 @@ impl TopoSpec {
     /// An empty (cable-less, route-less) spec over `nodes` nodes.
     pub fn new(name: impl Into<String>, nodes: u32, ports: &[&str]) -> TopoSpec {
         assert!(nodes >= 1, "a topology needs at least one node");
-        assert!(!ports.is_empty() && ports.len() <= u8::MAX as usize);
+        assert!(!ports.is_empty() && ports.len() <= MAX_TOPO_PORTS);
         TopoSpec {
             name: name.into(),
             nodes,
@@ -726,14 +736,28 @@ impl TopoSpec {
                     if rest.is_empty() {
                         return Err(err(lno, "expected: ports <name>...".into()));
                     }
+                    if rest.len() > MAX_TOPO_PORTS {
+                        return Err(err(
+                            lno,
+                            format!(
+                                "{} ports declared, at most {MAX_TOPO_PORTS} allowed",
+                                rest.len()
+                            ),
+                        ));
+                    }
                     ports = Some(rest.iter().map(|p| p.to_string()).collect());
                 }
                 "nodes" => {
                     let n: u32 = rest
                         .first()
                         .and_then(|w| w.parse().ok())
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| err(lno, "expected: nodes <count ≥ 1>".into()))?;
+                        .filter(|&n| (1..=MAX_TOPO_NODES).contains(&n))
+                        .ok_or_else(|| {
+                            err(
+                                lno,
+                                format!("expected: nodes <count in 1..={MAX_TOPO_NODES}>"),
+                            )
+                        })?;
                     let name = name
                         .clone()
                         .ok_or_else(|| err(lno, "`topology <name>` must come first".into()))?;
@@ -922,6 +946,29 @@ mod spec_tests {
             TopoSpec::parse("topology t\nports E W\nnodes 2\ncable n0:E n1:W\ncable n0:E n1:W\n")
                 .expect_err("dup cable");
         assert!(e.message.contains("already cabled"), "{e}");
+    }
+
+    #[test]
+    fn too_many_ports_is_a_parse_error() {
+        let names: Vec<String> = (0..=MAX_TOPO_PORTS).map(|i| format!("p{i}")).collect();
+        let text = format!("topology t\nports {}\nnodes 2\n", names.join(" "));
+        let e = TopoSpec::parse(&text).expect_err("256 ports");
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("256 ports"), "{e}");
+
+        let text = format!("topology t\nports {}\nnodes 2\n", names[1..].join(" "));
+        assert_eq!(TopoSpec::parse(&text).expect("255 ports").ports.len(), 255);
+    }
+
+    #[test]
+    fn node_count_is_capped() {
+        let e = TopoSpec::parse("topology t\nports E W\nnodes 4000000000\n")
+            .expect_err("huge node count");
+        assert_eq!(e.line, 3);
+        assert!(e.message.contains("1..=4096"), "{e}");
+
+        let over = format!("topology t\nports E\nnodes {}\n", MAX_TOPO_NODES + 1);
+        assert_eq!(TopoSpec::parse(&over).expect_err("cap + 1").line, 3);
     }
 
     #[test]

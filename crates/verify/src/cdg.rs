@@ -101,8 +101,9 @@ pub struct Walk {
 pub struct Cdg {
     /// All channels any walk used, sorted.
     pub channels: Vec<Channel>,
-    /// Dependency edges as index pairs into `channels`.
-    pub edges: BTreeSet<(usize, usize)>,
+    /// Dependency edges as index pairs into `channels`, sorted and
+    /// deduplicated.
+    pub edges: Vec<(usize, usize)>,
     /// Cyclic SCCs (size > 1, or a single channel with a self-edge), each
     /// sorted, ordered by smallest member.
     pub sccs: Vec<Vec<usize>>,
@@ -126,105 +127,214 @@ pub struct TopoAnalysis {
 /// dateline cables so the (node, class) state space is finite and every
 /// walk terminates.
 pub fn walk(spec: &TopoSpec, src: u32, dst: u32) -> Walk {
-    walk_with(spec, &spec.adjacency(), src, dst)
+    Walker::new(spec).run(src, dst)
 }
 
-fn walk_with(spec: &TopoSpec, adj: &[Vec<Option<(usize, bool)>>], src: u32, dst: u32) -> Walk {
-    let max_class = spec.cables.iter().filter(|c| c.dateline).count() as u32;
-    let mut cur = src;
-    let mut class = 0u32;
-    let mut uses: Vec<Channel> = Vec::new();
-    let mut node_first: BTreeMap<u32, usize> = BTreeMap::new();
-    let mut state_first: BTreeMap<(u32, u32), usize> = BTreeMap::new();
-    let mut node_loop = None;
-    let end = loop {
-        let Some(port) = spec.route(cur, dst) else {
-            break if cur == dst {
-                WalkEnd::Delivered
-            } else {
-                WalkEnd::NoRoute { at: cur }
-            };
-        };
-        if let Some(&k) = state_first.get(&(cur, class)) {
-            break WalkEnd::Loop { start: k };
+/// A per-node "visited at use index `at`" mark, valid only while `stamp`
+/// equals the counter it was written under.
+#[derive(Clone, Copy, Default)]
+struct Mark {
+    stamp: u64,
+    at: usize,
+}
+
+/// Walk state reused across every walk of one spec: nothing is cleared or
+/// allocated per walk.
+///
+/// A packet's class never decreases, so a (node, class) state repeats
+/// exactly when the node repeats inside the current constant-class
+/// segment. `seg` is bumped at each walk start and at each actual class
+/// change, which retires every older `seg_marks` entry at once; `walk`
+/// does the same for first node visits (`TCA-R001`).
+struct Walker<'a> {
+    spec: &'a TopoSpec,
+    adj: Vec<Vec<Option<(usize, bool)>>>,
+    /// Saturating class ceiling: the number of dateline cables.
+    max_class: u32,
+    walk: u64,
+    node_marks: Vec<Mark>,
+    seg: u64,
+    seg_marks: Vec<Mark>,
+    /// Scratch for the current walk's channels, copied out at exact size.
+    uses: Vec<Channel>,
+}
+
+impl<'a> Walker<'a> {
+    fn new(spec: &'a TopoSpec) -> Self {
+        let n = spec.nodes as usize;
+        Walker {
+            spec,
+            adj: spec.adjacency(),
+            max_class: spec.cables.iter().filter(|c| c.dateline).count() as u32,
+            walk: 0,
+            node_marks: vec![Mark::default(); n],
+            seg: 0,
+            seg_marks: vec![Mark::default(); n],
+            uses: Vec::new(),
         }
-        state_first.insert((cur, class), uses.len());
-        if node_loop.is_none() {
-            match node_first.get(&cur) {
-                Some(&k) => node_loop = Some((k, uses.len())),
-                None => {
-                    node_first.insert(cur, uses.len());
+    }
+
+    fn run(&mut self, src: u32, dst: u32) -> Walk {
+        self.uses.clear();
+        self.walk += 1;
+        self.seg += 1;
+        let mut cur = src;
+        let mut class = 0u32;
+        let mut node_loop = None;
+        let end = loop {
+            let Some(port) = self.spec.route(cur, dst) else {
+                break if cur == dst {
+                    WalkEnd::Delivered
+                } else {
+                    WalkEnd::NoRoute { at: cur }
+                };
+            };
+            let here = self.uses.len();
+            let seg = &mut self.seg_marks[cur as usize];
+            if seg.stamp == self.seg {
+                break WalkEnd::Loop { start: seg.at };
+            }
+            *seg = Mark {
+                stamp: self.seg,
+                at: here,
+            };
+            if node_loop.is_none() {
+                let node = &mut self.node_marks[cur as usize];
+                if node.stamp == self.walk {
+                    node_loop = Some((node.at, here));
+                } else {
+                    *node = Mark {
+                        stamp: self.walk,
+                        at: here,
+                    };
                 }
             }
-        }
-        let Some((cable, fwd)) = adj[cur as usize][port as usize] else {
-            break WalkEnd::Unplugged { at: cur, port };
+            let Some((cable, fwd)) = self.adj[cur as usize][port as usize] else {
+                break WalkEnd::Unplugged { at: cur, port };
+            };
+            self.uses.push(Channel { cable, fwd, class });
+            let c = &self.spec.cables[cable];
+            if c.dateline && class < self.max_class {
+                class += 1;
+                self.seg += 1;
+            }
+            cur = if fwd { c.b.0 } else { c.a.0 };
         };
-        uses.push(Channel { cable, fwd, class });
-        let c = &spec.cables[cable];
-        if c.dateline {
-            class = (class + 1).min(max_class);
+        Walk {
+            src,
+            dst,
+            uses: self.uses.clone(),
+            end,
+            node_loop,
         }
-        cur = if fwd { c.b.0 } else { c.a.0 };
-    };
-    Walk {
-        src,
-        dst,
-        uses,
-        end,
-        node_loop,
+    }
+}
+
+/// Dense channel interning and edge deduplication for one analysis.
+///
+/// No table is sized (cables × classes): the saturating class can reach
+/// the dateline count, so each directed cable keeps only the classes it
+/// has actually carried.
+struct CdgBuilder {
+    /// `by_link[2 * cable + fwd]`: `(class, id)` of every channel seen on
+    /// that directed cable, sorted by class.
+    by_link: Vec<Vec<(u32, usize)>>,
+    /// Channels in first-seen (id) order.
+    channels: Vec<Channel>,
+    /// Deduplicated successor ids, per channel id.
+    succ: Vec<Vec<usize>>,
+}
+
+impl CdgBuilder {
+    fn new(cables: usize) -> Self {
+        CdgBuilder {
+            by_link: vec![Vec::new(); 2 * cables],
+            channels: Vec::new(),
+            succ: Vec::new(),
+        }
+    }
+
+    fn intern(&mut self, ch: Channel) -> usize {
+        let link = &mut self.by_link[2 * ch.cable + usize::from(ch.fwd)];
+        match link.binary_search_by_key(&ch.class, |&(class, _)| class) {
+            Ok(i) => link[i].1,
+            Err(i) => {
+                let id = self.channels.len();
+                link.insert(i, (ch.class, id));
+                self.channels.push(ch);
+                self.succ.push(Vec::new());
+                id
+            }
+        }
+    }
+
+    fn depend(&mut self, from: usize, to: usize) {
+        let succ = &mut self.succ[from];
+        if !succ.contains(&to) {
+            succ.push(to);
+        }
+    }
+
+    /// Renumbers channels into [`Channel`]'s `Ord` order — which is
+    /// exactly `by_link` order — and sorts the remapped edges.
+    fn finish(self) -> Cdg {
+        let mut rank = vec![0; self.channels.len()];
+        let mut channels = Vec::with_capacity(self.channels.len());
+        for &(_, id) in self.by_link.iter().flatten() {
+            rank[id] = channels.len();
+            channels.push(self.channels[id]);
+        }
+        let mut edges = Vec::new();
+        for (a, succ) in self.succ.iter().enumerate() {
+            edges.extend(succ.iter().map(|&b| (rank[a], rank[b])));
+        }
+        edges.sort_unstable();
+        let sccs = cyclic_sccs(channels.len(), &edges);
+        Cdg {
+            channels,
+            edges,
+            sccs,
+        }
     }
 }
 
 /// Runs every (src, dst) walk and builds the CDG.
 pub fn analyze(spec: &TopoSpec) -> TopoAnalysis {
-    let adj = spec.adjacency();
-    let mut walks = Vec::new();
-    let mut chan_set: BTreeSet<Channel> = BTreeSet::new();
-    let mut edge_set: BTreeSet<(Channel, Channel)> = BTreeSet::new();
+    let n = spec.nodes as usize;
+    let mut walker = Walker::new(spec);
+    let mut cdg = CdgBuilder::new(spec.cables.len());
+    let mut ids: Vec<usize> = Vec::new();
+    let mut walks = Vec::with_capacity(n * n.saturating_sub(1));
     for src in 0..spec.nodes {
         for dst in 0..spec.nodes {
             if src == dst {
                 continue;
             }
-            let w = walk_with(spec, &adj, src, dst);
-            for u in &w.uses {
-                chan_set.insert(*u);
-            }
-            for pair in w.uses.windows(2) {
-                edge_set.insert((pair[0], pair[1]));
+            let w = walker.run(src, dst);
+            ids.clear();
+            ids.extend(w.uses.iter().map(|&u| cdg.intern(u)));
+            for pair in ids.windows(2) {
+                cdg.depend(pair[0], pair[1]);
             }
             if let WalkEnd::Loop { start } = w.end {
                 // The next transmit after the last use repeats uses[start]:
                 // the edge that closes the steady-state lap.
-                if let (Some(last), Some(first)) = (w.uses.last(), w.uses.get(start)) {
-                    edge_set.insert((*last, *first));
+                if let (Some(&last), Some(&first)) = (ids.last(), ids.get(start)) {
+                    cdg.depend(last, first);
                 }
             }
             walks.push(w);
         }
     }
-    let channels: Vec<Channel> = chan_set.into_iter().collect();
-    let index: BTreeMap<Channel, usize> =
-        channels.iter().enumerate().map(|(i, c)| (*c, i)).collect();
-    let edges: BTreeSet<(usize, usize)> = edge_set
-        .into_iter()
-        .map(|(a, b)| (index[&a], index[&b]))
-        .collect();
-    let sccs = cyclic_sccs(channels.len(), &edges);
     TopoAnalysis {
         walks,
-        cdg: Cdg {
-            channels,
-            edges,
-            sccs,
-        },
+        cdg: cdg.finish(),
     }
 }
 
-/// Kosaraju SCC over the edge set; keeps only cyclic components (size > 1
-/// or self-looped), sorted for deterministic reporting.
-fn cyclic_sccs(n: usize, edges: &BTreeSet<(usize, usize)>) -> Vec<Vec<usize>> {
+/// Kosaraju SCC over the sorted edge list; keeps only cyclic components
+/// (size > 1 or self-looped), sorted for deterministic reporting.
+fn cyclic_sccs(n: usize, edges: &[(usize, usize)]) -> Vec<Vec<usize>> {
     let mut fwd = vec![Vec::new(); n];
     let mut rev = vec![Vec::new(); n];
     for &(a, b) in edges {
@@ -279,7 +389,7 @@ fn cyclic_sccs(n: usize, edges: &BTreeSet<(usize, usize)>) -> Vec<Vec<usize>> {
     }
     let mut out: Vec<Vec<usize>> = members
         .into_iter()
-        .filter(|m| m.len() > 1 || (m.len() == 1 && edges.contains(&(m[0], m[0]))))
+        .filter(|m| m.len() > 1 || edges.binary_search(&(m[0], m[0])).is_ok())
         .collect();
     for m in &mut out {
         m.sort_unstable();
@@ -291,7 +401,6 @@ fn cyclic_sccs(n: usize, edges: &BTreeSet<(usize, usize)>) -> Vec<Vec<usize>> {
 /// Renders one representative cycle through `scc` as a channel chain,
 /// closing back on its first element: `n0:E -> n1:E -> n0:E`.
 pub(crate) fn scc_chain(spec: &TopoSpec, cdg: &Cdg, scc: &[usize]) -> String {
-    let inset: BTreeSet<usize> = scc.iter().copied().collect();
     let start = scc[0];
     let mut at = start;
     let mut path = vec![start];
@@ -299,11 +408,12 @@ pub(crate) fn scc_chain(spec: &TopoSpec, cdg: &Cdg, scc: &[usize]) -> String {
     pos.insert(start, 0);
     let cycle = loop {
         // Deterministic: smallest in-SCC successor.
-        let next = cdg
-            .edges
-            .range((at, 0)..(at + 1, 0))
+        let from = cdg.edges.partition_point(|&(a, _)| a < at);
+        let next = cdg.edges[from..]
+            .iter()
+            .take_while(|&&(a, _)| a == at)
             .map(|&(_, b)| b)
-            .find(|b| inset.contains(b))
+            .find(|b| scc.binary_search(b).is_ok())
             .expect("every SCC member has an in-SCC successor");
         if let Some(&k) = pos.get(&next) {
             break &path[k..];

@@ -26,6 +26,25 @@
 //! let report = tca_verify::lint_cluster(&fabric, &sub);
 //! assert!(report.is_clean(), "{}", report.render());
 //! ```
+//!
+//! The deadlock-freedom prover works on a declarative [`TopoSpec`]
+//! instead: [`analyze`] walks every (src, dst) route once and builds the
+//! channel dependency graph, and everything else reads that one
+//! [`TopoAnalysis`]. [`lint_topo`] is [`analyze`] plus [`lint_analyzed`];
+//! a caller that also wants [`topo_metrics`] or [`cdg_dot`] analyzes once
+//! and passes the result to all three.
+//!
+//! ```
+//! use tca_peach2::TopoSpec;
+//!
+//! let spec = TopoSpec::torus2d(4, 4);
+//! let an = tca_verify::analyze(&spec);
+//! let report = tca_verify::lint_analyzed(&spec, &an);
+//! assert!(report.is_clean(), "{}", report.render());
+//! assert_eq!(tca_verify::topo_metrics(&spec, &an).cycles, 0);
+//! ```
+//!
+//! [`TopoSpec`]: tca_peach2::TopoSpec
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,6 +56,8 @@ pub mod diff;
 pub mod hazard;
 pub mod lint;
 pub mod reach;
+#[cfg(test)]
+mod refcdg;
 
 pub use cdg::{
     analyze, cdg_dot, cycle_diagnostics, extract_topo, lint_topo_cycles, topo_metrics, Cdg,
@@ -49,4 +70,4 @@ pub use lint::{
     collect_chain, lint_chain, lint_cluster, lint_links, lint_reachability, lint_routes,
     runtime_diagnostics, ChainContext,
 };
-pub use reach::{credit_diagnostics, lint_topo, reach_diagnostics};
+pub use reach::{credit_diagnostics, lint_analyzed, lint_topo, reach_diagnostics};

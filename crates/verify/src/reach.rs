@@ -15,18 +15,20 @@
 
 use crate::cdg::{analyze, cycle_diagnostics, scc_chain, TopoAnalysis, WalkEnd};
 use crate::diag::{DiagSpan, Diagnostic, Report};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use tca_peach2::TopoSpec;
 
 /// `TCA-R003` / `TCA-R004`: all-pairs completeness and symmetry.
 pub fn reach_diagnostics(spec: &TopoSpec, an: &TopoAnalysis) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let mut seen = BTreeSet::new();
-    let mut hops: BTreeMap<(u32, u32), usize> = BTreeMap::new();
+    // `hops[s * n + d]`: delivered route length from `s` to `d`.
+    let n = spec.nodes as usize;
+    let mut hops: Vec<Option<usize>> = vec![None; n * n];
     for w in &an.walks {
         match w.end {
             WalkEnd::Delivered => {
-                hops.insert((w.src, w.dst), w.uses.len());
+                hops[w.src as usize * n + w.dst as usize] = Some(w.uses.len());
             }
             WalkEnd::NoRoute { at } => {
                 if seen.insert(("noroute", at, w.dst)) {
@@ -61,21 +63,22 @@ pub fn reach_diagnostics(spec: &TopoSpec, an: &TopoAnalysis) -> Vec<Diagnostic> 
             WalkEnd::Loop { .. } => {} // owned by TCA-R001/R002
         }
     }
-    for (&(s, d), &fwd) in &hops {
-        if s < d {
-            if let Some(&back) = hops.get(&(d, s)) {
-                if fwd != back {
-                    out.push(Diagnostic::warning(
-                        "TCA-R004",
-                        DiagSpan::fabric(format!("routes n{s} <-> n{d}")),
-                        format!(
-                            "asymmetric routes: n{s} -> n{d} takes {fwd} hops but \
-                             n{d} -> n{s} takes {back}"
-                        ),
-                        "asymmetry skews round-trip halving and credit sizing; \
-                         align the tie-break directions if unintended",
-                    ));
-                }
+    for s in 0..n {
+        for d in s + 1..n {
+            let (Some(fwd), Some(back)) = (hops[s * n + d], hops[d * n + s]) else {
+                continue;
+            };
+            if fwd != back {
+                out.push(Diagnostic::warning(
+                    "TCA-R004",
+                    DiagSpan::fabric(format!("routes n{s} <-> n{d}")),
+                    format!(
+                        "asymmetric routes: n{s} -> n{d} takes {fwd} hops but \
+                         n{d} -> n{s} takes {back}"
+                    ),
+                    "asymmetry skews round-trip halving and credit sizing; \
+                     align the tie-break directions if unintended",
+                ));
             }
         }
     }
@@ -111,11 +114,17 @@ pub fn credit_diagnostics(spec: &TopoSpec, an: &TopoAnalysis) -> Vec<Diagnostic>
 /// `TCA-R002`), route completeness and symmetry (`TCA-R003`, `TCA-R004`),
 /// and credit wait-for safety (`TCA-C003`), in that order.
 pub fn lint_topo(spec: &TopoSpec) -> Report {
-    let an = analyze(spec);
+    lint_analyzed(spec, &analyze(spec))
+}
+
+/// [`lint_topo`] over an analysis the caller already holds, so one
+/// [`analyze`] pass can feed the report, [`crate::topo_metrics`] and
+/// [`crate::cdg_dot`] alike.
+pub fn lint_analyzed(spec: &TopoSpec, an: &TopoAnalysis) -> Report {
     let mut rep = Report::new();
-    rep.extend(cycle_diagnostics(spec, &an));
-    rep.extend(reach_diagnostics(spec, &an));
-    rep.extend(credit_diagnostics(spec, &an));
+    rep.extend(cycle_diagnostics(spec, an));
+    rep.extend(reach_diagnostics(spec, an));
+    rep.extend(credit_diagnostics(spec, an));
     rep
 }
 

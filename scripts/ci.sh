@@ -66,6 +66,24 @@ if [[ "$broken" != *"TCA-R002"* ]]; then
     echo "$broken" >&2
     exit 1
 fi
+# Prover-output goldens: the exact --json report of every fixture, and the
+# --cdg-dot export of the cycle-injected one, as the BTree prover printed
+# them before the dense rewrite. looping.topo covers R001, R002, R003 and
+# C003 at once. Any drift in a message, its order, or a count fails here.
+for fixture in torus2d-3x3 cycle-injected looping; do
+    if ! diff -u "configs/topologies/$fixture.golden.json" \
+        <(cargo run -q --release --offline --bin tca-verify -- \
+            --json --topo-file "configs/topologies/$fixture.topo"); then
+        echo "tca-verify gate: $fixture.topo report drifted from its golden" >&2
+        exit 1
+    fi
+done
+if ! diff -u configs/topologies/cycle-injected.golden.dot \
+    <(cargo run -q --release --offline --bin tca-verify -- \
+        --cdg-dot --topo-file configs/topologies/cycle-injected.topo); then
+    echo "tca-verify gate: cycle-injected.topo CDG export drifted from its golden" >&2
+    exit 1
+fi
 
 # Determinism lint: the simulation crates must never consult wall-clock
 # time or OS entropy — a single call would silently break bit-identical

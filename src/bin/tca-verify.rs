@@ -21,7 +21,9 @@ use tca::core::prelude::*;
 use tca::core::presets::{build_topology, topology_registry};
 use tca::pcie::AddrRange;
 use tca::peach2::TopoSpec;
-use tca::verify::{lint_chain, lint_topo, ChainContext, DiagSpan, Diagnostic, Report};
+use tca::verify::{
+    analyze, cdg_dot, lint_analyzed, lint_chain, ChainContext, DiagSpan, Diagnostic, Report,
+};
 
 /// One shipped configuration the gate covers.
 struct Preset {
@@ -138,10 +140,10 @@ fn check_preset(p: &Preset) -> Report {
 /// The static proof for one declarative topology, optionally emitting the
 /// CDG as Graphviz instead of the report text.
 fn report_topo(label: &str, spec: &TopoSpec, json: bool, dot: bool) -> Report {
-    let rep = lint_topo(spec);
+    let an = analyze(spec);
+    let rep = lint_analyzed(spec, &an);
     if dot {
-        let an = tca::verify::analyze(spec);
-        print!("{}", tca::verify::cdg_dot(spec, &an.cdg));
+        print!("{}", cdg_dot(spec, &an.cdg));
     } else if json {
         println!("{{\"topology\":\"{label}\",\"report\":{}}}", rep.to_json());
     } else if rep.is_clean() {
