@@ -81,7 +81,7 @@ impl Device for TopoRouter {
 
 /// A built topology: the fabric plus the per-node device ids (index =
 /// node number). Reusable: after one [`TopoFabric::drain`] warms every
-/// pool (wheel slab, TLP slab, link queues, batch buffers), further
+/// pool (event slab and near tier, TLP slab, link queues, action scratch), further
 /// inject/drain rounds on the same instance run allocation-free — the
 /// property the zero-alloc steady-state test pins down.
 pub struct TopoFabric {

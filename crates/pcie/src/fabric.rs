@@ -60,7 +60,8 @@ impl std::fmt::Display for ConfigError {
 }
 
 /// One queued fabric event. Kept small (16 bytes of payload) on purpose:
-/// the timing wheel moves entries between levels as time advances, and a
+/// the event queue moves entries between its tiers and wheel levels as
+/// time advances, and a
 /// `Deliver` carries only a [`TlpHandle`] into the fabric's [`TlpSlab`] —
 /// the packet itself is parked once at transmit and taken at delivery,
 /// never cloned and never dragged through the wheel.
@@ -219,8 +220,6 @@ pub struct Fabric {
     /// Reusable action buffer lent to each [`Ctx`]; drained and returned
     /// after every handler so steady-state dispatch allocates nothing.
     action_scratch: Vec<Action>,
-    /// Reusable same-timestamp event batch for [`Fabric::run_until_idle`].
-    batch_buf: Vec<Ev>,
 }
 
 impl Default for Fabric {
@@ -248,7 +247,6 @@ impl Fabric {
             flight: None,
             tlps: TlpSlab::new(),
             action_scratch: Vec::new(),
-            batch_buf: Vec::new(),
         }
     }
 
@@ -576,30 +574,10 @@ impl Fabric {
     /// (a permanently starved link — nothing left to pump them) fires the
     /// watchdog with a diagnosis instead of returning silently.
     ///
-    /// The drain is batched: [`EventQueue::pop_run`] detaches every event
-    /// sharing the earliest timestamp in one queue operation, and the batch
-    /// dispatches back-to-back. Dispatch order is exactly the single-step
-    /// order (a slot list is stored in sequence order, and events a handler
-    /// schedules at the *same* instant get larger sequence numbers, so they
-    /// surface in the next batch precisely where `step` would pop them);
-    /// the flight recorder and watchdog still run per event, and the
-    /// sampler runs once per batch — equivalent to once per event, since no
-    /// sample grid point can fall strictly *before* a timestamp the batch
-    /// is already at.
+    /// Events dispatch one at a time, exactly as repeated [`Fabric::step`]
+    /// calls would.
     pub fn run_until_idle(&mut self) -> SimTime {
-        let mut batch = std::mem::take(&mut self.batch_buf);
-        loop {
-            self.sample_pending();
-            if self.queue.pop_run(&mut batch).is_none() {
-                break;
-            }
-            for ev in batch.drain(..) {
-                self.record_flight(&ev);
-                self.dispatch(ev);
-                self.check_watchdog();
-            }
-        }
-        self.batch_buf = batch;
+        while self.step() {}
         self.check_drained_stall();
         self.queue.now()
     }
@@ -632,8 +610,7 @@ impl Fabric {
         Some(kind)
     }
 
-    /// Executes one already-popped event (shared by the single-step and
-    /// batched drivers) and reports its kind.
+    /// Executes one already-popped event and reports its kind.
     fn dispatch(&mut self, ev: Ev) -> StepKind {
         match ev {
             Ev::Deliver { link, dir, tlp } => {
@@ -992,7 +969,7 @@ impl Fabric {
             self.config_errors.push(err);
             return;
         };
-        let params = self.links[link as usize].params;
+        let LinkState { params, dirs, .. } = &mut self.links[link as usize];
         match &tlp.kind {
             TlpKind::MemWrite { data, .. } | TlpKind::Completion { data, .. } => {
                 assert!(
@@ -1011,7 +988,7 @@ impl Fabric {
             }
             TlpKind::Msi { .. } => {}
         }
-        let d = &mut self.links[link as usize].dirs[end.index()];
+        let d = &mut dirs[end.index()];
         let is_cpl = tlp.fc_class() == FcClass::Completion;
         let queue_empty = if is_cpl {
             d.cplq.is_empty()
@@ -1061,7 +1038,7 @@ impl Fabric {
         tlps: &mut TlpSlab,
         link: u32,
         dir: Dir,
-        params: LinkParams,
+        params: &LinkParams,
         d: &mut LinkDir,
         sender: DeviceId,
         tlp: Tlp,
@@ -1071,7 +1048,7 @@ impl Fabric {
         loop {
             prof.tlp_transmits += 1;
             let wire_bytes = tlp.wire_bytes();
-            let (departure, arrival, tx) = d.wire.reserve(queue.now(), &params, wire_bytes);
+            let (departure, arrival, tx) = d.wire.reserve(queue.now(), params, wire_bytes);
             metrics.add(d.m.wire_busy_ns, tx.as_ps() / 1_000);
             metrics.record_bytes(d.m.wire_bytes, departure, wire_bytes);
             if corrupt_p > 0.0 && rng.gen_bool(corrupt_p) {
@@ -1109,9 +1086,12 @@ impl Fabric {
 
     /// After credits return, pushes out as many queued packets as now fit.
     fn pump_link(&mut self, link: u32, dir: Dir) {
-        let params = self.links[link as usize].params;
-        let sender = self.links[link as usize].ends[dir.index()].0;
-        let d = &mut self.links[link as usize].dirs[dir.index()];
+        let LinkState { params, ends, dirs } = &mut self.links[link as usize];
+        let d = &mut dirs[dir.index()];
+        if d.cplq.is_empty() && d.reqq.is_empty() {
+            return;
+        }
+        let sender = ends[dir.index()].0;
         loop {
             // Completions first: they must be able to bypass stalled
             // requests or read traffic deadlocks behind write bursts.

@@ -2,9 +2,10 @@
 //! travel through the event queue as an 8-byte handle instead of a full
 //! [`Tlp`] (24+ bytes of header plus a heap-backed payload handle).
 //!
-//! The event engine's timing wheel scans small coarse buckets in place and
-//! re-files dense ones (cascades); keeping the event payload small keeps
-//! the entries those walks touch compact and cache-resident. The slab also
+//! The event engine moves entries between its near tier and timing wheel,
+//! scans small coarse buckets in place and re-files dense ones (cascades);
+//! keeping the event payload small keeps the entries those walks touch
+//! compact and cache-resident. The slab also
 //! removes the last reason for the fabric to clone a TLP on the hot path:
 //! the packet is inserted once when the wire reserves its arrival slot and
 //! taken out exactly once at delivery.

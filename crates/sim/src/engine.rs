@@ -5,44 +5,59 @@
 //! order they were scheduled. The engine is deliberately payload-agnostic;
 //! the PCIe fabric layer defines the payload type and the dispatch loop.
 //!
-//! # Implementation: hierarchical timing wheel
+//! # Implementation: a sorted near tier in front of a timing wheel
 //!
-//! Events live in a slab (stable indices, generation-checked handles) and
-//! are threaded onto intrusive doubly-linked lists hanging off a
-//! hierarchical timing wheel — [`LEVELS`] levels of [`SLOTS`] slots, each
-//! level covering a 256× longer horizon than the one below, over integer
-//! picoseconds. Eight 8-bit levels cover all of `u64`, so there is no
-//! far-future tier. An event is filed relative to the wheel `base` at the
-//! level of the highest byte in which its time differs from `base`, in the
-//! slot named by that byte. Level-0 slots each hold exactly one absolute
-//! timestamp; higher levels hold coarser buckets.
+//! Events live in a slab (stable indices, generation-checked handles).
+//! Each pending event sits in one of two tiers, split at a time `bound`:
+//! every pending event earlier than `bound` is in the **near tier**, every
+//! other one is in the **wheel**. `bound` is +∞ while the wheel is empty
+//! (not `u64::MAX`, which is a legal event time).
 //!
-//! * `schedule_at` / `cancel` are O(1): a slab allocation plus a list
-//!   append (or unlink) — no tombstones, no hashing, no re-heapification.
-//! * The earliest bucket is the lowest set bit of a 32-bit occupancy
-//!   summary (one bit per 64-slot bitmap word), then of that word.
-//! * When that bucket is coarse (level > 0), one walk of its list finds
-//!   its earliest `(at, seq)` and its length. With at most [`SCAN_MAX`]
-//!   entries, that earliest entry is taken straight out of the list and
-//!   `base` stays put. A denser bucket is *cascaded*: `base` jumps to the
-//!   bucket's smallest time — the global minimum — and the bucket is
-//!   re-filed, which lands that minimum in level 0 in one step rather
-//!   than one level at a time. Sparse ns–µs traffic (PCIe TLP ticks,
-//!   deliveries and credit returns tens of ns to a few µs apart) thus
-//!   pops mostly in place, and a deep, dense queue stays O(1) amortized.
+//! * The near tier is a `Vec` of `(at, slab index)` sorted by descending
+//!   `(at, seq)`, so the next event is its last element and a pop is a
+//!   `Vec::pop`. A schedule before `bound` is a binary-search insert: its
+//!   seq is the largest yet, so it goes after every entry at or before its
+//!   time. The tier holds at most [`NEAR_CAP`] entries. When an insert
+//!   overflows it, the whole latest-timestamp group moves to the wheel in
+//!   seq order and `bound` drops to that time, so a same-time run is never
+//!   split between the tiers. When a pop finds the tier empty, the queue
+//!   is either deeper than the cap, and the pop is served straight from
+//!   the wheel, or the whole wheel fits: it moves into the tier and
+//!   `bound` goes back to +∞. Cancelling a near entry is a linear scan and
+//!   a `Vec::remove`, O([`NEAR_CAP`]).
+//! * The wheel has [`LEVELS`] levels of [`SLOTS`] slots, each level
+//!   covering a 256× longer horizon than the one below, over integer
+//!   picoseconds. Eight 8-bit levels cover all of `u64`, so there is no
+//!   far-future tier. An event is filed relative to the wheel `base` at
+//!   the level of the highest byte in which its time differs from `base`,
+//!   in the slot named by that byte, on an intrusive doubly-linked list.
+//!   Level-0 slots each hold exactly one absolute timestamp; higher levels
+//!   hold coarser buckets. Schedule and cancel are O(1) list operations.
+//!   The earliest bucket is the lowest set bit of a 32-bit occupancy
+//!   summary (one bit per 64-slot bitmap word), then of that word. A
+//!   coarse bucket of at most [`SCAN_MAX`] entries gives up its earliest
+//!   `(at, seq)` in place; a denser one is *cascaded*: `base` jumps to its
+//!   smallest time and the bucket is re-filed, which lands that minimum in
+//!   level 0 in one step.
 //!
-//! A slot is two `u32` links, so the whole wheel is 16 KiB and a new
-//! queue (one per fabric) stays cheap to build. A binary heap would be a
-//! little cheaper on the shallow queues of DMA traffic, but it is 2–3×
-//! slower on deep queues with cancels (the `bench_engine` queue race,
-//! ~17 k pending), so the wheel stays.
+//! The shallow queues of DMA traffic (a few dozen events, ns to µs apart)
+//! therefore never leave the near tier, while a queue deeper than the cap
+//! (the `bench_engine` queue race, a 256-node all-to-all) runs on the
+//! wheel alone, as it did before the near tier existed, until it drains
+//! back below the cap. Refilling the tier a cap's worth of groups at a
+//! time instead was measured and dropped: on deep queues every event then
+//! passed through both tiers, and the queue race lost a fifth of its lead
+//! over the reference heap (EXPERIMENTS.md, "A sorted near tier").
+//! A slot is two `u32` links, so the whole wheel is 16 KiB, and the near
+//! tier starts empty: a new queue (one per fabric) stays cheap to build.
 //!
 //! Determinism is preserved exactly (see DESIGN.md "Event model"):
-//! sequence numbers are monotone, slot lists only ever append, and
-//! cascades walk their source list head→tail, so every slot list is in
-//! seq order and global pop order is lexicographic `(at, seq)` — the same
-//! total order the previous binary-heap implementation produced, byte for
-//! byte in every flight log.
+//! sequence numbers are monotone, a timestamp's events are all in one tier
+//! and, in the wheel, all in one slot list in seq order (lists only
+//! append, cascades walk them head to tail, and groups move between the
+//! tiers whole, in seq order). Global pop order is therefore
+//! lexicographic `(at, seq)` — the same total order the original
+//! binary-heap implementation produced, byte for byte in every flight log.
 
 use crate::prof::ProfCounters;
 use crate::time::{Dur, SimTime};
@@ -56,10 +71,14 @@ const LEVELS: usize = 8;
 /// A coarse bucket with at most this many entries is popped in place
 /// (a linear scan for its minimum) instead of being cascaded.
 const SCAN_MAX: usize = 4;
+/// Most entries the near tier holds (see the module docs).
+const NEAR_CAP: usize = 256;
 /// Null link in the intrusive slot lists.
 const NIL: u32 = u32::MAX;
 /// `Entry::level` marker: entry is on the free list.
 const LVL_FREE: u8 = 0xFE;
+/// `Entry::level` marker: entry is pending in the near tier.
+const LVL_NEAR: u8 = 0xFD;
 
 /// Identifier of a scheduled event, usable for cancellation.
 ///
@@ -80,15 +99,15 @@ impl EventId {
     }
 }
 
-/// One slab slot: an event live in a wheel slot, or a free-list entry
-/// awaiting reuse.
+/// One slab slot: an event pending in the near tier or a wheel slot, or a
+/// free-list entry awaiting reuse.
 struct Entry<E> {
     at: u64,
     seq: u64,
     gen: u32,
     prev: u32,
     next: u32,
-    /// Wheel level, or `LVL_FREE`.
+    /// Wheel level, `LVL_NEAR` or `LVL_FREE`.
     level: u8,
     slot: u8,
     payload: Option<E>,
@@ -106,7 +125,8 @@ const EMPTY_SLOT: SlotList = SlotList {
     tail: NIL,
 };
 
-/// A deterministic discrete-event queue (hierarchical timing wheel).
+/// A deterministic discrete-event queue (a sorted near tier in front of a
+/// hierarchical timing wheel).
 ///
 /// Invariants:
 /// * time never moves backwards: popping advances `now` monotonically;
@@ -115,14 +135,22 @@ const EMPTY_SLOT: SlotList = SlotList {
 pub struct EventQueue<E> {
     slab: Vec<Entry<E>>,
     free: Vec<u32>,
+    /// Near tier: `(at, slab index)` by descending `(at, seq)`, at most
+    /// [`NEAR_CAP`] long.
+    near: Vec<(u64, u32)>,
+    /// Every pending event earlier than `bound` is in `near`, every other
+    /// one in the wheel; `None` is +∞.
+    bound: Option<u64>,
     wheel: Vec<SlotList>,
     /// Per-level slot-occupancy bitmaps (256 bits each).
     occ: [[u64; 4]; LEVELS],
     /// Bit `4 * level + word` is set while `occ[level][word] != 0`.
     summary: u32,
-    /// Wheel origin in ps, at or before `now`. Moves only when a bucket
-    /// is cascaded inside `pop`/`pop_run` (never in `peek_time` —
-    /// scheduling between a peek and the pop it predicts must stay legal).
+    /// Wheel origin in ps, at or before `now`. Moves only inside `pop`: a
+    /// cascade jumps it to a bucket's minimum, which pops at once, and a
+    /// refill that empties the wheel drops it to `now` (never in
+    /// `peek_time` — scheduling between a peek and the pop it predicts
+    /// must stay legal).
     base: u64,
     live: usize,
     now: SimTime,
@@ -146,6 +174,8 @@ impl<E> EventQueue<E> {
         EventQueue {
             slab: Vec::new(),
             free: Vec::new(),
+            near: Vec::new(),
+            bound: None,
             wheel: vec![EMPTY_SLOT; LEVELS * SLOTS],
             occ: [[0; 4]; LEVELS],
             summary: 0,
@@ -204,12 +234,13 @@ impl<E> EventQueue<E> {
             "scheduling into the past: at={at:?} now={:?}",
             self.now
         );
+        let at = at.as_ps();
         let seq = self.next_seq;
         self.next_seq += 1;
         let idx = match self.free.pop() {
             Some(idx) => {
                 let e = &mut self.slab[idx as usize];
-                e.at = at.as_ps();
+                e.at = at;
                 e.seq = seq;
                 e.payload = Some(payload);
                 idx
@@ -218,7 +249,7 @@ impl<E> EventQueue<E> {
                 let idx = self.slab.len() as u32;
                 assert!(idx != NIL, "event slab exhausted");
                 self.slab.push(Entry {
-                    at: at.as_ps(),
+                    at,
                     seq,
                     gen: 0,
                     prev: NIL,
@@ -231,7 +262,19 @@ impl<E> EventQueue<E> {
             }
         };
         let gen = self.slab[idx as usize].gen;
-        self.place(idx);
+        if self.bound.is_none_or(|b| at < b) {
+            // Every entry at or before `at` has a smaller seq, so the new
+            // one goes in front of them in descending order.
+            let pos = self.near.partition_point(|&(t, _)| t > at);
+            self.near.insert(pos, (at, idx));
+            self.slab[idx as usize].level = LVL_NEAR;
+            if self.near.len() > NEAR_CAP {
+                self.demote_latest();
+            }
+            debug_assert!(self.near.len() <= NEAR_CAP, "near tier over its cap");
+        } else {
+            self.place(idx);
+        }
         self.live += 1;
         self.prof.pushes += 1;
         self.prof.peak_pending = self.prof.peak_pending.max(self.live as u64);
@@ -244,9 +287,10 @@ impl<E> EventQueue<E> {
         self.schedule_at(self.now + delay, payload)
     }
 
-    /// Cancels a previously scheduled event in O(1): the entry is unlinked
-    /// from its wheel slot immediately — no tombstone is parked and
-    /// nothing is drained later. Returns `true` only if the event was
+    /// Cancels a previously scheduled event: the entry is removed at once
+    /// — no tombstone is parked and nothing is drained later. A wheel
+    /// entry is unlinked from its slot in O(1); a near-tier entry is found
+    /// and removed in O([`NEAR_CAP`]). Returns `true` only if the event was
     /// still pending; an event that already fired, was already cancelled,
     /// or was never scheduled returns `false` (the slab generation check
     /// makes this exact).
@@ -255,7 +299,16 @@ impl<E> EventQueue<E> {
             return false;
         }
         let (idx, _) = id.decode();
-        self.unlink(idx);
+        if self.slab[idx as usize].level == LVL_NEAR {
+            let pos = self
+                .near
+                .iter()
+                .rposition(|&(_, i)| i == idx)
+                .expect("a LVL_NEAR entry is in the near tier");
+            self.near.remove(pos);
+        } else {
+            self.unlink(idx);
+        }
         self.release(idx);
         self.live -= 1;
         self.prof.cancels += 1;
@@ -264,54 +317,17 @@ impl<E> EventQueue<E> {
 
     /// Pops the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let (_, idx) = self.earliest()?;
-        self.unlink(idx);
-        let at = self.slab[idx as usize].at;
-        self.advance_to(at);
-        Some((self.now, self.take(idx)))
-    }
-
-    /// Pops the entire run of events sharing the earliest timestamp into
-    /// `out` (in FIFO seq order), advancing the clock once. Returns the
-    /// run's timestamp, or `None` when the queue is empty.
-    ///
-    /// Equivalent to calling [`EventQueue::pop`] until the head timestamp
-    /// changes — a level-0 wheel slot holds exactly one absolute
-    /// timestamp, so there the whole batch is one list detach; a small
-    /// coarse bucket gives up every entry at its minimum time, in list
-    /// (seq) order. Events the caller schedules *at the same timestamp*
-    /// while dispatching the batch carry larger seqs and surface in a
-    /// later run, exactly as they would have popped after the batch
-    /// one-by-one.
-    pub fn pop_run(&mut self, out: &mut Vec<E>) -> Option<SimTime> {
-        let (level, first) = self.earliest()?;
-        let at = self.slab[first as usize].at;
-        self.advance_to(at);
-        if level == 0 {
-            let mut idx = self.detach_all(self.slab[first as usize].slot as usize);
-            while idx != NIL {
-                debug_assert_eq!(
-                    self.slab[idx as usize].at, at,
-                    "level-0 slot mixed timestamps"
-                );
-                let next = self.slab[idx as usize].next;
-                out.push(self.take(idx));
-                idx = next;
+        if self.near.is_empty() {
+            if self.live > NEAR_CAP {
+                // Too deep for the near tier: pop straight from the wheel.
+                let idx = self.earliest()?;
+                self.unlink(idx);
+                return Some(self.pop_entry(idx));
             }
-        } else {
-            // Entries before `first` in the list are all later than it.
-            let mut idx = first;
-            while idx != NIL {
-                let e = &self.slab[idx as usize];
-                let next = e.next;
-                if e.at == at {
-                    self.unlink(idx);
-                    out.push(self.take(idx));
-                }
-                idx = next;
-            }
+            self.refill();
         }
-        Some(self.now)
+        let (_, idx) = self.near.pop()?;
+        Some(self.pop_entry(idx))
     }
 
     /// Timestamp of the next event without popping it.
@@ -320,6 +336,9 @@ impl<E> EventQueue<E> {
     /// `now <= t <= peek_time()` must remain legal between a peek and the
     /// pop it predicts (the `run_until` + `drive` pattern relies on it).
     pub fn peek_time(&self) -> Option<SimTime> {
+        if let Some(&(at, _)) = self.near.last() {
+            return Some(SimTime::from_ps(at));
+        }
         let (level, slot) = self.first_occupied()?;
         if level == 0 {
             // A level-0 slot holds exactly one timestamp: base's page
@@ -335,6 +354,42 @@ impl<E> EventQueue<E> {
     /// True when no events remain.
     pub fn is_idle(&self) -> bool {
         self.live == 0
+    }
+
+    // -- tier internals -----------------------------------------------------
+
+    /// Moves the near tier's latest-timestamp group to the wheel, in seq
+    /// order, and lowers `bound` to its time. The wheel held only later
+    /// times, so the group stays whole and its slot list stays in seq
+    /// order.
+    fn demote_latest(&mut self) {
+        let at = self.near[0].0;
+        debug_assert!(at >= self.base, "demoting behind the wheel base");
+        let n = self.near.partition_point(|&(t, _)| t == at);
+        for k in (0..n).rev() {
+            self.place(self.near[k].1);
+        }
+        self.near.drain(..n);
+        self.bound = Some(at);
+    }
+
+    /// Moves the whole wheel, in `(at, seq)` order, into the empty near
+    /// tier, which it fits (at most [`NEAR_CAP`] events are pending), and
+    /// lifts `bound` to +∞. The wheel is then empty, so `base` drops to
+    /// `now`: every later filing, a schedule or a demoted group, is at or
+    /// after `now`.
+    fn refill(&mut self) {
+        debug_assert!(self.near.is_empty() && self.live <= NEAR_CAP);
+        while let Some(idx) = self.earliest() {
+            self.unlink(idx);
+            let e = &mut self.slab[idx as usize];
+            e.level = LVL_NEAR;
+            self.near.push((e.at, idx));
+        }
+        // Pulled in ascending order; the tier is kept descending.
+        self.near.reverse();
+        self.bound = None;
+        self.base = self.now.as_ps();
     }
 
     // -- wheel internals ----------------------------------------------------
@@ -403,14 +458,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Detaches and returns the whole list of level-0 slot `slot`.
-    fn detach_all(&mut self, slot: usize) -> u32 {
-        let head = self.wheel[slot].head;
-        self.wheel[slot] = EMPTY_SLOT;
-        self.clear_occupied(0, slot);
-        head
-    }
-
     /// First occupied `(level, slot)`. By the wheel invariant the finest
     /// occupied level's lowest slot holds the earliest event.
     #[inline]
@@ -444,22 +491,22 @@ impl<E> EventQueue<E> {
         (best, min, len)
     }
 
-    /// The level holding the earliest `(at, seq)` entry and that entry's
-    /// slab index, still linked; `None` when the queue is empty. A coarse
-    /// bucket of at most [`SCAN_MAX`] entries is answered by its scan; a
-    /// denser one is cascaded, after which its minimum is at level 0.
-    fn earliest(&mut self) -> Option<(usize, u32)> {
+    /// The slab index of the wheel's earliest `(at, seq)` entry, still
+    /// linked; `None` when the wheel is empty. A coarse bucket of at most
+    /// [`SCAN_MAX`] entries is answered by its scan; a denser one is
+    /// cascaded, after which its minimum heads a level-0 slot.
+    fn earliest(&mut self) -> Option<u32> {
         let (level, slot) = self.first_occupied()?;
         let cell = level * SLOTS + slot;
         if level == 0 {
-            return Some((0, self.wheel[cell].head));
+            return Some(self.wheel[cell].head);
         }
         let (idx, min, len) = self.scan_bucket(cell);
         if len <= SCAN_MAX {
-            return Some((level, idx));
+            return Some(idx);
         }
         self.cascade(level, slot, min);
-        Some((0, self.wheel[min as u8 as usize].head))
+        Some(self.wheel[min as u8 as usize].head)
     }
 
     /// Moves the base to `min`, bucket `(level, slot)`'s smallest time and
@@ -481,26 +528,19 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Advances the clock to `at`, the time of the entry being popped.
+    /// Pops entry `idx`, already out of both tiers: advances the clock to
+    /// its time, takes its payload, frees the entry and counts the pop.
     #[inline]
-    fn advance_to(&mut self, at: u64) {
-        debug_assert!(at >= self.now.as_ps(), "event queue went backwards");
-        self.now = SimTime::from_ps(at);
-    }
-
-    /// Takes the payload of the unlinked entry `idx`, frees the entry and
-    /// counts the pop.
-    #[inline]
-    fn take(&mut self, idx: u32) -> E {
-        let payload = self.slab[idx as usize]
-            .payload
-            .take()
-            .expect("live entry has a payload");
+    fn pop_entry(&mut self, idx: u32) -> (SimTime, E) {
+        let e = &mut self.slab[idx as usize];
+        debug_assert!(e.at >= self.now.as_ps(), "event queue went backwards");
+        self.now = SimTime::from_ps(e.at);
+        let payload = e.payload.take().expect("live entry has a payload");
         self.release(idx);
         self.live -= 1;
         self.popped += 1;
         self.prof.pops += 1;
-        payload
+        (self.now, payload)
     }
 
     /// Returns entry `idx` to the free list, bumping its generation so any
@@ -679,24 +719,59 @@ mod tests {
         assert_eq!(q.now(), SimTime::from_ps(11));
     }
 
+    /// Spills the near tier so that the events a test schedules next are
+    /// filed in, and popped straight from, the wheel: `NEAR_CAP + 1`
+    /// copies of `filler` at time 0 overflow the tier, which demotes the
+    /// whole group and drops the bound to 0; as many more at `u64::MAX`
+    /// keep the queue deeper than the tier until they pop. Returns the
+    /// size of each group.
+    fn spill_near_tier<E: Clone>(q: &mut EventQueue<E>, filler: E) -> usize {
+        let n = NEAR_CAP + 1;
+        for at in [SimTime::ZERO, SimTime::from_ps(u64::MAX)] {
+            for _ in 0..n {
+                q.schedule_at(at, filler.clone());
+            }
+        }
+        assert_eq!((q.near.len(), q.bound), (0, Some(0)), "fillers must spill");
+        n
+    }
+
+    /// Pops `n` fillers at time 0, then `m` events, which it returns.
+    fn pop_past_fillers<E: Clone + PartialEq + std::fmt::Debug>(
+        q: &mut EventQueue<E>,
+        filler: &E,
+        n: usize,
+        m: usize,
+    ) -> Vec<E> {
+        for _ in 0..n {
+            assert_eq!(q.pop(), Some((SimTime::ZERO, filler.clone())));
+        }
+        (0..m).map(|_| q.pop().expect("event pending").1).collect()
+    }
+
     #[test]
     fn cascades_preserve_order_across_slot_boundaries() {
         // Times straddling level boundaries (255/256 = level 0→1 edge,
         // 65535/65536 = level 1→2 edge) plus same-time pairs scheduled
         // out of order: pop order must be (time, schedule-order) exactly.
         // Level-1 slot 1 (256..=511) gets more than SCAN_MAX entries, so
-        // it cascades instead of being popped in place.
+        // it cascades instead of being popped in place. The near tier is
+        // spilled first so that every event is filed in the wheel.
         let mut q = EventQueue::new();
+        let filler = (0, usize::MAX);
+        let fillers = spill_near_tier(&mut q, filler);
         let times = [
             65_536u64, 256, 255, 65_535, 257, 256, 1, 0, 65_536, 16_777_216, 255, 300, 299, 300,
         ];
         for (i, &t) in times.iter().enumerate() {
             q.schedule_at(SimTime::from_ps(t), (t, i));
         }
+        assert!(q.near.is_empty(), "the events must be in the wheel");
         let mut sorted: Vec<(u64, usize)> = times.iter().copied().zip(0..).collect();
         sorted.sort_by_key(|&(t, i)| (t, i));
-        let popped: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        let popped = pop_past_fillers(&mut q, &filler, fillers, sorted.len());
         assert_eq!(popped, sorted);
+        assert_eq!(q.pending(), fillers, "only the fillers at u64::MAX remain");
         assert!(q.prof().cascades > 0, "the workload must exercise cascades");
     }
 
@@ -771,8 +846,11 @@ mod tests {
         // (boundary + 1) neighbour, out of order, and mix in cancels. Three
         // more entries at boundary + 2 keep every boundary bucket above
         // SCAN_MAX after the cancels, so each one cascades rather than
-        // popping in place.
+        // popping in place. The near tier is spilled first so that every
+        // event is filed in the wheel.
         let mut q = EventQueue::new();
+        let filler = (0, usize::MAX);
+        let fillers = spill_near_tier(&mut q, filler);
         let mut times = Vec::new();
         for k in 1..LEVELS {
             let boundary = 1u64 << (SLOT_BITS as usize * k);
@@ -806,113 +884,59 @@ mod tests {
             .filter(|&(_, i)| !cancelled.contains(&i))
             .collect();
         expect.sort_by_key(|&(t, i)| (t, i));
-        let popped: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert!(q.near.is_empty(), "the events must be in the wheel");
+        let popped = pop_past_fillers(&mut q, &filler, fillers, expect.len());
         assert_eq!(popped, expect);
+        assert_eq!(q.pending(), fillers, "only the fillers at u64::MAX remain");
         assert!(q.prof().cascades > 0, "boundary times must cascade");
-    }
-
-    #[test]
-    fn pop_run_batches_exactly_one_timestamp() {
-        let mut q = EventQueue::new();
-        q.schedule_at(SimTime::from_ps(10), 0);
-        q.schedule_at(SimTime::from_ps(10), 1);
-        q.schedule_at(SimTime::from_ps(10), 2);
-        q.schedule_at(SimTime::from_ps(20), 3);
-        let mut batch = Vec::new();
-        assert_eq!(q.pop_run(&mut batch), Some(SimTime::from_ps(10)));
-        assert_eq!(batch, [0, 1, 2], "whole run, FIFO order, nothing more");
-        // Same-time events scheduled mid-batch surface in the next run.
-        q.schedule_at(SimTime::from_ps(20), 4);
-        batch.clear();
-        assert_eq!(q.pop_run(&mut batch), Some(SimTime::from_ps(20)));
-        assert_eq!(batch, [3, 4]);
-        batch.clear();
-        assert_eq!(q.pop_run(&mut batch), None);
-        assert_eq!(q.events_executed(), 5);
-        assert_eq!(q.prof().pops, 5, "batched pops count per event");
-    }
-
-    #[test]
-    fn pop_run_matches_pop_on_a_mixed_workload() {
-        let build = || {
-            let mut q = EventQueue::new();
-            for i in 0..200u64 {
-                // Deliberate collisions: only 37 distinct timestamps.
-                q.schedule_at(SimTime::from_ps((i * 7) % 37 * 1000), i);
-            }
-            q
-        };
-        let mut a = build();
-        let mut via_pop = Vec::new();
-        while let Some((t, e)) = a.pop() {
-            via_pop.push((t, e));
-        }
-        let mut b = build();
-        let mut via_run = Vec::new();
-        let mut batch = Vec::new();
-        while let Some(t) = b.pop_run(&mut batch) {
-            via_run.extend(batch.drain(..).map(|e| (t, e)));
-        }
-        assert_eq!(via_pop, via_run);
     }
 
     #[test]
     fn small_coarse_buckets_pop_in_place_without_cascading() {
         // 900 and 1000 ps share level-1 slot 3; 70 000 ps is a lone
-        // level-2 entry. Neither bucket exceeds SCAN_MAX, so every pop is
-        // a scan of the bucket and the base never moves.
+        // level-2 entry. Neither bucket exceeds SCAN_MAX, so every lookup
+        // is a scan of the bucket and the base never moves. The near tier
+        // is spilled first so that every event is filed in the wheel.
         let mut q = EventQueue::new();
+        let fillers = spill_near_tier(&mut q, "filler");
         q.schedule_at(SimTime::from_ps(1_000), "c");
         q.schedule_at(SimTime::from_ps(900), "a");
         q.schedule_at(SimTime::from_ps(70_000), "lone");
         q.schedule_at(SimTime::from_ps(900), "b");
+        pop_past_fillers(&mut q, &"filler", fillers, 0);
         assert_eq!(q.peek_time(), Some(SimTime::from_ps(900)));
         assert_eq!(q.pop(), Some((SimTime::from_ps(900), "a")));
-        // Scheduled inside the bucket being scanned, after its minimum.
+        // Scheduled inside the bucket that was scanned, after its minimum.
         q.schedule_at(SimTime::from_ps(950), "d");
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        let order = pop_past_fillers(&mut q, &"filler", 0, 4);
         assert_eq!(order, ["b", "d", "c", "lone"]);
+        assert_eq!(q.pending(), fillers, "only the fillers at u64::MAX remain");
         assert_eq!(q.prof().cascades, 0, "sparse buckets must not cascade");
         assert_eq!(q.base, 0);
-    }
-
-    #[test]
-    fn pop_run_drains_a_small_coarse_bucket_by_timestamp() {
-        let mut q = EventQueue::new();
-        for (i, t) in [900u64, 1_000, 900, 950].into_iter().enumerate() {
-            q.schedule_at(SimTime::from_ps(t), i);
-        }
-        let mut batch = Vec::new();
-        assert_eq!(q.pop_run(&mut batch), Some(SimTime::from_ps(900)));
-        assert_eq!(batch, [0, 2], "only the minimum time, in seq order");
-        // Same-time arrivals scheduled after the batch come next run.
-        q.schedule_at(SimTime::from_ps(950), 4);
-        batch.clear();
-        assert_eq!(q.pop_run(&mut batch), Some(SimTime::from_ps(950)));
-        assert_eq!(batch, [3, 4]);
-        batch.clear();
-        assert_eq!(q.pop_run(&mut batch), Some(SimTime::from_ps(1_000)));
-        assert_eq!(batch, [1]);
-        assert_eq!(q.prof().cascades, 0);
     }
 
     #[test]
     fn dense_coarse_bucket_cascades_straight_to_its_minimum() {
         // Six entries in level-1 slot 3 exceed SCAN_MAX: one cascade
         // moves the base to their minimum, which lands in level 0, so
-        // each entry is re-filed once rather than level by level.
+        // each entry is re-filed once rather than level by level. The
+        // near tier is spilled first so that every event is filed in the
+        // wheel.
         let mut q = EventQueue::new();
+        let fillers = spill_near_tier(&mut q, usize::MAX);
         for (i, t) in [1_000u64, 990, 900, 1_020, 900, 960]
             .into_iter()
             .enumerate()
         {
             q.schedule_at(SimTime::from_ps(t), i);
         }
+        pop_past_fillers(&mut q, &usize::MAX, fillers, 0);
         assert_eq!(q.pop(), Some((SimTime::from_ps(900), 2)));
         assert_eq!(q.base, 900);
         assert_eq!(q.prof().cascades, 6);
-        let rest: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        let rest = pop_past_fillers(&mut q, &usize::MAX, 0, 5);
         assert_eq!(rest, [4, 5, 1, 0, 3]);
+        assert_eq!(q.pending(), fillers, "only the fillers at u64::MAX remain");
     }
 
     #[test]
@@ -925,10 +949,63 @@ mod tests {
         assert_eq!(q.pop().unwrap().1, "near");
         assert_eq!(q.peek_time(), Some(SimTime::from_ps(u64::MAX - 1)));
         assert_eq!(q.pop().unwrap().1, "max-1");
-        let mut batch = Vec::new();
-        assert_eq!(q.pop_run(&mut batch), Some(SimTime::from_ps(u64::MAX)));
-        assert_eq!(batch, ["max_a", "max_b"]);
+        assert_eq!(q.pop(), Some((SimTime::from_ps(u64::MAX), "max_a")));
+        assert_eq!(q.pop(), Some((SimTime::from_ps(u64::MAX), "max_b")));
         assert!(q.is_idle());
+    }
+
+    #[test]
+    fn same_instant_group_over_the_cap_spills_whole_and_pops_in_order() {
+        // A group one larger than the near tier is demoted whole on the
+        // insert that overflows it; events scheduled at that instant
+        // afterwards go to the wheel behind it, and earlier ones to the
+        // near tier in front of it.
+        let mut q = EventQueue::new();
+        let n = NEAR_CAP as u64 + 1;
+        for i in 0..n {
+            q.schedule_at(SimTime::from_ps(500), i);
+        }
+        assert_eq!((q.near.len(), q.bound), (0, Some(500)));
+        q.schedule_at(SimTime::from_ps(500), n);
+        q.schedule_at(SimTime::from_ps(499), n + 1);
+        let near: Vec<_> = q.near.iter().map(|&(t, _)| t).collect();
+        assert_eq!(near, [499], "the earlier event stays in the near tier");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        let mut want = vec![n + 1];
+        want.extend(0..=n);
+        assert_eq!(order, want);
+    }
+
+    #[test]
+    fn huge_same_instant_burst_keeps_the_near_tier_bounded() {
+        // 100 000 events at one instant spill to the wheel as one group,
+        // which is then popped straight from the wheel rather than pulled
+        // back: a near tier that grew with it would make every insert an
+        // O(n) memmove. Staggered schedules during the drain join the
+        // group's tail or land later, on either tier. Pop order must stay
+        // (time, seq) and the near tier within its cap throughout (the
+        // insert path also checks this with a debug assertion).
+        const BURST: u64 = 100_000;
+        let mut q = EventQueue::new();
+        let mut scheduled = Vec::new();
+        for seq in 0..BURST {
+            q.schedule_at(SimTime::from_ps(1_000), seq);
+            scheduled.push((1_000, seq));
+        }
+        let mut popped = Vec::new();
+        while let Some((t, seq)) = q.pop() {
+            assert!(q.near.len() <= NEAR_CAP, "near tier over its cap");
+            popped.push((t.as_ps(), seq));
+            if seq % 2 == 0 && scheduled.len() < 3 * BURST as usize / 2 {
+                let at = t.as_ps() + (seq / 2) % 5 * 10;
+                let next = scheduled.len() as u64;
+                q.schedule_at(SimTime::from_ps(at), next);
+                scheduled.push((at, next));
+                assert!(q.near.len() <= NEAR_CAP, "near tier over its cap");
+            }
+        }
+        scheduled.sort_unstable();
+        assert_eq!(popped, scheduled);
     }
 
     // The determinism contract, checked against a naive reference model:
@@ -938,180 +1015,286 @@ mod tests {
     mod properties {
         use super::*;
         use proptest::prelude::*;
+        use std::collections::BTreeSet;
 
-        /// Naive reference: a Vec kept sorted by `(at, seq)`.
+        /// Cases of `wheel_matches_sorted_vec_reference`.
+        const CASES: u32 = 128;
+
+        /// Op words of one case: the low byte picks the operation, the
+        /// rest is its argument.
+        fn op_words() -> impl Strategy<Value = Vec<u64>> {
+            proptest::collection::vec(any::<u64>(), 1..300)
+        }
+
+        /// Naive reference: a Vec kept sorted by `(at, seq)`, plus whether
+        /// each seq is still pending.
         #[derive(Default)]
         struct RefModel {
-            events: Vec<(u64, u64, u32)>, // (at, seq, payload)
+            events: Vec<(u64, u64)>, // (at, seq)
+            live: Vec<bool>,
             now: u64,
-            next_seq: u64,
         }
 
         impl RefModel {
-            fn schedule(&mut self, at: u64, payload: u32) -> u64 {
-                let seq = self.next_seq;
-                self.next_seq += 1;
-                self.events.push((at, seq, payload));
-                self.events.sort_unstable_by_key(|&(a, s, _)| (a, s));
+            fn schedule(&mut self, at: u64) -> u64 {
+                let seq = self.live.len() as u64;
+                self.live.push(true);
+                let pos = self.events.partition_point(|&e| e <= (at, seq));
+                self.events.insert(pos, (at, seq));
                 seq
             }
 
             fn cancel(&mut self, seq: u64) -> bool {
-                match self.events.iter().position(|&(_, s, _)| s == seq) {
-                    Some(i) => {
-                        self.events.remove(i);
-                        true
-                    }
-                    None => false,
+                if !self.live[seq as usize] {
+                    return false;
                 }
+                self.live[seq as usize] = false;
+                self.events.retain(|&(_, s)| s != seq);
+                true
             }
 
-            fn pop(&mut self) -> Option<(u64, u32)> {
+            fn pop(&mut self) -> Option<(u64, u64)> {
                 if self.events.is_empty() {
                     return None;
                 }
-                let (at, _, payload) = self.events.remove(0);
+                let (at, seq) = self.events.remove(0);
+                self.live[seq as usize] = false;
                 self.now = at;
-                Some((at, payload))
+                Some((at, seq))
             }
         }
 
-        /// Schedules `arg` at `at` in both the wheel and the model.
-        fn schedule(
-            q: &mut EventQueue<u32>,
-            model: &mut RefModel,
-            ids: &mut Vec<(u64, EventId)>,
-            at: u64,
-            arg: u32,
-        ) {
-            let seq = model.schedule(at, arg);
-            ids.push((seq, q.schedule_at(SimTime::from_ps(at), arg)));
+        /// The queue under test, the model, every id handed out (by seq),
+        /// and the two-tier paths the operations have taken so far, read
+        /// off the queue's state around each one.
+        struct Run<'a> {
+            q: EventQueue<u64>,
+            model: RefModel,
+            ids: Vec<EventId>,
+            seen: &'a mut BTreeSet<&'static str>,
+        }
+
+        impl Run<'_> {
+            /// Schedules at `at` in both the queue and the model; the
+            /// payload is the seq, so any order slip shows.
+            fn schedule(&mut self, at: u64) {
+                let (bound, wheel_empty) = (self.q.bound, self.q.summary == 0);
+                let seq = self.model.schedule(at);
+                self.ids.push(self.q.schedule_at(SimTime::from_ps(at), seq));
+                if self.q.bound != bound {
+                    self.seen.insert("demotion");
+                }
+                if at == u64::MAX && wheel_empty {
+                    self.seen.insert("u64::MAX with an empty wheel");
+                }
+            }
+
+            fn cancel(&mut self, seq: u64) -> Result<(), String> {
+                let id = self.ids[seq as usize];
+                let near =
+                    self.q.is_pending(id) && self.q.slab[id.decode().0 as usize].level == LVL_NEAR;
+                let got = self.q.cancel(id);
+                prop_assert_eq!(
+                    got,
+                    self.model.cancel(seq),
+                    "cancel result diverged from the model"
+                );
+                if got && near {
+                    self.seen.insert("cancel in the near tier");
+                }
+                Ok(())
+            }
+
+            /// Pops both; returns the popped `(at, seq)`.
+            fn pop(&mut self) -> Result<Option<(u64, u64)>, String> {
+                let from_wheel = self.q.near.is_empty() && self.q.summary != 0;
+                let deep = self.q.live > NEAR_CAP;
+                let next_at = self.model.events.first().map(|e| e.0);
+                let group = self
+                    .model
+                    .events
+                    .iter()
+                    .take_while(|e| Some(e.0) == next_at)
+                    .count();
+                let got = self.q.pop().map(|(t, seq)| (t.as_ps(), seq));
+                let want = self.model.pop();
+                prop_assert_eq!(got, want, "pop diverged from the model");
+                match (from_wheel, deep) {
+                    (true, false) => {
+                        self.seen.insert("refill");
+                    }
+                    (true, true) if group > NEAR_CAP => {
+                        self.seen.insert("over-cap group popped from the wheel");
+                    }
+                    (true, true) => {
+                        self.seen.insert("deep pop from the wheel");
+                    }
+                    (false, _) => {}
+                }
+                Ok(got)
+            }
+        }
+
+        /// Runs one case's op words against the model, recording the
+        /// two-tier paths taken in `seen`.
+        fn check_case(ops: &[u64], seen: &mut BTreeSet<&'static str>) -> Result<(), String> {
+            let mut r = Run {
+                q: EventQueue::new(),
+                model: RefModel::default(),
+                ids: Vec::new(),
+                seen,
+            };
+            for &word in ops {
+                let (op, arg) = ((word & 0xFF) as u8, (word >> 8) as u32);
+                let now = r.model.now;
+                let shallow = r.model.events.len() < 2 * NEAR_CAP;
+                match op % 11 {
+                    // Near future: exercises level 0/1 and cascades.
+                    0 => r.schedule(now.saturating_add(u64::from(arg % 4096))),
+                    // Far future: exercises the high levels.
+                    1 => {
+                        let far = u64::from(arg % 64) << (8 * u32::from(arg as u8 % 8));
+                        r.schedule(now.saturating_add(far));
+                    }
+                    // Edge times: exactly on a level boundary
+                    // (now + m * 256^k) or hugging it by one, for every
+                    // level up to and including 2^56 — the off-by-one
+                    // hot spots of hierarchical wheels.
+                    2 => {
+                        let k = 1 + usize::from(arg as u8 % (LEVELS as u8 - 1));
+                        let m = u64::from((arg >> 8) % 3) + 1;
+                        let nudge = [0u64, 1, u64::MAX][(arg >> 4) as usize % 3];
+                        let at = now.saturating_add(m << (8 * k)).wrapping_add(nudge);
+                        r.schedule(at.max(now));
+                    }
+                    3 if !r.ids.is_empty() => {
+                        let seq = u64::from(arg) % r.ids.len() as u64;
+                        r.cancel(seq)?;
+                    }
+                    // A cluster in one coarse bucket: a lone entry, a
+                    // few (popped in place), or more than SCAN_MAX
+                    // (cascaded); step 0 puts them all at one time.
+                    5 => {
+                        let n = 1 + arg % 8;
+                        let first = now.saturating_add(256 + u64::from((arg >> 3) % 65_536));
+                        let step = u64::from((arg >> 19) % 3);
+                        for j in 0..u64::from(n) {
+                            r.schedule(first.saturating_add(j * step));
+                        }
+                    }
+                    // Popping the whole earliest same-time run one event
+                    // at a time yields it in seq order, whichever tier or
+                    // wheel level holds it.
+                    6 => {
+                        if let Some(&(at, _)) = r.model.events.first() {
+                            while r.model.events.first().is_some_and(|e| e.0 == at) {
+                                prop_assert_eq!(r.q.peek_time(), Some(SimTime::from_ps(at)));
+                                r.pop()?;
+                            }
+                            prop_assert!(
+                                r.q.peek_time().is_none_or(|t| t.as_ps() > at),
+                                "the same-time run was not drained"
+                            );
+                        }
+                    }
+                    // Schedule between a peek and the pop it predicts,
+                    // at or before the peeked time — usually inside the
+                    // very bucket the peek scanned.
+                    7 => {
+                        let peeked = r.q.peek_time().map(SimTime::as_ps);
+                        prop_assert_eq!(peeked, r.model.events.first().map(|e| e.0));
+                        if let Some(t) = peeked {
+                            let back = u64::from(arg) % (t - now).saturating_add(1);
+                            r.schedule(t - back);
+                        }
+                        r.pop()?;
+                    }
+                    // Times at the very top of u64: the top wheel level,
+                    // and u64::MAX itself half the time.
+                    8 => {
+                        let below = if arg & 1 == 0 { 0 } else { arg % 512 };
+                        r.schedule((u64::MAX - u64::from(below)).max(now));
+                    }
+                    // A burst of 65–300 events, more than half the near
+                    // tier or more than all of it: at one instant (9) or
+                    // spread out of order over up to 2 µs (10).
+                    9 | 10 if shallow => {
+                        let n = 65 + u64::from(arg % 236);
+                        let first = now.saturating_add(u64::from((arg >> 9) % 4096));
+                        let span = if op % 11 == 9 {
+                            1
+                        } else {
+                            1 + u64::from((arg >> 12) % 2_000_000)
+                        };
+                        for j in 0..n {
+                            r.schedule(first.saturating_add((j * 7_919 + u64::from(arg)) % span));
+                        }
+                    }
+                    _ => {
+                        r.pop()?;
+                    }
+                }
+                prop_assert_eq!(r.q.pending(), r.model.events.len());
+                prop_assert!(r.q.near.len() <= NEAR_CAP, "near tier over its cap");
+                for (seq, id) in r.ids.iter().enumerate() {
+                    prop_assert_eq!(
+                        r.q.is_pending(*id),
+                        r.model.live[seq],
+                        "id membership diverged from the model"
+                    );
+                }
+            }
+            // Drain both to the end: identical tails.
+            while r.pop()?.is_some() {}
+            prop_assert_eq!(r.q.pending(), 0);
+            // Counter cross-check: every scheduled event either fired
+            // or was cancelled — nothing else exists.
+            let p = *r.q.prof();
+            prop_assert_eq!(p.pushes, r.ids.len() as u64);
+            prop_assert_eq!(p.pops + p.cancels, p.pushes);
+            Ok(())
         }
 
         proptest! {
             #![proptest_config(ProptestConfig {
-                cases: 128,
+                cases: CASES,
                 .. ProptestConfig::default()
             })]
 
             #[test]
-            fn wheel_matches_sorted_vec_reference(
-                ops in proptest::collection::vec(any::<u64>(), 1..300),
-            ) {
-                let mut q = EventQueue::new();
-                let mut model = RefModel::default();
-                // seq -> (wheel id, cancelled-or-fired) mirror.
-                let mut ids: Vec<(u64, EventId)> = Vec::new();
-                for word in ops {
-                    let (op, arg) = ((word & 0xFF) as u8, (word >> 8) as u32);
-                    let now = model.now;
-                    match op % 9 {
-                        // Near future: exercises level 0/1 and cascades.
-                        0 => {
-                            let at = now.saturating_add(u64::from(arg % 4096));
-                            schedule(&mut q, &mut model, &mut ids, at, arg);
-                        }
-                        // Far future: exercises the high levels.
-                        1 => {
-                            let far = u64::from(arg % 64) << (8 * u32::from(arg as u8 % 8));
-                            schedule(&mut q, &mut model, &mut ids, now.saturating_add(far), arg);
-                        }
-                        // Edge times: exactly on a level boundary
-                        // (now + m * 256^k) or hugging it by one, for every
-                        // level up to and including 2^56 — the off-by-one
-                        // hot spots of hierarchical wheels.
-                        2 => {
-                            let k = 1 + usize::from(arg as u8 % (LEVELS as u8 - 1));
-                            let m = u64::from((arg >> 8) % 3) + 1;
-                            let nudge = [0u64, 1, u64::MAX][(arg >> 4) as usize % 3];
-                            let at = now.saturating_add(m << (8 * k)).wrapping_add(nudge);
-                            schedule(&mut q, &mut model, &mut ids, at.max(now), arg);
-                        }
-                        3 if !ids.is_empty() => {
-                            let (seq, id) = ids[arg as usize % ids.len()];
-                            prop_assert_eq!(
-                                q.cancel(id),
-                                model.cancel(seq),
-                                "cancel result diverged from the model"
-                            );
-                        }
-                        // A cluster in one coarse bucket: a lone entry, a
-                        // few (popped in place), or more than SCAN_MAX
-                        // (cascaded); step 0 puts them all at one time.
-                        5 => {
-                            let n = 1 + arg % 8;
-                            let first = now.saturating_add(256 + u64::from((arg >> 3) % 65_536));
-                            let step = u64::from((arg >> 19) % 3);
-                            for j in 0..u64::from(n) {
-                                let at = first.saturating_add(j * step);
-                                schedule(&mut q, &mut model, &mut ids, at, arg);
-                            }
-                        }
-                        // `pop_run` drains exactly the earliest timestamp,
-                        // whether it sits in level 0 or a coarse bucket.
-                        6 => {
-                            let mut batch = Vec::new();
-                            let got = q.pop_run(&mut batch).map(SimTime::as_ps);
-                            let want_at = model.events.first().map(|e| e.0);
-                            let mut want = Vec::new();
-                            while model.events.first().map(|e| e.0) == want_at && want_at.is_some() {
-                                want.push(model.pop().expect("non-empty").1);
-                            }
-                            prop_assert_eq!(got, want_at, "pop_run time diverged");
-                            prop_assert_eq!(batch, want, "pop_run batch diverged");
-                        }
-                        // Schedule between a peek and the pop it predicts,
-                        // at or before the peeked time — usually inside the
-                        // very bucket the peek scanned.
-                        7 => {
-                            let peeked = q.peek_time().map(SimTime::as_ps);
-                            prop_assert_eq!(peeked, model.events.first().map(|e| e.0));
-                            if let Some(t) = peeked {
-                                let back = u64::from(arg) % (t - now).saturating_add(1);
-                                schedule(&mut q, &mut model, &mut ids, t - back, arg);
-                            }
-                            let got = q.pop();
-                            prop_assert_eq!(got.map(|(t, e)| (t.as_ps(), e)), model.pop());
-                        }
-                        // Times at the very top of u64: the top wheel level.
-                        8 => {
-                            let at = (u64::MAX - u64::from(arg % 512)).max(now);
-                            schedule(&mut q, &mut model, &mut ids, at, arg);
-                        }
-                        _ => {
-                            let got = q.pop();
-                            let want = model.pop();
-                            prop_assert_eq!(
-                                got.map(|(t, e)| (t.as_ps(), e)),
-                                want,
-                                "pop diverged from the model"
-                            );
-                        }
-                    }
-                    prop_assert_eq!(q.pending(), model.events.len());
-                    for (seq, id) in &ids {
-                        prop_assert_eq!(
-                            q.is_pending(*id),
-                            model.events.iter().any(|&(_, s, _)| s == *seq),
-                            "id membership diverged from the model"
-                        );
-                    }
-                }
-                // Drain both to the end: identical tails.
-                loop {
-                    let got = q.pop();
-                    let want = model.pop();
-                    prop_assert_eq!(got.map(|(t, e)| (t.as_ps(), e)), want);
-                    if want.is_none() {
-                        break;
-                    }
-                }
-                prop_assert_eq!(q.pending(), 0);
-                // Counter cross-check: every scheduled event either fired
-                // or was cancelled — nothing else exists.
-                let p = *q.prof();
-                prop_assert_eq!(p.pushes, ids.len() as u64);
-                prop_assert_eq!(p.pops + p.cancels, p.pushes);
+            fn wheel_matches_sorted_vec_reference(ops in op_words()) {
+                check_case(&ops, &mut BTreeSet::new())?;
+            }
+        }
+
+        #[test]
+        fn reference_cases_cover_both_tiers() {
+            // The property above is only as good as its cases. Its exact
+            // cases (same strategy, same name-keyed seed, same count) must
+            // demote a group, refill the near tier, pop straight from the
+            // wheel while the queue is deeper than the tier, both in
+            // general and through a same-instant group larger than the
+            // tier, cancel in the near tier, and schedule at u64::MAX with
+            // an empty wheel (where +∞, not u64::MAX, must bound the near
+            // tier).
+            let mut rng =
+                proptest::test_runner::TestRng::for_test("wheel_matches_sorted_vec_reference");
+            let mut seen = BTreeSet::new();
+            for _ in 0..CASES {
+                check_case(&op_words().generate(&mut rng), &mut seen).expect("property holds");
+            }
+            for want in [
+                "demotion",
+                "refill",
+                "deep pop from the wheel",
+                "over-cap group popped from the wheel",
+                "cancel in the near tier",
+                "u64::MAX with an empty wheel",
+            ] {
+                assert!(
+                    seen.contains(want),
+                    "no case took the path {want:?}: {seen:?}"
+                );
             }
         }
     }

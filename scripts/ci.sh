@@ -208,6 +208,32 @@ if ! diff -r "$profdir/tel_fl" "$profdir/tel_nofl" > /dev/null; then
     exit 1
 fi
 
+# Sweep-equivalence gate: every scenario/backend sweep with a golden under
+# benchmark/golden must reproduce it row for row. `benchmark/run.sh check`
+# strips the host-clock columns (topo-registry's host_wall_ms and
+# events_per_sec) and fails on a missing, extra or changed row.
+sweepdir="$profdir/sweeps"
+mkdir -p "$sweepdir"
+for golden_file in benchmark/golden/*.jsonl; do
+    key=$(basename "$golden_file" .jsonl)
+    case "$key" in
+        *-mpi-gpudirect) backend=mpi-gpudirect ;;
+        *-mpi) backend=mpi ;;
+        *-tca) backend=tca ;;
+        *)
+            echo "sweep equivalence: golden $key names no known backend" >&2
+            exit 1
+            ;;
+    esac
+    scenario=${key%-"$backend"}
+    cargo run -q --release --offline -p tca-bench --bin tca-bench -- \
+        --scenario "$scenario" --backend "$backend" --json --jobs 1 > "$sweepdir/$key.json"
+    if ! bash benchmark/run.sh check "$key" "$sweepdir/$key.json"; then
+        echo "sweep equivalence: $key drifted from benchmark/golden/$key.jsonl" >&2
+        exit 1
+    fi
+done
+
 # Perf-regression gate: rerun the fabric kernels (ping-pong, hop sweep,
 # Fig. 7/8/9 bandwidth), write the schema-stable results/BENCH_fabric.json,
 # and fail the build if any metric drifts outside its paper-anchored bound.

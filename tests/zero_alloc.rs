@@ -12,9 +12,8 @@ use tca_bench::{Direction, Target};
 static ALLOC: tca::sim::prof::CountingAllocator = tca::sim::prof::CountingAllocator;
 
 /// Steady-state stepping on a warmed fabric performs zero heap
-/// allocations: the timing-wheel slab and free list, the TLP slab, the
-/// per-link queues, the pop-run batch buffer, and the action scratch
-/// pool all reach capacity during the first round of traffic, and an
+/// allocations: the event slab, free list and near tier, the TLP slab,
+/// the per-link queues, and the action scratch pool all reach capacity during the first round of traffic, and an
 /// identical second round reuses every one of them. Payload allocation
 /// happens at inject (drive) time, outside the measured drain.
 #[test]
