@@ -3,11 +3,11 @@
 //! A [`Device`] is a node on the PCIe fabric (host bridge, GPU, PEACH2
 //! chip, NIC…). Devices are event-driven: the fabric calls [`Device::on_tlp`]
 //! when a packet arrives on one of the device's ports and
-//! [`Device::on_timer`] when a self-armed timer fires. Handlers communicate
-//! back through [`Ctx`], which *buffers* actions (sends, timers, credit
-//! releases) that the fabric applies after the handler returns — this keeps
-//! borrows simple and execution order explicit.
+//! [`Device::on_timer`] when a self-armed timer fires. Handlers act on the
+//! fabric through [`Ctx`], which applies each effect (send, timer, credit
+//! release) the moment it is made, in call order.
 
+use crate::fabric::Net;
 use crate::tlp::{DeviceId, Dir, FcClass, PortIdx, Tlp};
 use std::any::Any;
 use tca_sim::{Dur, MetricsHub, SimTime, SpanStore, TraceLevel};
@@ -28,33 +28,59 @@ pub struct CreditHold {
     pub(crate) data: u32,
 }
 
-/// Buffered effects of one handler invocation.
-#[derive(Debug)]
-pub(crate) enum Action {
-    Send { port: PortIdx, tlp: Tlp },
-    Timer { delay: Dur, tag: u64 },
-    Release { hold: CreditHold },
-}
-
 /// Handler context: the only way a device interacts with the world.
+///
+/// Every effect takes hold at once, in call order. Inside `on_tlp` the
+/// first effect returns the delivery's credits just before it is applied,
+/// unless the handler already took them with [`Ctx::hold_credits`]; a
+/// handler that makes no effect returns them when it ends.
 pub struct Ctx<'a> {
-    pub(crate) now: SimTime,
-    pub(crate) self_id: DeviceId,
-    pub(crate) actions: Vec<Action>,
-    /// Credits of the in-flight delivery; `Some` only inside `on_tlp`.
-    pub(crate) delivery_credits: Option<CreditHold>,
+    net: &'a mut Net,
+    self_id: DeviceId,
+    /// Credits of the in-flight delivery; `Some` only inside `on_tlp`,
+    /// until the handler holds them or makes its first effect.
+    delivery_credits: Option<CreditHold>,
+    /// Set when the first effect returned the delivery's credits.
+    credits_returned: bool,
     /// Set by [`Ctx::note_progress`]; the fabric reads it after the handler
     /// returns to feed the stall watchdog.
-    pub(crate) progress: bool,
-    pub(crate) tracer: &'a mut tca_sim::Tracer,
-    pub(crate) spans: &'a mut SpanStore,
+    progress: bool,
 }
 
-impl Ctx<'_> {
+impl<'a> Ctx<'a> {
+    pub(crate) fn new(net: &'a mut Net, self_id: DeviceId, delivery: Option<CreditHold>) -> Self {
+        Ctx {
+            net,
+            self_id,
+            delivery_credits: delivery,
+            credits_returned: false,
+            progress: false,
+        }
+    }
+
+    /// Ends the handler: returns the delivery's credits if no effect has
+    /// yet, and reports whether the handler noted progress.
+    pub(crate) fn finish(mut self) -> bool {
+        self.effect();
+        self.progress
+    }
+
+    /// The fabric, after returning the delivery's credits if they are
+    /// still pending — called before every effect so the credit return
+    /// keeps its place ahead of the handler's own events.
+    #[inline]
+    fn effect(&mut self) -> &mut Net {
+        if let Some(hold) = self.delivery_credits.take() {
+            self.credits_returned = true;
+            self.net.release(hold);
+        }
+        self.net
+    }
+
     /// Current simulation time.
     #[inline]
     pub fn now(&self) -> SimTime {
-        self.now
+        self.net.now()
     }
 
     /// The handling device's own id (used as requester id in reads).
@@ -63,16 +89,19 @@ impl Ctx<'_> {
         self.self_id
     }
 
-    /// Queues a TLP for transmission out of `port`. Transmission obeys link
+    /// Hands a TLP to `port` for transmission. Transmission obeys link
     /// serialization and flow control; packets queued on a blocked link are
     /// sent in order when credits return.
+    #[track_caller]
     pub fn send(&mut self, port: PortIdx, tlp: Tlp) {
-        self.actions.push(Action::Send { port, tlp });
+        let src = self.self_id;
+        self.effect().submit(src, port, tlp);
     }
 
     /// Arms a one-shot timer that calls `on_timer(tag)` after `delay`.
     pub fn timer_in(&mut self, delay: Dur, tag: u64) {
-        self.actions.push(Action::Timer { delay, tag });
+        let dst = self.self_id;
+        self.effect().timer(dst, delay, tag);
     }
 
     /// Takes ownership of the receive credits of the packet currently being
@@ -81,9 +110,14 @@ impl Ctx<'_> {
     /// packet has drained out of the device.
     ///
     /// # Panics
-    /// Panics outside `on_tlp` or when called twice for one delivery.
+    /// Panics outside `on_tlp`, when called twice for one delivery, or
+    /// after the handler's first effect (which already returned them).
     #[track_caller]
     pub fn hold_credits(&mut self) -> CreditHold {
+        assert!(
+            !self.credits_returned,
+            "hold_credits after a send, timer or release: the delivery's credits were already returned"
+        );
         self.delivery_credits
             .take()
             .expect("hold_credits: no in-flight delivery (or already held)")
@@ -92,7 +126,7 @@ impl Ctx<'_> {
     /// Returns previously held credits to the link, unblocking queued
     /// packets of the matching class.
     pub fn release_credits(&mut self, hold: CreditHold) {
-        self.actions.push(Action::Release { hold });
+        self.effect().release(hold);
     }
 
     /// Reports end-to-end forward progress — a memory commit or an
@@ -108,14 +142,15 @@ impl Ctx<'_> {
 
     /// Emits a trace line at the given level.
     pub fn trace(&mut self, level: TraceLevel, line: impl FnOnce() -> String) {
-        self.tracer.emit(level, self.now, line);
+        let now = self.net.now();
+        self.net.tracer.emit(level, now, line);
     }
 
     /// The fabric-wide causal span store. Recording into it is pure data
     /// collection — like metrics, it never schedules events, so handlers
     /// may use it freely without perturbing simulated time.
     pub fn spans(&mut self) -> &mut SpanStore {
-        self.spans
+        &mut self.net.spans
     }
 }
 
@@ -166,7 +201,7 @@ pub trait Device: Any {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tca_sim::Tracer;
+    use crate::{Fabric, LinkParams, StepKind};
 
     struct Probe;
     impl Device for Probe {
@@ -174,42 +209,158 @@ mod tests {
         fn on_timer(&mut self, _t: u64, _c: &mut Ctx<'_>) {}
     }
 
+    /// A device whose handlers are plain functions, one per test.
+    struct Scripted {
+        on_tlp: fn(&mut Ctx<'_>),
+        on_timer: fn(&mut Ctx<'_>, u64),
+    }
+    impl Device for Scripted {
+        fn on_tlp(&mut self, _p: PortIdx, _t: Tlp, ctx: &mut Ctx<'_>) {
+            (self.on_tlp)(ctx)
+        }
+        fn on_timer(&mut self, tag: u64, ctx: &mut Ctx<'_>) {
+            (self.on_timer)(ctx, tag)
+        }
+    }
+
+    const P0: PortIdx = PortIdx(0);
+
+    fn link() -> LinkParams {
+        LinkParams::gen2_x8().with_latency(Dur::from_ns(100))
+    }
+
+    /// Wire time plus latency of one MSI on an idle [`link`].
+    fn msi_flight() -> Dur {
+        link().serialize(Tlp::msi(0).wire_bytes()) + link().latency
+    }
+
+    /// `a` and `b` joined port 0 to port 0 by a [`link`] whose credit
+    /// turnaround equals [`msi_flight`], so a credit return and an MSI
+    /// sent by the same handler land at the same instant.
+    fn pair(a: Scripted, b: Scripted) -> (Fabric, DeviceId) {
+        let mut f = Fabric::new();
+        let a = f.add_device(|_| a);
+        let b = f.add_device(|_| b);
+        let mut p = link();
+        p.credit_return_delay = msi_flight();
+        f.connect((a, P0), (b, P0), p);
+        (f, a)
+    }
+
+    fn idle() -> Scripted {
+        Scripted {
+            on_tlp: |_| {},
+            on_timer: |_, _| {},
+        }
+    }
+
+    /// Steps twice and returns both kinds, checking they share an instant.
+    fn same_instant_pair(f: &mut Fabric) -> [StepKind; 2] {
+        let first = f.step_kind().expect("first event");
+        let at = f.now();
+        let second = f.step_kind().expect("second event");
+        assert_eq!(f.now(), at, "the two events must tie in time");
+        [first, second]
+    }
+
     #[test]
-    fn ctx_buffers_actions_in_order() {
-        let mut tracer = Tracer::default();
-        let mut spans = SpanStore::new();
-        let mut ctx = Ctx {
-            now: SimTime::ZERO,
-            self_id: DeviceId(3),
-            actions: vec![],
-            delivery_credits: None,
-            progress: false,
-            tracer: &mut tracer,
-            spans: &mut spans,
+    fn effects_of_one_handler_are_scheduled_in_call_order() {
+        for send_first in [true, false] {
+            let a = Scripted {
+                on_tlp: |_| {},
+                on_timer: if send_first {
+                    |ctx, tag| {
+                        if tag == 0 {
+                            ctx.send(P0, Tlp::msi(0));
+                            ctx.timer_in(msi_flight(), 1);
+                        }
+                    }
+                } else {
+                    |ctx, tag| {
+                        if tag == 0 {
+                            ctx.timer_in(msi_flight(), 1);
+                            ctx.send(P0, Tlp::msi(0));
+                        }
+                    }
+                },
+            };
+            let (mut f, a) = pair(a, idle());
+            f.schedule_timer(a, Dur::ZERO, 0);
+            assert_eq!(f.step_kind(), Some(StepKind::Timer));
+            let order = same_instant_pair(&mut f);
+            assert_eq!(f.now(), SimTime::ZERO + msi_flight());
+            let expected = if send_first {
+                [StepKind::Deliver, StepKind::Timer]
+            } else {
+                [StepKind::Timer, StepKind::Deliver]
+            };
+            assert_eq!(order, expected, "send_first={send_first}");
+        }
+    }
+
+    #[test]
+    fn delivery_credits_return_before_the_first_send() {
+        let b = Scripted {
+            on_tlp: |ctx| ctx.send(P0, Tlp::msi(1)),
+            on_timer: |_, _| {},
         };
-        ctx.send(PortIdx(0), Tlp::msi(1));
-        ctx.timer_in(Dur::from_ns(5), 42);
-        assert_eq!(ctx.actions.len(), 2);
-        assert!(matches!(ctx.actions[0], Action::Send { .. }));
-        assert!(matches!(ctx.actions[1], Action::Timer { tag: 42, .. }));
-        assert_eq!(ctx.self_id(), DeviceId(3));
+        let (mut f, a) = pair(idle(), b);
+        f.drive::<Scripted, _>(a, |_, ctx| ctx.send(P0, Tlp::msi(0)));
+        assert_eq!(f.step_kind(), Some(StepKind::Deliver));
+        let delivered = f.now();
+        // The credit return and the reply both land one MSI flight later;
+        // the tie breaks by scheduling order.
+        let order = same_instant_pair(&mut f);
+        assert_eq!(f.now(), delivered + msi_flight());
+        assert_eq!(order, [StepKind::CreditReturn, StepKind::Deliver]);
+    }
+
+    #[test]
+    #[should_panic(expected = "hold_credits after a send, timer or release")]
+    fn hold_credits_after_a_send_panics() {
+        let b = Scripted {
+            on_tlp: |ctx| {
+                ctx.send(P0, Tlp::msi(1));
+                let _ = ctx.hold_credits();
+            },
+            on_timer: |_, _| {},
+        };
+        let (mut f, a) = pair(idle(), b);
+        f.drive::<Scripted, _>(a, |_, ctx| ctx.send(P0, Tlp::msi(0)));
+        f.run_until_idle();
     }
 
     #[test]
     #[should_panic(expected = "no in-flight delivery")]
     fn hold_credits_outside_delivery_panics() {
-        let mut tracer = Tracer::default();
-        let mut spans = SpanStore::new();
-        let mut ctx = Ctx {
-            now: SimTime::ZERO,
-            self_id: DeviceId(0),
-            actions: vec![],
-            delivery_credits: None,
-            progress: false,
-            tracer: &mut tracer,
-            spans: &mut spans,
+        let (mut f, a) = pair(idle(), idle());
+        f.drive::<Scripted, _>(a, |_, ctx| {
+            let _ = ctx.hold_credits();
+        });
+    }
+
+    #[test]
+    fn handler_spans_number_before_the_wire_segments_of_its_sends() {
+        let a = Scripted {
+            on_tlp: |_| {},
+            on_timer: |ctx, _| {
+                let now = ctx.now();
+                let sp = ctx.spans().start_root("put", now, Some(0));
+                ctx.send(P0, Tlp::msi(0).with_span(sp));
+                let sp = sp.expect("tracing enabled");
+                ctx.spans().segment(sp, "handler", now, now, Some(0));
+            },
         };
-        let _ = ctx.hold_credits();
+        let (mut f, a) = pair(a, idle());
+        f.set_span_tracing(true);
+        f.schedule_timer(a, Dur::ZERO, 0);
+        f.run_until_idle();
+        let log = f.spans().jsonl();
+        let id = |name: &str| {
+            let tag = format!("\"name\":\"{name}\"");
+            1 + log.lines().position(|l| l.contains(&tag)).expect(name)
+        };
+        assert_eq!((id("put"), id("handler"), id("wire")), (1, 2, 3), "{log}");
     }
 
     #[test]

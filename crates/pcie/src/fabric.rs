@@ -7,6 +7,15 @@
 //! wire, enforces receiver credits, and delivers them to the peer device
 //! after serialization + propagation time.
 //!
+//! Handlers act on the fabric directly. A [`Ctx`] borrows the fabric's
+//! `Net` (everything but the devices and the observers), and each send,
+//! timer or credit release is applied when the handler makes it. Two rules
+//! fix the order around that: a delivery's credits go back just before
+//! the handler's first effect (or when it ends, if it makes none), so
+//! their return precedes the handler's own events; and the link layer's
+//! span segments are recorded when the dispatch ends, so a handler's own
+//! spans number before those of the TLPs it sent.
+//!
 //! Transmission rules per link direction:
 //! * the wire serializes one packet at a time (store-and-forward);
 //! * posted/non-posted requests share one FIFO, completions have their own
@@ -16,7 +25,7 @@
 //!   credits return after the receiver consumes the packet (or later, if
 //!   the receiving device holds them to model finite internal buffers).
 
-use crate::device::{Action, CreditHold, Ctx, Device};
+use crate::device::{CreditHold, Ctx, Device};
 use crate::flow::CreditState;
 use crate::link::{LinkParams, WireState};
 use crate::slab::{TlpHandle, TlpSlab};
@@ -26,7 +35,7 @@ use std::collections::VecDeque;
 use tca_sim::metrics::{CounterId, GaugeId, MeterId};
 use tca_sim::{
     Dur, EventQueue, FlightRecorder, Fnv64, MetricsHub, MetricsSnapshot, Sampler, SimRng, SimTime,
-    SpanStore, StallReport, TraceLevel, Tracer, Watchdog,
+    SpanStore, StallReport, TraceCtx, TraceLevel, Tracer, Watchdog,
 };
 
 /// Identifier of a link within the fabric.
@@ -193,33 +202,46 @@ pub struct LinkDirStats {
 
 /// The simulated PCIe fabric.
 pub struct Fabric {
-    queue: EventQueue<Ev>,
     devices: Vec<Box<dyn Device>>,
-    /// `(link, transmit direction)` of each connected port, indexed
-    /// `[device][port]`: every TLP send looks its port up here.
-    ports: Vec<Vec<Option<(u32, Dir)>>>,
-    links: Vec<LinkState>,
-    tracer: Tracer,
-    metrics: MetricsHub,
-    /// Causal span trees of in-flight and completed transfers.
-    spans: SpanStore,
-    /// Drives link-error injection (PEARL replays); deterministic.
-    rng: SimRng,
-    /// Configuration errors observed while running (packets dropped).
-    config_errors: Vec<ConfigError>,
+    /// Everything a handler may act on, lent to each [`Ctx`].
+    net: Net,
     /// Periodic gauge recorder; `None` unless sampling is enabled.
     sampler: Option<Sampler>,
     /// Progress watchdog; `None` unless armed.
     watchdog: Option<Watchdog>,
-    /// Host-side dispatch counters (`tca-prof` layer one).
-    prof: FabricProf,
     /// Flight recorder; `None` unless enabled.
     flight: Option<FlightRecorder>,
+}
+
+/// A link-layer span segment (`wire_wait`, `wire`, `replay`, `stall`)
+/// awaiting [`Net::record_link_segments`].
+type LinkSeg = (TraceCtx, &'static str, SimTime, SimTime, u32);
+
+/// The part of the fabric a device handler acts on: the event queue, the
+/// links with their wires and credits, in-flight TLP storage, and the
+/// always-on data sinks. [`Ctx`] borrows it mutably, so every send, timer
+/// and credit release is applied the moment a handler makes it.
+pub(crate) struct Net {
+    queue: EventQueue<Ev>,
+    /// `(link, transmit direction)` of each connected port, indexed
+    /// `[device][port]`: every TLP send looks its port up here.
+    ports: Vec<Vec<Option<(u32, Dir)>>>,
+    links: Vec<LinkState>,
+    pub(crate) tracer: Tracer,
+    metrics: MetricsHub,
+    /// Causal span trees of in-flight and completed transfers.
+    pub(crate) spans: SpanStore,
+    /// Drives link-error injection (PEARL replays); deterministic.
+    rng: SimRng,
+    /// Configuration errors observed while running (packets dropped).
+    config_errors: Vec<ConfigError>,
+    /// Host-side dispatch counters (`tca-prof` layer one).
+    prof: FabricProf,
     /// In-flight TLP storage; `Ev::Deliver` carries handles into it.
     tlps: TlpSlab,
-    /// Reusable action buffer lent to each [`Ctx`]; drained and returned
-    /// after every handler so steady-state dispatch allocates nothing.
-    action_scratch: Vec<Action>,
+    /// Link-layer segments of the current dispatch. They are recorded
+    /// when it ends, so they number after the handler's own spans.
+    link_segs: Vec<LinkSeg>,
 }
 
 impl Default for Fabric {
@@ -232,37 +254,39 @@ impl Fabric {
     /// Creates an empty fabric.
     pub fn new() -> Self {
         Fabric {
-            queue: EventQueue::new(),
             devices: Vec::new(),
-            ports: Vec::new(),
-            links: Vec::new(),
-            tracer: Tracer::default(),
-            metrics: MetricsHub::new(),
-            spans: SpanStore::new(),
-            rng: SimRng::seed_from_u64(0x7ca_2013),
-            config_errors: Vec::new(),
+            net: Net {
+                queue: EventQueue::new(),
+                ports: Vec::new(),
+                links: Vec::new(),
+                tracer: Tracer::default(),
+                metrics: MetricsHub::new(),
+                spans: SpanStore::new(),
+                rng: SimRng::seed_from_u64(0x7ca_2013),
+                config_errors: Vec::new(),
+                prof: FabricProf::default(),
+                tlps: TlpSlab::new(),
+                link_segs: Vec::new(),
+            },
             sampler: None,
             watchdog: None,
-            prof: FabricProf::default(),
             flight: None,
-            tlps: TlpSlab::new(),
-            action_scratch: Vec::new(),
         }
     }
 
     /// Reseeds the error-injection stream (determinism is per seed).
     pub fn set_seed(&mut self, seed: u64) {
-        self.rng = SimRng::seed_from_u64(seed);
+        self.net.rng = SimRng::seed_from_u64(seed);
     }
 
     /// Enables tracing at `level`, keeping the most recent `capacity` lines.
     pub fn set_trace(&mut self, level: TraceLevel, capacity: usize) {
-        self.tracer = Tracer::new(level, capacity);
+        self.net.tracer = Tracer::new(level, capacity);
     }
 
     /// Renders the retained trace.
     pub fn dump_trace(&self) -> String {
-        self.tracer.dump()
+        self.net.tracer.dump()
     }
 
     /// Renders the retained trace as Chrome trace-event JSON (`ph`/`ts`/
@@ -273,9 +297,9 @@ impl Fabric {
     /// every gauge series is appended as counter (`"C"`) events so the
     /// occupancy curves render under the spans.
     pub fn chrome_trace_json(&self) -> String {
-        let mut out = self.tracer.chrome_trace_json();
-        if !self.spans.is_empty() {
-            out = Self::splice_json_arrays(out, self.spans.chrome_trace_json());
+        let mut out = self.net.tracer.chrome_trace_json();
+        if !self.net.spans.is_empty() {
+            out = Self::splice_json_arrays(out, self.net.spans.chrome_trace_json());
         }
         if let Some(s) = &self.sampler {
             out = Self::splice_json_arrays(out, s.chrome_counter_events_json());
@@ -351,7 +375,7 @@ impl Fabric {
     pub fn flight_jsonl(&self) -> Option<String> {
         let fl = self.flight.as_ref()?;
         let mut out = fl.jsonl();
-        out.push_str(&self.spans.jsonl());
+        out.push_str(&self.net.spans.jsonl());
         Some(out)
     }
 
@@ -359,23 +383,23 @@ impl Fabric {
     /// disabled carry no [`tca_sim::TraceCtx`], and the store never
     /// schedules events, so this flag cannot shift simulated time.
     pub fn set_span_tracing(&mut self, enabled: bool) {
-        self.spans.set_enabled(enabled);
+        self.net.spans.set_enabled(enabled);
     }
 
     /// Read access to the recorded span trees.
     pub fn spans(&self) -> &SpanStore {
-        &self.spans
+        &self.net.spans
     }
 
     /// Write access to the span store, for host-side code (drivers,
     /// harnesses) that opens transfer roots from outside the event loop.
     pub fn spans_mut(&mut self) -> &mut SpanStore {
-        &mut self.spans
+        &mut self.net.spans
     }
 
     /// Read access to the always-on metrics registry.
     pub fn metrics(&self) -> &MetricsHub {
-        &self.metrics
+        &self.net.metrics
     }
 
     /// Write access to the metrics registry, for host-side code (drivers,
@@ -383,7 +407,7 @@ impl Fabric {
     /// latency. Recording metrics never schedules events, so instrumented
     /// and uninstrumented runs execute identically.
     pub fn metrics_mut(&mut self) -> &mut MetricsHub {
-        &mut self.metrics
+        &mut self.net.metrics
     }
 
     /// Takes a deterministic, name-sorted snapshot of every metric. Devices
@@ -392,19 +416,19 @@ impl Fabric {
     /// state and never advances time.
     pub fn metrics_snapshot(&mut self) -> MetricsSnapshot {
         for dev in &mut self.devices {
-            dev.publish_metrics(&mut self.metrics);
+            dev.publish_metrics(&mut self.net.metrics);
         }
-        self.metrics.snapshot()
+        self.net.metrics.snapshot()
     }
 
     /// Current simulation time.
     pub fn now(&self) -> SimTime {
-        self.queue.now()
+        self.net.queue.now()
     }
 
     /// Total events executed (diagnostic).
     pub fn events_executed(&self) -> u64 {
-        self.queue.events_executed()
+        self.net.queue.events_executed()
     }
 
     /// Adds a device built by `f`, which receives the id the device will
@@ -425,7 +449,7 @@ impl Fabric {
         params: LinkParams,
     ) -> LinkId {
         assert!(a != b, "cannot connect a port to itself");
-        let id = self.links.len() as u32;
+        let id = self.net.links.len() as u32;
         for (end, pt) in [(Dir::Fwd, a), (Dir::Rev, b)] {
             assert!(
                 (pt.0 .0 as usize) < self.devices.len(),
@@ -433,17 +457,17 @@ impl Fabric {
                 pt.0
             );
             let (dev, port) = (pt.0 .0 as usize, pt.1 .0 as usize);
-            if self.ports.len() <= dev {
-                self.ports.resize_with(dev + 1, Vec::new);
+            if self.net.ports.len() <= dev {
+                self.net.ports.resize_with(dev + 1, Vec::new);
             }
-            let row = &mut self.ports[dev];
+            let row = &mut self.net.ports[dev];
             if row.len() <= port {
                 row.resize(port + 1, None);
             }
             let prev = row[port].replace((id, end));
             assert!(prev.is_none(), "port {pt:?} already connected");
         }
-        let metrics = &mut self.metrics;
+        let metrics = &mut self.net.metrics;
         let mut mk_dir = |dir: Dir| {
             let p = format!("link.{id}.{dir}");
             LinkDir {
@@ -463,7 +487,7 @@ impl Fabric {
                 },
             }
         };
-        self.links.push(LinkState {
+        self.net.links.push(LinkState {
             params,
             ends: [a, b],
             dirs: [mk_dir(Dir::Fwd), mk_dir(Dir::Rev)],
@@ -500,34 +524,24 @@ impl Fabric {
         id: DeviceId,
         f: impl FnOnce(&mut T, &mut Ctx<'_>) -> R,
     ) -> R {
-        let mut ctx = Ctx {
-            now: self.queue.now(),
-            self_id: id,
-            actions: std::mem::take(&mut self.action_scratch),
-            delivery_credits: None,
-            progress: false,
-            tracer: &mut self.tracer,
-            spans: &mut self.spans,
-        };
+        let mut ctx = Ctx::new(&mut self.net, id, None);
         let dev: &mut dyn Any = self.devices[id.0 as usize].as_mut();
         let dev = dev.downcast_mut::<T>().expect("device type mismatch");
         let r = f(dev, &mut ctx);
-        let mut actions = std::mem::take(&mut ctx.actions);
-        debug_assert!(ctx.delivery_credits.is_none());
-        self.apply_actions(id, &mut actions);
-        self.action_scratch = actions;
+        ctx.finish();
+        self.net.record_link_segments();
         r
     }
 
     /// Number of links in the fabric.
     pub fn link_count(&self) -> usize {
-        self.links.len()
+        self.net.links.len()
     }
 
     /// Per-direction link statistics; [`Dir::Fwd`] flows from the first
     /// endpoint passed to [`Fabric::connect`] to the second.
     pub fn link_stats(&self, link: LinkId, dir: Dir) -> LinkDirStats {
-        let d = &self.links[link.0 as usize].dirs[dir.index()];
+        let d = &self.net.links[link.0 as usize].dirs[dir.index()];
         LinkDirStats {
             wire_bytes: d.wire.wire_bytes,
             packets: d.wire.packets,
@@ -542,31 +556,28 @@ impl Fabric {
     /// connected. Lets upper layers (the PEACH2 firmware's register file)
     /// map their local port numbering onto fabric link statistics.
     pub fn port_link(&self, dev: DeviceId, port: PortIdx) -> Option<(LinkId, Dir)> {
-        self.port_slot(dev, port)
+        self.net
+            .port_slot(dev, port)
             .map(|(link, dir)| (LinkId(link), dir))
-    }
-
-    fn port_slot(&self, dev: DeviceId, port: PortIdx) -> Option<(u32, Dir)> {
-        *self.ports.get(dev.0 as usize)?.get(port.0 as usize)?
     }
 
     /// The parameters a link was connected with (read-only introspection
     /// for static analysis: credit sizing, latency, payload limits).
     pub fn link_params(&self, link: LinkId) -> &LinkParams {
-        &self.links[link.0 as usize].params
+        &self.net.links[link.0 as usize].params
     }
 
     /// The two `(device, port)` endpoints of a link, in [`Dir::Fwd`] order
     /// (`[0]` is the first endpoint passed to [`Fabric::connect`]).
     pub fn link_endpoints(&self, link: LinkId) -> [(DeviceId, PortIdx); 2] {
-        self.links[link.0 as usize].ends
+        self.net.links[link.0 as usize].ends
     }
 
     /// Configuration errors observed while running, in occurrence order.
     /// Empty on a correctly configured fabric; each entry corresponds to a
     /// dropped packet (see [`ConfigError`]).
     pub fn config_errors(&self) -> &[ConfigError] {
-        &self.config_errors
+        &self.net.config_errors
     }
 
     /// Executes events until the queue drains; returns the final time.
@@ -579,12 +590,12 @@ impl Fabric {
     pub fn run_until_idle(&mut self) -> SimTime {
         while self.step() {}
         self.check_drained_stall();
-        self.queue.now()
+        self.net.queue.now()
     }
 
     /// Executes events with timestamps `<= deadline`.
     pub fn run_until(&mut self, deadline: SimTime) {
-        while let Some(t) = self.queue.peek_time() {
+        while let Some(t) = self.net.queue.peek_time() {
             if t > deadline {
                 break;
             }
@@ -603,7 +614,7 @@ impl Fabric {
     /// fabric itself stays wall-clock-free.
     pub fn step_kind(&mut self) -> Option<StepKind> {
         self.sample_pending();
-        let (_, ev) = self.queue.pop()?;
+        let (_, ev) = self.net.queue.pop()?;
         self.record_flight(&ev);
         let kind = self.dispatch(ev);
         self.check_watchdog();
@@ -612,15 +623,15 @@ impl Fabric {
 
     /// Executes one already-popped event and reports its kind.
     fn dispatch(&mut self, ev: Ev) -> StepKind {
-        match ev {
+        let kind = match ev {
             Ev::Deliver { link, dir, tlp } => {
-                self.prof.deliver_events += 1;
-                let tlp = self.tlps.take(tlp);
+                self.net.prof.deliver_events += 1;
+                let tlp = self.net.tlps.take(tlp);
                 self.deliver(link, dir, tlp);
                 StepKind::Deliver
             }
             Ev::Timer { dst, tag } => {
-                self.prof.timer_events += 1;
+                self.net.prof.timer_events += 1;
                 self.dispatch_timer(dst, tag);
                 StepKind::Timer
             }
@@ -631,32 +642,34 @@ impl Fabric {
                 hdr,
                 data,
             } => {
-                self.prof.credit_return_events += 1;
-                self.links[link as usize].dirs[dir.index()]
+                self.net.prof.credit_return_events += 1;
+                self.net.links[link as usize].dirs[dir.index()]
                     .credits
                     .replenish(class, hdr, data);
-                self.pump_link(link, dir);
+                self.net.pump_link(link, dir);
                 StepKind::CreditReturn
             }
-        }
+        };
+        self.net.record_link_segments();
+        kind
     }
 
     /// Host-side dispatch counters accumulated since construction.
     pub fn prof(&self) -> FabricProf {
-        self.prof
+        self.net.prof
     }
 
     /// Host-side counters of the underlying event queue (pushes, pops,
     /// cancels, entries re-filed by wheel cascades, peak pending depth).
     pub fn queue_prof(&self) -> tca_sim::ProfCounters {
-        *self.queue.prof()
+        *self.net.queue.prof()
     }
 
     /// Number of events currently pending in the queue. Exact: the timing
     /// wheel unlinks cancelled entries eagerly, so there is no tombstone
     /// residue to subtract.
     pub fn queue_depth(&self) -> usize {
-        self.queue.pending()
+        self.net.queue.pending()
     }
 
     /// Appends the just-popped event to the flight recorder, if enabled.
@@ -667,11 +680,11 @@ impl Fabric {
         let Some(fl) = &mut self.flight else {
             return;
         };
-        let at = self.queue.now();
+        let at = self.net.queue.now();
         match ev {
             Ev::Deliver { link, dir, tlp } => {
-                let (dst, port) = self.links[*link as usize].ends[dir.flip().index()];
-                let tlp = self.tlps.get(*tlp);
+                let (dst, port) = self.net.links[*link as usize].ends[dir.flip().index()];
+                let tlp = self.net.tlps.get(*tlp);
                 fl.record(
                     at,
                     StepKind::Deliver.name(),
@@ -696,7 +709,7 @@ impl Fabric {
                 hdr,
                 data,
             } => {
-                let (src, port) = self.links[*link as usize].ends[dir.index()];
+                let (src, port) = self.net.links[*link as usize].ends[dir.index()];
                 let digest = Fnv64::new()
                     .write_u64(u64::from(*link))
                     .write_u64(dir.index() as u64)
@@ -725,14 +738,14 @@ impl Fabric {
         let Some(mut sampler) = self.sampler.take() else {
             return;
         };
-        if let Some(next_event) = self.queue.peek_time() {
+        if let Some(next_event) = self.net.queue.peek_time() {
             while sampler.due_before(next_event) {
                 let at = sampler.next_due();
                 self.refresh_live_gauges();
                 for dev in &mut self.devices {
-                    dev.publish_metrics(&mut self.metrics);
+                    dev.publish_metrics(&mut self.net.metrics);
                 }
-                sampler.capture(at, &self.metrics);
+                sampler.capture(at, &self.net.metrics);
             }
         }
         self.sampler = Some(sampler);
@@ -741,10 +754,11 @@ impl Fabric {
     /// Re-publishes the gauges whose live value only the fabric knows:
     /// queued-TLP depth and consumed header credits per link direction.
     fn refresh_live_gauges(&mut self) {
-        for l in &self.links {
+        for l in &self.net.links {
             let advertised = CreditState::from_params(&l.params);
             for d in &l.dirs {
-                self.metrics
+                self.net
+                    .metrics
                     .gauge_set(d.m.queue_depth, (d.reqq.len() + d.cplq.len()) as i64);
                 let in_use = advertised.posted_hdr.saturating_sub(d.credits.posted_hdr)
                     + advertised
@@ -753,14 +767,16 @@ impl Fabric {
                     + advertised
                         .completion_hdr
                         .saturating_sub(d.credits.completion_hdr);
-                self.metrics.gauge_set(d.m.credits_in_use, in_use as i64);
+                self.net
+                    .metrics
+                    .gauge_set(d.m.credits_in_use, in_use as i64);
             }
         }
     }
 
     /// Fires the watchdog when the no-progress window has elapsed.
     fn check_watchdog(&mut self) {
-        let now = self.queue.now();
+        let now = self.net.queue.now();
         if matches!(&self.watchdog, Some(w) if w.expired(now)) {
             let diagnosis = self.stall_diagnosis();
             if let Some(w) = &mut self.watchdog {
@@ -775,13 +791,13 @@ impl Fabric {
         if !armed_quiet {
             return;
         }
-        let stuck = self.links.iter().any(|l| {
+        let stuck = self.net.links.iter().any(|l| {
             l.dirs
                 .iter()
                 .any(|d| !d.reqq.is_empty() || !d.cplq.is_empty())
         });
         if stuck {
-            let now = self.queue.now();
+            let now = self.net.queue.now();
             let diagnosis = self.stall_diagnosis();
             if let Some(w) = &mut self.watchdog {
                 w.fire(now, diagnosis);
@@ -795,7 +811,7 @@ impl Fabric {
     fn stall_diagnosis(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        for (i, l) in self.links.iter().enumerate() {
+        for (i, l) in self.net.links.iter().enumerate() {
             let advertised = CreditState::from_params(&l.params);
             for dir in [Dir::Fwd, Dir::Rev] {
                 let d = &l.dirs[dir.index()];
@@ -827,6 +843,7 @@ impl Fabric {
             }
         }
         let oldest_open = self
+            .net
             .spans
             .roots()
             .into_iter()
@@ -848,11 +865,15 @@ impl Fabric {
     }
 
     fn deliver(&mut self, link: u32, dir: Dir, tlp: Tlp) {
-        let l = &self.links[link as usize];
-        let (dst, port) = l.ends[dir.flip().index()];
-        let class = tlp.fc_class();
-        let data = tlp.data_credits();
-        let credit_delay = l.params.credit_return_delay;
+        let now = self.net.queue.now();
+        let (dst, port) = self.net.links[link as usize].ends[dir.flip().index()];
+        let hold = CreditHold {
+            link,
+            dir,
+            class: tlp.fc_class(),
+            hdr: 1,
+            data: tlp.data_credits(),
+        };
         // Interrupts are forward progress in their own right. Writes count
         // only when the receiving device reports a commit via
         // `Ctx::note_progress` — a chip relaying a packet another hop is
@@ -860,97 +881,81 @@ impl Fabric {
         // while packets circulate forever without ever landing in DRAM.
         if let Some(w) = &mut self.watchdog {
             if matches!(tlp.kind, TlpKind::Msi { .. }) {
-                w.progress(self.queue.now());
+                w.progress(now);
             }
         }
-        self.tracer.emit(TraceLevel::Packet, self.queue.now(), || {
+        self.net.tracer.emit(TraceLevel::Packet, now, || {
             format!("deliver {tlp:?} -> dev{}:{port:?}", dst.0)
         });
-
-        let mut ctx = Ctx {
-            now: self.queue.now(),
-            self_id: dst,
-            actions: std::mem::take(&mut self.action_scratch),
-            delivery_credits: Some(CreditHold {
-                link,
-                dir,
-                class,
-                hdr: 1,
-                data,
-            }),
-            progress: false,
-            tracer: &mut self.tracer,
-            spans: &mut self.spans,
-        };
+        let mut ctx = Ctx::new(&mut self.net, dst, Some(hold));
         self.devices[dst.0 as usize].on_tlp(port, tlp, &mut ctx);
-        let mut actions = std::mem::take(&mut ctx.actions);
-        if ctx.progress {
-            if let Some(w) = &mut self.watchdog {
-                w.progress(self.queue.now());
-            }
+        if ctx.finish() {
+            self.note_progress();
         }
-        let auto_release = ctx.delivery_credits.take();
-        if let Some(hold) = auto_release {
-            // Receiver consumed the packet inline; return credits after the
-            // receiver-side processing + DLLP turnaround delay.
-            self.queue.schedule_in(
-                credit_delay,
-                Ev::CreditReturn {
-                    link: hold.link,
-                    dir: hold.dir,
-                    class: hold.class,
-                    hdr: hold.hdr,
-                    data: hold.data,
-                },
-            );
-        }
-        self.apply_actions(dst, &mut actions);
-        self.action_scratch = actions;
     }
 
     fn dispatch_timer(&mut self, dst: DeviceId, tag: u64) {
-        let mut ctx = Ctx {
-            now: self.queue.now(),
-            self_id: dst,
-            actions: std::mem::take(&mut self.action_scratch),
-            delivery_credits: None,
-            progress: false,
-            tracer: &mut self.tracer,
-            spans: &mut self.spans,
-        };
+        let mut ctx = Ctx::new(&mut self.net, dst, None);
         self.devices[dst.0 as usize].on_timer(tag, &mut ctx);
-        let mut actions = std::mem::take(&mut ctx.actions);
-        if ctx.progress {
-            if let Some(w) = &mut self.watchdog {
-                w.progress(self.queue.now());
-            }
+        if ctx.finish() {
+            self.note_progress();
         }
-        self.apply_actions(dst, &mut actions);
-        self.action_scratch = actions;
     }
 
-    /// Applies a handler's queued actions, draining (but keeping the
-    /// capacity of) the borrowed scratch buffer.
-    fn apply_actions(&mut self, src: DeviceId, actions: &mut Vec<Action>) {
-        for a in actions.drain(..) {
-            match a {
-                Action::Send { port, tlp } => self.submit(src, port, tlp),
-                Action::Timer { delay, tag } => {
-                    self.queue.schedule_in(delay, Ev::Timer { dst: src, tag });
-                }
-                Action::Release { hold } => {
-                    self.queue.schedule_in(
-                        self.links[hold.link as usize].params.credit_return_delay,
-                        Ev::CreditReturn {
-                            link: hold.link,
-                            dir: hold.dir,
-                            class: hold.class,
-                            hdr: hold.hdr,
-                            data: hold.data,
-                        },
-                    );
-                }
-            }
+    /// Feeds a handler's reported commit to the watchdog.
+    fn note_progress(&mut self) {
+        if let Some(w) = &mut self.watchdog {
+            w.progress(self.net.queue.now());
+        }
+    }
+
+    /// Schedules a bare timer for a device from outside any handler
+    /// (harness convenience).
+    pub fn schedule_timer(&mut self, dst: DeviceId, delay: Dur, tag: u64) {
+        self.net.timer(dst, delay, tag);
+    }
+}
+
+impl Net {
+    /// Current simulation time.
+    #[inline]
+    pub(crate) fn now(&self) -> SimTime {
+        self.queue.now()
+    }
+
+    /// Arms a timer that calls `dst`'s `on_timer(tag)` after `delay`.
+    #[inline]
+    pub(crate) fn timer(&mut self, dst: DeviceId, delay: Dur, tag: u64) {
+        self.queue.schedule_in(delay, Ev::Timer { dst, tag });
+    }
+
+    /// Returns held credits to their link after its turnaround delay
+    /// (receiver-side processing plus the flow-control DLLP).
+    pub(crate) fn release(&mut self, hold: CreditHold) {
+        self.queue.schedule_in(
+            self.links[hold.link as usize].params.credit_return_delay,
+            Ev::CreditReturn {
+                link: hold.link,
+                dir: hold.dir,
+                class: hold.class,
+                hdr: hold.hdr,
+                data: hold.data,
+            },
+        );
+    }
+
+    fn port_slot(&self, dev: DeviceId, port: PortIdx) -> Option<(u32, Dir)> {
+        *self.ports.get(dev.0 as usize)?.get(port.0 as usize)?
+    }
+
+    /// Records the link-layer segments of the dispatch that just ended.
+    #[inline]
+    fn record_link_segments(&mut self) {
+        if self.link_segs.is_empty() {
+            return;
+        }
+        for (sp, name, start, end, dev) in self.link_segs.drain(..) {
+            self.spans.segment(sp, name, start, end, Some(dev));
         }
     }
 
@@ -960,7 +965,7 @@ impl Fabric {
     /// recorded in [`Fabric::config_errors`] so `tca-verify` can surface it
     /// as a diagnostic.
     #[track_caller]
-    fn submit(&mut self, src: DeviceId, port: PortIdx, tlp: Tlp) {
+    pub(crate) fn submit(&mut self, src: DeviceId, port: PortIdx, tlp: Tlp) {
         let Some((link, end)) = self.port_slot(src, port) else {
             let err = ConfigError::UnconnectedPort { device: src, port };
             self.tracer.emit(TraceLevel::Txn, self.queue.now(), || {
@@ -996,21 +1001,7 @@ impl Fabric {
             d.reqq.is_empty()
         };
         if queue_empty && d.credits.consume(tlp.fc_class(), tlp.data_credits()) {
-            Self::transmit(
-                &mut self.queue,
-                &mut self.tracer,
-                &mut self.metrics,
-                &mut self.spans,
-                &mut self.rng,
-                &mut self.prof,
-                &mut self.tlps,
-                link,
-                end,
-                params,
-                d,
-                src,
-                tlp,
-            );
+            self.transmit(link, end, src, tlp);
         } else {
             let now = self.queue.now();
             if is_cpl {
@@ -1027,72 +1018,60 @@ impl Fabric {
     /// With a non-zero link error rate, corrupted transmissions occupy the
     /// wire, are NAKed, and replay after the penalty — in order, exactly
     /// like a PCIe/PEARL data-link-layer replay buffer.
-    #[allow(clippy::too_many_arguments)] // split borrows of fabric fields
-    fn transmit(
-        queue: &mut EventQueue<Ev>,
-        tracer: &mut Tracer,
-        metrics: &mut MetricsHub,
-        spans: &mut SpanStore,
-        rng: &mut SimRng,
-        prof: &mut FabricProf,
-        tlps: &mut TlpSlab,
-        link: u32,
-        dir: Dir,
-        params: &LinkParams,
-        d: &mut LinkDir,
-        sender: DeviceId,
-        tlp: Tlp,
-    ) {
+    fn transmit(&mut self, link: u32, dir: Dir, sender: DeviceId, tlp: Tlp) {
+        let LinkState { params, dirs, .. } = &mut self.links[link as usize];
+        let d = &mut dirs[dir.index()];
         let corrupt_p = params.error_rate_ppm as f64 / 1e6;
-        let submitted = queue.now();
+        let submitted = self.queue.now();
         loop {
-            prof.tlp_transmits += 1;
+            self.prof.tlp_transmits += 1;
             let wire_bytes = tlp.wire_bytes();
-            let (departure, arrival, tx) = d.wire.reserve(queue.now(), params, wire_bytes);
-            metrics.add(d.m.wire_busy_ns, tx.as_ps() / 1_000);
-            metrics.record_bytes(d.m.wire_bytes, departure, wire_bytes);
-            if corrupt_p > 0.0 && rng.gen_bool(corrupt_p) {
+            let (departure, arrival, tx) = d.wire.reserve(self.queue.now(), params, wire_bytes);
+            self.metrics.add(d.m.wire_busy_ns, tx.as_ps() / 1_000);
+            self.metrics
+                .record_bytes(d.m.wire_bytes, departure, wire_bytes);
+            if corrupt_p > 0.0 && self.rng.gen_bool(corrupt_p) {
                 // LCRC failure at the receiver: discard, NAK, replay. The
                 // wire time was spent; the replay waits for the NAK round
                 // trip and retransmits (possibly corrupting again).
                 d.wire.replays += 1;
                 d.wire.busy_until = d.wire.busy_until.max(arrival) + params.replay_penalty();
-                metrics.inc(d.m.replays);
+                self.metrics.inc(d.m.replays);
                 if let Some(sp) = tlp.span {
-                    spans.segment(sp, "replay", departure, arrival, Some(sender.0));
+                    self.link_segs
+                        .push((sp, "replay", departure, arrival, sender.0));
                 }
-                tracer.emit(TraceLevel::Packet, queue.now(), || {
+                self.tracer.emit(TraceLevel::Packet, self.queue.now(), || {
                     format!("tx link{link}/{dir} {tlp:?} CORRUPT -> replay")
                 });
                 continue;
             }
-            metrics.inc(d.m.tlps);
+            self.metrics.inc(d.m.tlps);
             if let Some(sp) = tlp.span {
                 // Head-of-line wait behind earlier packets serializing on
                 // this wire, then the traversal itself (tx + propagation).
                 if departure > submitted {
-                    spans.segment(sp, "wire_wait", submitted, departure, Some(sender.0));
+                    self.link_segs
+                        .push((sp, "wire_wait", submitted, departure, sender.0));
                 }
-                spans.segment(sp, "wire", departure, arrival, Some(sender.0));
+                self.link_segs
+                    .push((sp, "wire", departure, arrival, sender.0));
             }
-            tracer.emit(TraceLevel::Packet, queue.now(), || {
+            self.tracer.emit(TraceLevel::Packet, self.queue.now(), || {
                 format!("tx link{link}/{dir} {tlp:?} depart={departure} arrive={arrival}")
             });
-            let tlp = tlps.insert(tlp);
-            queue.schedule_at(arrival, Ev::Deliver { link, dir, tlp });
+            let tlp = self.tlps.insert(tlp);
+            self.queue
+                .schedule_at(arrival, Ev::Deliver { link, dir, tlp });
             break;
         }
     }
 
     /// After credits return, pushes out as many queued packets as now fit.
     fn pump_link(&mut self, link: u32, dir: Dir) {
-        let LinkState { params, ends, dirs } = &mut self.links[link as usize];
-        let d = &mut dirs[dir.index()];
-        if d.cplq.is_empty() && d.reqq.is_empty() {
-            return;
-        }
-        let sender = ends[dir.index()].0;
         loop {
+            let LinkState { ends, dirs, .. } = &mut self.links[link as usize];
+            let d = &mut dirs[dir.index()];
             // Completions first: they must be able to bypass stalled
             // requests or read traffic deadlocks behind write bursts.
             let from_cpl = match (d.cplq.front(), d.reqq.front()) {
@@ -1107,6 +1086,7 @@ impl Fabric {
             } else {
                 d.reqq.pop_front().expect("checked front")
             };
+            let sender = ends[dir.index()].0;
             let stall = self.queue.now().since(queued_at);
             d.credit_stall += stall;
             self.metrics.add(d.m.credit_stall_ns, stall.as_ps() / 1_000);
@@ -1114,34 +1094,14 @@ impl Fabric {
                 .gauge_set(d.m.queue_depth, (d.reqq.len() + d.cplq.len()) as i64);
             if let Some(sp) = tlp.span {
                 if stall > Dur::ZERO {
-                    self.spans
-                        .segment(sp, "stall", queued_at, self.queue.now(), Some(sender.0));
+                    let now = self.queue.now();
+                    self.link_segs.push((sp, "stall", queued_at, now, sender.0));
                 }
             }
             let ok = d.credits.consume(tlp.fc_class(), tlp.data_credits());
             debug_assert!(ok);
-            Self::transmit(
-                &mut self.queue,
-                &mut self.tracer,
-                &mut self.metrics,
-                &mut self.spans,
-                &mut self.rng,
-                &mut self.prof,
-                &mut self.tlps,
-                link,
-                dir,
-                params,
-                d,
-                sender,
-                tlp,
-            );
+            self.transmit(link, dir, sender, tlp);
         }
-    }
-
-    /// Schedules a bare timer for a device from outside any handler
-    /// (harness convenience).
-    pub fn schedule_timer(&mut self, dst: DeviceId, delay: Dur, tag: u64) {
-        self.queue.schedule_in(delay, Ev::Timer { dst, tag });
     }
 }
 

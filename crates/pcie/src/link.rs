@@ -152,12 +152,21 @@ impl LinkParams {
     /// overridden via [`LinkParams::with_rate`].
     ///
     /// Gen2 x8 → exactly 4 GB/s, as the paper states.
+    ///
+    /// Runs on every TLP, so each generation's `GT/s × encoding ÷ 8` is
+    /// folded into constants; `floor(floor(a/b)/c) == floor(a/(b·c))` makes
+    /// the Gen3 form exact.
+    #[inline]
     pub fn raw_bytes_per_sec(&self) -> u64 {
         if let Some(r) = self.rate_override {
             return r;
         }
-        let (num, den) = self.gen.encoding();
-        self.lanes as u64 * self.gen.gigatransfers_per_sec() * num / den / 8
+        let lanes = self.lanes as u64;
+        match self.gen {
+            PcieGen::Gen1 => lanes * 250_000_000,
+            PcieGen::Gen2 => lanes * 500_000_000,
+            PcieGen::Gen3 => lanes * 8_000_000_000 * 128 / 1040,
+        }
     }
 
     /// The paper's theoretical peak payload rate: raw rate derated by the
@@ -414,6 +423,22 @@ mod tests {
         // 8 × 8 GT/s × 128/130 / 8 = 7.877 GB/s
         let r = LinkParams::gen3_x8().raw_bytes_per_sec();
         assert_eq!(r, 7_876_923_076);
+    }
+
+    #[test]
+    fn folded_rates_match_the_encoding_formula() {
+        for gen in [PcieGen::Gen1, PcieGen::Gen2, PcieGen::Gen3] {
+            let (num, den) = gen.encoding();
+            for lanes in [1u8, 2, 4, 8, 12, 16, 32] {
+                let p = LinkParams {
+                    gen,
+                    lanes,
+                    ..LinkParams::gen2_x8()
+                };
+                let formula = lanes as u64 * gen.gigatransfers_per_sec() * num / den / 8;
+                assert_eq!(p.raw_bytes_per_sec(), formula, "{gen:?} x{lanes}");
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 use bytes::Bytes;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::{Arc, OnceLock};
+use std::rc::Rc;
 
 /// Page size of the sparse store (also the pinning granularity GPUDirect
 /// RDMA uses — "GPU memory at page granularity", §III-C).
@@ -42,20 +42,20 @@ impl Hasher for PageHasher {
 }
 
 /// A freshly allocated all-zero page.
-fn zeroed_page() -> Arc<[u8]> {
+fn zeroed_page() -> Rc<[u8]> {
     std::iter::repeat_n(0u8, PAGE_SIZE as usize).collect()
 }
 
-/// The process-wide all-zero page that untouched pages read as.
-fn zero_page() -> &'static Arc<[u8]> {
-    static ZERO: OnceLock<Arc<[u8]>> = OnceLock::new();
-    ZERO.get_or_init(zeroed_page)
+thread_local! {
+    /// The all-zero page that untouched pages read as, one per thread
+    /// (pages are `Rc`-shared, so they never cross threads).
+    static ZERO_PAGE: Rc<[u8]> = zeroed_page();
 }
 
 /// A sparse, zero-initialized byte store.
 #[derive(Default)]
 pub struct PageMemory {
-    pages: HashMap<u64, Arc<[u8]>, BuildHasherDefault<PageHasher>>,
+    pages: HashMap<u64, Rc<[u8]>, BuildHasherDefault<PageHasher>>,
 }
 
 impl PageMemory {
@@ -79,7 +79,7 @@ impl PageMemory {
             let n = rest.len().min(PAGE_SIZE as usize - off);
             // `make_mut` copies a page a payload view still shares.
             let p = self.pages.entry(page).or_insert_with(zeroed_page);
-            Arc::make_mut(p)[off..off + n].copy_from_slice(&rest[..n]);
+            Rc::make_mut(p)[off..off + n].copy_from_slice(&rest[..n]);
             rest = &rest[n..];
             cur += n as u64;
         }
@@ -99,11 +99,14 @@ impl PageMemory {
     pub fn read_payload(&self, addr: u64, len: usize) -> Bytes {
         let off = (addr % PAGE_SIZE) as usize;
         if off + len <= PAGE_SIZE as usize {
-            let page = self.pages.get(&(addr / PAGE_SIZE)).unwrap_or(zero_page());
-            return Bytes::view(Arc::clone(page), off..off + len);
+            let page = match self.pages.get(&(addr / PAGE_SIZE)) {
+                Some(p) => Rc::clone(p),
+                None => ZERO_PAGE.with(Rc::clone),
+            };
+            return Bytes::view(page, off..off + len);
         }
-        let mut buf: Arc<[u8]> = std::iter::repeat_n(0u8, len).collect();
-        self.read_into(addr, Arc::get_mut(&mut buf).expect("fresh buffer"));
+        let mut buf: Rc<[u8]> = std::iter::repeat_n(0u8, len).collect();
+        self.read_into(addr, Rc::get_mut(&mut buf).expect("fresh buffer"));
         Bytes::from(buf)
     }
 

@@ -207,6 +207,15 @@ if ! diff -r "$profdir/tel_fl" "$profdir/tel_nofl" > /dev/null; then
     echo "tca-flight smoke: --flight-dir changed the trace/health artifacts" >&2
     exit 1
 fi
+# Telemetry-equivalence gate: the flight log pins event order and span
+# records, and trace.json further pins every segment id and flow arrow.
+# The health, series and trace artifacts of that run must match the
+# digests checked in at configs/flight/ring-hops.telemetry.sha256.
+if ! (cd "$profdir/tel_nofl" &&
+    sha256sum -c --quiet "$OLDPWD/configs/flight/ring-hops.telemetry.sha256"); then
+    echo "telemetry equivalence: ring-hops --top artifacts drifted from their digests" >&2
+    exit 1
+fi
 
 # Sweep-equivalence gate: every scenario/backend sweep with a golden under
 # benchmark/golden must reproduce it row for row. `benchmark/run.sh check`
