@@ -41,11 +41,17 @@
 //! per virtual speedup (0x/0.25x/0.5x/0.75x of the default, plus any
 //! `--set id=value` overrides on the baseline), and the ranked
 //! `tca-whatif/v1` report replaces the sweep output (text table, or JSON
-//! with `--json`). `--whatif-dir <dir>` instead writes the report and
-//! the baseline-vs-best folded flamegraph diff as
-//! `WHATIF_<scenario>.json` / `WHATIF_<scenario>.folded.diff` into
-//! `<dir>` without touching stdout — neutral exactly like `--profile` /
-//! `--flight-dir`, which `scripts/ci.sh` asserts.
+//! with `--json`). `--whatif-dir <dir>` writes the report and the
+//! baseline-vs-best folded flamegraph diff as `WHATIF_<scenario>.json` /
+//! `WHATIF_<scenario>.folded.diff` into `<dir>`; without `--whatif` it
+//! leaves stdout untouched — neutral exactly like `--profile` /
+//! `--flight-dir`, which `scripts/ci.sh` asserts. `--scenario params`
+//! lists the ids `--set` accepts.
+//!
+//! A flag the chosen mode would ignore is an error (exit 2): `--list`
+//! takes only `--json`; `--whatif` takes none of `--top`,
+//! `--telemetry-dir`, `--flight-dir`, `--profile`, `--profile-dir` or
+//! `--jobs`; `--top` takes no `--jobs`; `--profile-dir` needs `--profile`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -101,8 +107,11 @@ fn main() -> ExitCode {
     let mut whatif = false;
     let mut whatif_dir: Option<PathBuf> = None;
     let mut overrides = tca_sim::ParamSet::new();
+    // Every flag as given, for the mode checks after parsing.
+    let mut given: Vec<String> = Vec::new();
 
     while let Some(arg) = args.next() {
+        given.push(arg.clone());
         match arg.as_str() {
             "--list" => do_list = true,
             "--json" => json = true,
@@ -149,6 +158,41 @@ fn main() -> ExitCode {
                 _ => return fail("--jobs needs a positive integer"),
             },
             other => return fail(&format!("unknown argument '{other}'")),
+        }
+    }
+
+    // Reject flags the chosen mode would silently ignore, before any run
+    // or artifact directory is started.
+    let first_of = |flags: &[&str]| given.iter().find(|f| flags.contains(&f.as_str()));
+    if do_list {
+        if let Some(f) = given
+            .iter()
+            .find(|f| !matches!(f.as_str(), "--list" | "--json"))
+        {
+            return fail(&format!("--list accepts only --json, not {f}"));
+        }
+    }
+    if whatif {
+        let ignored = [
+            "--top",
+            "--telemetry-dir",
+            "--flight-dir",
+            "--profile",
+            "--profile-dir",
+            "--jobs",
+        ];
+        if let Some(f) = first_of(&ignored) {
+            return fail(&format!("{f} does not apply to --whatif"));
+        }
+    }
+    if top {
+        if let Some(f) = first_of(&["--jobs"]) {
+            return fail(&format!("{f} does not apply to --top"));
+        }
+    }
+    if !profile {
+        if let Some(f) = first_of(&["--profile-dir"]) {
+            return fail(&format!("{f} requires --profile"));
         }
     }
 

@@ -4,15 +4,14 @@
 //!
 //! Each `figN_*` function rebuilds the paper's exact measurement rig
 //! inside a fresh simulation and returns the series the figure plots; the
-//! `src/bin/*` binaries print them as aligned tables, and `EXPERIMENTS.md`
-//! records paper-vs-measured values. Criterion benches (under `benches/`)
-//! measure *simulator* throughput on the same workloads.
+//! [`scenario`] registry behind `tca-bench` prints them as aligned tables
+//! or `tca-bench-sweep/v1` JSON, and `EXPERIMENTS.md` records
+//! paper-vs-measured values.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod mini_json;
 pub mod prof;
 pub mod refqueue;
 pub mod scenario;
@@ -24,7 +23,6 @@ pub use prof::{
     EngineWorkload, QueueRace,
 };
 
-use serde::Serialize;
 use std::path::{Path, PathBuf};
 use tca_device::map::TcaBlock;
 use tca_device::node::{build_dual_socket_node, NodeConfig};
@@ -192,7 +190,7 @@ pub fn dma_bandwidth(r: &mut Rig, target: Target, dir: Direction, count: u64, si
 }
 
 /// One row of Fig. 7 / Fig. 8 (chained / single DMA, local targets).
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct LocalDmaRow {
     /// Transfer size per descriptor, bytes.
     pub size: u64,
@@ -230,7 +228,7 @@ fn local_dma_sweep(sizes: &[u64], count: u64) -> Vec<LocalDmaRow> {
 }
 
 /// One row of Fig. 9 (request count at fixed 4 KiB).
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Fig9Row {
     /// Number of chained DMA requests.
     pub requests: u64,
@@ -256,7 +254,7 @@ pub fn fig9(counts: &[u64]) -> Vec<Fig9Row> {
 }
 
 /// One row of Fig. 12 (remote-node DMA writes vs the local curves).
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Fig12Row {
     /// Transfer size per descriptor, bytes.
     pub size: u64,
@@ -309,7 +307,7 @@ pub fn fig12(sizes: &[u64]) -> Vec<Fig12Row> {
 }
 
 /// The §IV-B1 latency report.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct LatencyReport {
     /// PIO one-way latency through two boards and one cable (Fig. 10), ns.
     /// Paper: 782 ns.
@@ -408,7 +406,7 @@ pub fn latency_report() -> LatencyReport {
 }
 
 /// One row of the A2 DMAC ablation: two-phase legacy put vs pipelined put.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct DmacAblationRow {
     /// Transfer size, bytes.
     pub size: u64,
@@ -447,7 +445,7 @@ pub fn dmac_ablation(sizes: &[u64]) -> Vec<DmacAblationRow> {
 }
 
 /// The A1 QPI ablation: P2P write bandwidth same-socket vs across QPI.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct QpiReport {
     /// CPU streaming-store bandwidth into a same-socket GPU, bytes/s.
     pub same_socket: f64,
@@ -491,7 +489,7 @@ pub fn qpi_report() -> QpiReport {
 }
 
 /// One row of the A3 comparison: GPU-to-GPU transfer time across stacks.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ComparisonRow {
     /// Message size, bytes.
     pub size: u64,
@@ -593,7 +591,7 @@ pub fn comparison(sizes: &[u64]) -> Vec<ComparisonRow> {
 }
 
 /// One row of the A4 hop sweep.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct HopRow {
     /// Ring hops between source and destination.
     pub hops: u32,
@@ -648,7 +646,7 @@ pub fn ring_hops() -> Vec<HopRow> {
 
 /// One row of the A5 reliability ablation: cable bit errors vs remote
 /// bandwidth (PEARL's data-link replays keep transfers exact but slower).
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ReliabilityRow {
     /// Per-TLP corruption probability, parts per million.
     pub error_ppm: u32,
@@ -708,7 +706,7 @@ pub fn reliability_ablation(ppms: &[u32]) -> Vec<ReliabilityRow> {
 }
 
 /// The A6 contention report: per-flow bandwidth when flows share a cable.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ContentionReport {
     /// One flow alone (node 0 → node 2, two eastward hops), bytes/s.
     pub solo: f64,
@@ -768,7 +766,7 @@ pub fn contention_report() -> ContentionReport {
 }
 
 /// One row of the A8 sub-cluster-size scaling sweep.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ScalingRow {
     /// Ring size.
     pub nodes: u32,
@@ -832,7 +830,7 @@ pub fn scaling_point(n: u32) -> ScalingRow {
 }
 
 /// One row of the E0 theoretical-peak table (the §IV-A1 formula).
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct PeakRow {
     /// Link label.
     pub label: &'static str,
@@ -1143,26 +1141,12 @@ pub fn hazard_check() -> tca_verify::Report {
     c.detect_hazards(&[AddrRange::new(0x5800_0000, 8)])
 }
 
-/// Formats a bandwidth column in the paper's GB/s convention.
-pub fn gbps(x: f64) -> String {
-    format!("{:8.3}", x / 1e9)
-}
-
 /// Creates `dir` (and any missing parents) or panics with a message that
 /// names the offending path — the single output-directory helper every
 /// artifact writer in this crate goes through.
 pub fn ensure_out_dir(dir: &Path) {
     std::fs::create_dir_all(dir)
         .unwrap_or_else(|e| panic!("cannot create output directory {}: {e}", dir.display()));
-}
-
-/// Serializes `value` with [`mini_json`] and writes it to `dir/name.json`,
-/// creating `dir` if needed. Returns the path written.
-pub fn write_json<T: Serialize>(dir: &Path, name: &str, value: &T) -> PathBuf {
-    ensure_out_dir(dir);
-    let path = dir.join(format!("{name}.json"));
-    std::fs::write(&path, mini_json::Ser::to_string(value)).expect("write json");
-    path
 }
 
 /// Formats a byte size compactly (64B, 4KB, 1MB).
@@ -1177,15 +1161,13 @@ pub fn fmt_size(s: u64) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Causal span attribution: per-stage latency tables (`latency_attrib` bin).
+// Causal span attribution: per-stage latency tables (`latency-attrib`).
 // ---------------------------------------------------------------------------
 
 /// One row of the per-stage latency-attribution table: one transfer kind at
 /// one ring distance, with the stage breakdown of its causal root span.
 #[derive(Clone, Debug)]
 pub struct AttribRow {
-    /// Ring hops between source and destination node.
-    pub hops: u32,
     /// Transfer kind: `"pio"` or `"dma"`.
     pub kind: &'static str,
     /// End-to-end latency of the root span, ns.
@@ -1196,71 +1178,57 @@ pub struct AttribRow {
     pub stages: Vec<(String, f64)>,
 }
 
-/// Pulls the most recent *completed* root span named `name` out of the
+/// Pulls the most recent *completed* root span named `kind` out of the
 /// fabric's span store and returns its end-to-end latency plus per-stage
 /// attribution, asserting the tentpole guarantee that the stages are an
 /// exact partition of the measured interval.
-fn root_attribution(f: &Fabric, name: &str) -> (f64, Vec<(String, f64)>) {
+fn root_attribution(f: &Fabric, kind: &'static str) -> AttribRow {
     let spans = f.spans();
     let root = spans
         .roots()
         .into_iter()
-        .rfind(|(_, n, _, end)| *n == name && end.is_some())
+        .rfind(|(_, n, _, end)| *n == kind && end.is_some())
         .map(|(id, ..)| id)
-        .unwrap_or_else(|| panic!("no completed '{name}' root span recorded"));
+        .unwrap_or_else(|| panic!("no completed '{kind}' root span recorded"));
     let elapsed = spans.root_elapsed(root).expect("completed root");
     let attr = spans.attribution(root);
     let sum = attr.iter().fold(Dur::ZERO, |a, (_, d)| a + *d);
     assert_eq!(
         sum, elapsed,
-        "'{name}' stage sums must equal the end-to-end latency exactly"
+        "'{kind}' stage sums must equal the end-to-end latency exactly"
     );
-    (
-        elapsed.as_ns_f64(),
-        attr.into_iter().map(|(s, d)| (s, d.as_ns_f64())).collect(),
-    )
+    AttribRow {
+        kind,
+        total_ns: elapsed.as_ns_f64(),
+        stages: attr.into_iter().map(|(s, d)| (s, d.as_ns_f64())).collect(),
+    }
 }
 
-/// Per-stage latency attribution of a 4 B PIO store and a 4 KiB pipelined
-/// DMA put at ring distances `1..=max_hops` on a 16-node ring, extracted
-/// from the causal span tree each transfer records: host issue, descriptor
-/// fetch/decode, DMA reads and writes, per-hop wire and credit-stall time,
-/// PEACH2 relay transits, and the completion path.
-pub fn latency_attribution(max_hops: u32) -> Vec<AttribRow> {
-    assert!((1..=8).contains(&max_hops), "16-node ring: 1..=8 hops");
-    let mut rows = Vec::new();
-    for hops in 1..=max_hops {
-        let mut r = rig(16);
-        r.fabric.set_span_tracing(true);
-        // --- PIO: 4 B store, root span ends at the remote DRAM commit.
-        let dst = r.sc.map.global_addr(hops, TcaBlock::Host, 0x6000);
-        let host0 = r.sc.nodes[0].host;
-        r.fabric.drive::<HostBridge, _>(host0, |h, ctx| {
-            h.core_mut().cpu_store(dst, &1u32.to_le_bytes(), ctx);
-        });
-        r.fabric.run_until_idle();
-        let (total_ns, stages) = root_attribution(&r.fabric, "pio");
-        rows.push(AttribRow {
-            hops,
-            kind: "pio",
-            total_ns,
-            stages,
-        });
-        // --- DMA: 4 KiB pipelined put, root span opens at the doorbell and
-        // closes at the completion-interrupt handler (or the last causal
-        // remote commit, whichever is later).
-        let dma_dst = r.sc.map.global_addr(hops, TcaBlock::Host, 0x4000_0000);
-        let buf = r.drivers[0].dma_buf;
-        r.drivers[0].pipelined_remote_put(&mut r.fabric, buf, dma_dst, 4096);
-        let (total_ns, stages) = root_attribution(&r.fabric, "dma");
-        rows.push(AttribRow {
-            hops,
-            kind: "dma",
-            total_ns,
-            stages,
-        });
-    }
-    rows
+/// Per-stage latency attribution of a 4 B PIO store and then a 4 KiB
+/// pipelined DMA put, `hops` ring distances away on one 16-node ring,
+/// extracted from the causal span tree each transfer records: host issue,
+/// descriptor fetch/decode, DMA reads and writes, per-hop wire and
+/// credit-stall time, PEACH2 relay transits, and the completion path.
+/// Returns the `[pio, dma]` rows.
+pub fn latency_attribution(hops: u32) -> [AttribRow; 2] {
+    assert!((1..=8).contains(&hops), "16-node ring: 1..=8 hops");
+    let mut r = rig(16);
+    r.fabric.set_span_tracing(true);
+    // --- PIO: 4 B store, root span ends at the remote DRAM commit.
+    let dst = r.sc.map.global_addr(hops, TcaBlock::Host, 0x6000);
+    let host0 = r.sc.nodes[0].host;
+    r.fabric.drive::<HostBridge, _>(host0, |h, ctx| {
+        h.core_mut().cpu_store(dst, &1u32.to_le_bytes(), ctx);
+    });
+    r.fabric.run_until_idle();
+    let pio = root_attribution(&r.fabric, "pio");
+    // --- DMA: 4 KiB pipelined put, root span opens at the doorbell and
+    // closes at the completion-interrupt handler (or the last causal
+    // remote commit, whichever is later).
+    let dma_dst = r.sc.map.global_addr(hops, TcaBlock::Host, 0x4000_0000);
+    let buf = r.drivers[0].dma_buf;
+    r.drivers[0].pipelined_remote_put(&mut r.fabric, buf, dma_dst, 4096);
+    [pio, root_attribution(&r.fabric, "dma")]
 }
 
 // ---------------------------------------------------------------------------
@@ -1283,7 +1251,7 @@ pub const DMA_PINGPONG_SW_TURNAROUND: Dur = Dur::from_ns(1150);
 /// The §IV-B1 ping-pong pair, measured as two simulated hardware legs (data
 /// arrival at the receiver's poll buffer, watch-timestamped) composed with
 /// the calibrated software turnaround: `half-RTT = (leg + turnaround + leg) / 2`.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct PingPong {
     /// PIO ping-pong half round trip, µs. Paper: 2.3 µs.
     pub pio_us: f64,
@@ -1373,7 +1341,7 @@ pub fn pingpong_with_telemetry(instrument: bool) -> (PingPong, Option<JsonValue>
 /// The schema-stable fabric regression report behind `BENCH_fabric.json`:
 /// ping-pong latency, per-hop latency delta, and the Fig. 7/8/9 bandwidth
 /// anchors, all measured in a fresh deterministic simulation.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct FabricBench {
     /// The §IV-B1 ping-pong pair.
     pub pingpong: PingPong,
@@ -1812,21 +1780,21 @@ mod tests {
     #[test]
     fn latency_attribution_is_an_exact_partition() {
         // latency_attribution() itself asserts sum(stages) == total per row
-        // in integer picoseconds; here we additionally check the table's
+        // in integer picoseconds; here we additionally check the rows'
         // shape and that the expected pipeline stages show up.
-        let rows = latency_attribution(2);
-        assert_eq!(rows.len(), 4, "pio+dma rows at 1 and 2 hops");
+        let one = latency_attribution(1);
+        let two = latency_attribution(2);
         fn stage_names(r: &AttribRow) -> Vec<&str> {
             r.stages.iter().map(|(s, _)| s.as_str()).collect()
         }
-        for r in &rows {
+        for r in one.iter().chain(&two) {
             assert!(r.total_ns > 0.0, "{r:?}");
             let sum: f64 = r.stages.iter().map(|(_, ns)| ns).sum();
             assert!((sum - r.total_ns).abs() < 1e-9, "{r:?}");
         }
-        let pio = &rows[0];
+        let [pio, dma] = &one;
+        assert_eq!((pio.kind, dma.kind), ("pio", "dma"));
         assert!(stage_names(pio).contains(&"wire"), "{pio:?}");
-        let dma = &rows[1];
         for stage in ["engine_start", "desc_fetch", "wire"] {
             assert!(stage_names(dma).contains(&stage), "{dma:?}");
         }
@@ -1838,7 +1806,7 @@ mod tests {
                 .map(|(_, ns)| ns)
                 .sum::<f64>()
         };
-        assert!(wire_ns(&rows[2]) > wire_ns(&rows[0]), "{rows:?}");
+        assert!(wire_ns(&two[0]) > wire_ns(pio), "{one:?} {two:?}");
     }
 
     #[test]

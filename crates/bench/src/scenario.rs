@@ -16,10 +16,11 @@
 //! is reproduced end to end rather than per-primitive.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
-use parking_lot::Mutex;
 use tca_apps::{Stencil2dConfig, StencilConfig};
 use tca_core::prelude::*;
+use tca_device::HostBridge;
 use tca_sim::JsonValue;
 
 use crate::fmt_size;
@@ -230,7 +231,7 @@ pub fn run_sweep(
                     break;
                 }
                 let row = (points[i].run)(telemetry);
-                *slots[i].lock() = Some(row);
+                *slots[i].lock().expect("slot lock poisoned") = Some(row);
             });
         }
     });
@@ -240,7 +241,9 @@ pub fn run_sweep(
         .map(|(p, slot)| {
             (
                 p.label.clone(),
-                slot.into_inner().expect("worker filled the slot"),
+                slot.into_inner()
+                    .expect("slot lock poisoned")
+                    .expect("worker filled the slot"),
             )
         })
         .collect();
@@ -834,6 +837,132 @@ pub fn scenarios() -> Vec<Scenario> {
                     .collect()
             },
         },
+        Scenario {
+            name: "tables",
+            description: "the base-cluster and test-environment specification tables",
+            figure: "Tables I / II",
+            backends: TCA_ONLY,
+            points: |_| {
+                [("T1", presets::table_i()), ("T2", presets::table_ii())]
+                    .into_iter()
+                    .flat_map(|(id, t)| {
+                        let table = t.title.split(':').next().unwrap_or(t.title);
+                        t.rows.into_iter().map(move |r| {
+                            Point::new(format!("{id} {}", r.item), move || {
+                                row(vec![
+                                    ("table", JsonValue::from(table)),
+                                    ("item", JsonValue::from(r.item)),
+                                    ("value", JsonValue::from(r.value)),
+                                ])
+                            })
+                        })
+                    })
+                    .collect()
+            },
+        },
+        Scenario {
+            name: "peaks",
+            description: "theoretical peak payload rate per link, 256 B TLPs (E0)",
+            figure: "§IV-A1",
+            backends: TCA_ONLY,
+            points: |_| {
+                crate::theoretical_peaks()
+                    .into_iter()
+                    .map(|r| {
+                        Point::new(r.label, move || {
+                            row(vec![
+                                ("raw_bps", JsonValue::from(r.raw)),
+                                ("peak_bps", jf(r.peak)),
+                            ])
+                        })
+                    })
+                    .collect()
+            },
+        },
+        Scenario {
+            name: "hierarchy",
+            description: "two-tier network: TCA within the sub-cluster vs IB+MPI across (A7)",
+            figure: "§II-B",
+            backends: TCA_ONLY,
+            points: |_| {
+                [6u32, 10, 14, 18, 20]
+                    .into_iter()
+                    .map(|p| 1u64 << p)
+                    .map(|size| {
+                        Point::new(fmt_size(size), move || {
+                            // 16 nodes in two 8-node rings: rank 3 shares
+                            // rank 0's ring, rank 11 sits across IB.
+                            let mut sys = HierarchicalCluster::build(2, 8);
+                            let host = sys.mpi.nodes[0].host;
+                            sys.fabric
+                                .device_mut::<HostBridge>(host)
+                                .core_mut()
+                                .mem()
+                                .fill_pattern(0x4000_0000, size, 1);
+                            let (_, intra) = sys.send(0, 3, 0x4000_0000, 0x5000_0000, size);
+                            let (_, inter) = sys.send(0, 11, 0x4000_0000, 0x5200_0000, size);
+                            row(vec![
+                                ("size", JsonValue::from(size)),
+                                ("intra_ns", jf(intra.as_ns_f64())),
+                                ("inter_ns", jf(inter.as_ns_f64())),
+                                ("ratio", jf(inter.as_ns_f64() / intra.as_ns_f64())),
+                            ])
+                        })
+                    })
+                    .collect()
+            },
+        },
+        Scenario {
+            name: "latency-attrib",
+            description: "per-stage span attribution of a PIO store and a 4 KiB DMA put, 1-8 hops",
+            figure: "§IV-B",
+            backends: TCA_ONLY,
+            points: |_| {
+                ["pio", "dma"]
+                    .into_iter()
+                    .enumerate()
+                    .flat_map(|(k, kind)| {
+                        (1..=8u32).map(move |hops| {
+                            Point::new(format!("{kind} {hops} hop"), move || {
+                                let r = &crate::latency_attribution(hops)[k];
+                                let mut o = row(vec![
+                                    ("kind", JsonValue::from(kind)),
+                                    ("hops", JsonValue::from(hops)),
+                                    ("total_ns", jf(r.total_ns)),
+                                ]);
+                                for (stage, ns) in &r.stages {
+                                    o.push(format!("{stage}_ns"), jf(*ns));
+                                }
+                                o
+                            })
+                        })
+                    })
+                    .collect()
+            },
+        },
+        Scenario {
+            name: "params",
+            description: "every registered fabric parameter, the ids --set accepts",
+            figure: "Table II",
+            backends: TCA_ONLY,
+            points: |_| {
+                FabricParams::param_descs()
+                    .into_iter()
+                    .map(|d| {
+                        Point::new(d.id.clone(), move || {
+                            let default = FabricParams::default()
+                                .get_param(&d.id)
+                                .expect("registered id resolves");
+                            row(vec![
+                                ("unit", JsonValue::from(d.unit.suffix())),
+                                ("default", JsonValue::from(default)),
+                                ("doc", JsonValue::from(d.doc)),
+                            ])
+                        })
+                    })
+                    .collect()
+            },
+        },
     ]
 }
 
@@ -936,6 +1065,84 @@ mod tests {
                     .unwrap_or_else(|| panic!("{label} on {} lacks telemetry", backend.name()));
                 assert!(t.get("peak_link_queue_depth").is_some(), "{label}: {t:?}");
             }
+        }
+    }
+
+    /// The `f64` field `key` of every row of `sweep`.
+    fn column(sweep: &Sweep, key: &str) -> Vec<f64> {
+        sweep
+            .rows
+            .iter()
+            .map(|(label, r)| {
+                r.get(key)
+                    .and_then(|v| v.as_f64())
+                    .unwrap_or_else(|| panic!("{label} lacks {key}"))
+            })
+            .collect()
+    }
+
+    fn sweep(name: &str) -> Sweep {
+        run_sweep(
+            &find(name).expect("registered"),
+            BackendKind::Tca,
+            2,
+            TelemetryMode::Off,
+        )
+    }
+
+    #[test]
+    fn hierarchy_reproduces_the_two_tier_crossover() {
+        let s = sweep("hierarchy");
+        let (intra, inter, ratio) = (
+            column(&s, "intra_ns"),
+            column(&s, "inter_ns"),
+            column(&s, "ratio"),
+        );
+        assert_eq!(s.rows[0].0, "64B");
+        assert_eq!((intra[0], inter[0]), (1390.0, 1809.546));
+        // TCA wins short messages; IB's dual rail catches up at 1 MB.
+        assert!(ratio[0] > 1.0, "{ratio:?}");
+        assert_eq!(s.rows.last().map(|r| r.0.as_str()), Some("1MB"));
+        assert!(ratio[ratio.len() - 1] < 1.0, "{ratio:?}");
+    }
+
+    #[test]
+    fn latency_attrib_stages_partition_each_total() {
+        let s = sweep("latency-attrib");
+        assert_eq!(s.rows.len(), 16, "pio and dma at 1..=8 hops");
+        assert_eq!(s.rows[0].0, "pio 1 hop");
+        assert_eq!(column(&s, "total_ns")[0], 781.0);
+        for (label, r) in &s.rows {
+            let mut stages = 0.0;
+            for (k, v) in r.as_object().expect("rows are objects") {
+                if k.ends_with("_ns") && k != "total_ns" {
+                    stages += v.as_f64().expect("stage ns");
+                }
+            }
+            assert_eq!(
+                r.get("total_ns").and_then(|v| v.as_f64()),
+                Some(stages),
+                "{label}"
+            );
+        }
+    }
+
+    #[test]
+    fn peaks_carry_the_gen2_x8_payload_rate() {
+        let s = sweep("peaks");
+        assert_eq!(s.rows[0].0, "PCIe Gen2 x8 (PEACH2 ports)");
+        assert_eq!(format!("{:.3}", column(&s, "peak_bps")[0] / 1e9), "3.657");
+    }
+
+    #[test]
+    fn tables_and_params_have_one_point_per_entry() {
+        let rows = presets::table_i().rows.len() + presets::table_ii().rows.len();
+        assert_eq!(sweep("tables").rows.len(), rows);
+        let params = sweep("params");
+        let descs = FabricParams::param_descs();
+        assert_eq!(params.rows.len(), descs.len());
+        for ((label, _), d) in params.rows.iter().zip(&descs) {
+            assert_eq!(label, &d.id);
         }
     }
 

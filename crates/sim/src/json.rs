@@ -200,9 +200,9 @@ fn write_number(n: f64, out: &mut String) {
 
 /// Appends `s` to `out` as a quoted JSON string literal, escaping quotes,
 /// backslashes, and control characters per RFC 8259. The single escaper for
-/// the whole workspace: [`JsonValue`] serialization, the flight recorder's
-/// JSONL lines, and `tca-bench`'s serde backend (`mini_json`) all call this,
-/// so every artifact escapes identically.
+/// the whole workspace: [`JsonValue`] serialization and the flight
+/// recorder's JSONL lines both call this, so every artifact escapes
+/// identically.
 pub fn write_escaped(s: &str, out: &mut String) {
     use std::fmt::Write as _;
     out.push('"');

@@ -85,6 +85,9 @@ if ! diff -u configs/topologies/cycle-injected.golden.dot \
     exit 1
 fi
 
+# The full-reproduction script is too slow for CI; at least parse it.
+bash -n scripts/reproduce.sh
+
 # Determinism lint: the simulation crates must never consult wall-clock
 # time or OS entropy — a single call would silently break bit-identical
 # replay. Allowlist and patterns live in the script.
@@ -284,22 +287,28 @@ fi
 cp "$profdir/fabric_plain.json" results/BENCH_fabric.json
 cp "$profdir/engine_plain.json" results/BENCH_engine.json
 
-# What-if smoke (tca-whatif): the causal profiler must be deterministic,
-# schema-stable, and observationally neutral. Running the small-ring sweep
-# twice must produce byte-identical artifacts; the report JSON is pinned to
-# the tca-whatif/v1 schema; and --whatif-dir riding along on a --top run
-# must change neither the stdout nor the checked-in BENCH_fabric.json.
+# What-if smoke (tca-bench --whatif): the causal profiler must be
+# deterministic, schema-stable, and observationally neutral. Running the
+# small-ring sweep twice must produce byte-identical artifacts that match the
+# digests checked in at configs/whatif/ring-hops.sha256; the report JSON is
+# pinned to the tca-whatif/v1 schema; and --whatif-dir riding along on a
+# --top run must change neither the stdout nor the checked-in
+# BENCH_fabric.json.
 wadir="$profdir/whatif"
-cargo run -q --release --offline -p tca-bench --bin tca-whatif -- \
-    --scenario ring-hops --out "$wadir/a" > /dev/null 2>&1
-cargo run -q --release --offline -p tca-bench --bin tca-whatif -- \
-    --scenario ring-hops --out "$wadir/b" > /dev/null 2>&1
+for run in a b; do
+    cargo run -q --release --offline -p tca-bench --bin tca-bench -- \
+        --scenario ring-hops --whatif --whatif-dir "$wadir/$run" > /dev/null 2>&1
+done
 for art in WHATIF_ring-hops.json WHATIF_ring-hops.folded.diff; do
     if ! cmp -s "$wadir/a/$art" "$wadir/b/$art"; then
         echo "tca-whatif smoke: two identical sweeps produced different $art" >&2
         exit 1
     fi
 done
+if ! (cd "$wadir/a" && sha256sum -c --quiet "$OLDPWD/configs/whatif/ring-hops.sha256"); then
+    echo "what-if equivalence: ring-hops artifacts drifted from their digests" >&2
+    exit 1
+fi
 wa_json=$(cat "$wadir/a/WHATIF_ring-hops.json")
 if [[ "$wa_json" != '{"schema":"tca-whatif/v1"'* ]]; then
     echo "tca-whatif smoke: report schema drifted" >&2

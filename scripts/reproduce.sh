@@ -1,45 +1,50 @@
 #!/usr/bin/env bash
 # Regenerates every table and figure of the paper plus the ablations,
-# saving text outputs to results/ alongside the JSON export.
+# saving text outputs to results/ and sweep JSON to results/json/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 out=${1:-results}
 mkdir -p "$out"
 
-# Figure/ablation sweeps run through the unified scenario runner; each
+# Every table, figure and ablation is a scenario of the unified runner; each
 # sweep point is an independent simulation, so --jobs parallelism cannot
-# perturb any measurement (output is byte-identical at any job count).
-scenarios=(fig7 fig8 fig9 fig12 latency ring-hops scaling contention \
-           comparison ablation-dmac ablation-qpi ablation-pearl \
-           put-latency cg stencil stencil2d nbody)
+# perturb any measurement (output is byte-identical at any job count). Each
+# run saves its text table as <stem>.txt and its tca-bench-sweep/v1 JSON as
+# json/<stem>.json, where <stem> is <scenario>[-<backend>].
+mkdir -p "$out/json"
 jobs=${JOBS:-4}
+sweep() {
+    local scenario=$1 backend=$2 stem=$3
+    cargo run -q --release -p tca-bench --bin tca-bench -- \
+        --scenario "$scenario" --backend "$backend" --jobs "$jobs" | tee "$out/$stem.txt"
+    cargo run -q --release -p tca-bench --bin tca-bench -- \
+        --scenario "$scenario" --backend "$backend" --jobs "$jobs" --json > "$out/json/$stem.json"
+    echo
+}
+scenarios=(tables peaks fig7 fig8 fig9 fig12 latency pingpong ring-hops scaling \
+           contention comparison ablation-dmac ablation-qpi ablation-pearl \
+           hierarchy latency-attrib put-latency cg stencil stencil2d nbody \
+           topo-registry params)
 for s in "${scenarios[@]}"; do
     echo "== $s =="
-    cargo run -q --release -p tca-bench --bin tca-bench -- \
-        --scenario "$s" --jobs "$jobs" | tee "$out/$s.txt"
-    echo
+    sweep "$s" tca "$s"
 done
 
 # Backend comparison: the application kernels again, over the MPI/IB
 # baseline paths (same numerics, different clock — the paper's §I claim).
-for s in cg stencil nbody; do
+for s in put-latency cg stencil stencil2d nbody; do
     for backend in mpi mpi-gpudirect; do
         echo "== $s ($backend) =="
-        cargo run -q --release -p tca-bench --bin tca-bench -- \
-            --scenario "$s" --backend "$backend" --jobs "$jobs" \
-            | tee "$out/$s-$backend.txt"
-        echo
+        sweep "$s" "$backend" "$s-$backend"
     done
 done
 
-# Remaining standalone reports (multi-rig or artifact-writing).
-bins=(tables hierarchy telemetry latency_attrib trace_pio)
-for b in "${bins[@]}"; do
+# Remaining standalone reports (artifact-writing).
+for b in telemetry trace_pio; do
     echo "== $b =="
     cargo run -q --release -p tca-bench --bin "$b" | tee "$out/$b.txt"
     echo
 done
-cargo run -q --release -p tca-bench --bin export "$out/json"
 
 # Schema-stable perf-regression report (byte-identical across runs), with
 # every metric validated against its paper-anchored bound.

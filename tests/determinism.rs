@@ -209,16 +209,19 @@ fn sweep_runner_output_is_independent_of_job_count() {
     // The scenario runner farms points out to worker threads; every point
     // builds its own simulation and lands in its own slot, so the rendered
     // table and the sweep JSON must be byte-identical at any --jobs.
+    // latency-attrib adds rows whose columns differ by point kind.
     use tca_bench::scenario::{find, run_sweep, BackendKind, TelemetryMode};
-    let sc = find("ring-hops").expect("registered scenario");
-    let serial = run_sweep(&sc, BackendKind::Tca, 1, TelemetryMode::Off);
-    let parallel = run_sweep(&sc, BackendKind::Tca, 8, TelemetryMode::Off);
-    assert_eq!(
-        serial.to_json(),
-        parallel.to_json(),
-        "sweep JSON diverged between --jobs 1 and --jobs 8"
-    );
-    assert_eq!(serial.render(), parallel.render());
+    for name in ["ring-hops", "latency-attrib"] {
+        let sc = find(name).expect("registered scenario");
+        let serial = run_sweep(&sc, BackendKind::Tca, 1, TelemetryMode::Off);
+        let parallel = run_sweep(&sc, BackendKind::Tca, 8, TelemetryMode::Off);
+        assert_eq!(
+            serial.to_json(),
+            parallel.to_json(),
+            "{name} sweep JSON diverged between --jobs 1 and --jobs 8"
+        );
+        assert_eq!(serial.render(), parallel.render(), "{name}");
+    }
 }
 
 #[test]
