@@ -17,7 +17,7 @@
 //! the continuous-health report mode: an instrumented run of the
 //! scenario's representative traffic, rendered as the per-link/per-engine
 //! congestion table (`tca-health/v1` JSON with `--json`).
-//! `--telemetry-dir <dir>` writes the full health/series/trace JSON
+//! `--telemetry-dir <dir>` writes the full health/series/trace/metrics JSON
 //! artifacts of that instrumented run into `<dir>`.
 //!
 //! `--flight-dir <dir>` turns on the deterministic flight recorder for
@@ -265,7 +265,7 @@ fn main() -> ExitCode {
     // flight recording rides along on the exact rig the health report
     // measures, so the log and the artifacts describe the same run.
     let (health, flight) = if top || telemetry_dir.is_some() || flight_dir.is_some() {
-        let (rep, log) = tca_bench::top_report_with_flight(sc.name, backend, flight_dir.is_some());
+        let (rep, log) = tca_bench::top_report(sc.name, backend, flight_dir.is_some());
         (Some(rep), log)
     } else {
         (None, None)

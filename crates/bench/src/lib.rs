@@ -30,10 +30,10 @@ use tca_device::{Gpu, HostBridge, QpiParams};
 use tca_net::{attach_ib, IbParams, MpiWorld, Protocol};
 use tca_pcie::{AddrRange, Fabric, LinkParams};
 use tca_peach2::{
-    build_loopback, build_ring, sync_nios_link_stats, Descriptor, EngineKind, Peach2, Peach2Driver,
-    Peach2Params, SubCluster,
+    build_loopback, build_ring, Descriptor, EngineKind, Peach2, Peach2Driver, Peach2Params,
+    SubCluster,
 };
-use tca_sim::{Dur, JsonValue, TraceLevel};
+use tca_sim::{Dur, JsonValue};
 
 // Percentile math lives in `tca_sim::stats` — the single source for both
 // the log₂ and the HDR (16-sub-buckets-per-octave) histograms. Re-exported
@@ -63,7 +63,7 @@ pub struct Rig {
 /// Builds a fresh ring rig of `n` nodes.
 pub fn rig(n: u32) -> Rig {
     let mut fabric = Fabric::new();
-    apply_env_flight(&mut fabric);
+    tca_core::apply_env_flight(&mut fabric);
     let sc = build_ring(
         &mut fabric,
         n,
@@ -88,7 +88,7 @@ pub fn rig(n: u32) -> Rig {
 /// knob virtually scaled. `rig(n)` is exactly `rig_with(n, &default)`.
 pub fn rig_with(n: u32, fp: &tca_core::FabricParams) -> Rig {
     let mut fabric = Fabric::new();
-    apply_env_flight(&mut fabric);
+    tca_core::apply_env_flight(&mut fabric);
     let sc = build_ring(&mut fabric, n, &fp.node, fp.peach2);
     let drivers: Vec<Peach2Driver> = (0..n as usize)
         .map(|i| Peach2Driver::new(sc.map, i as u32, sc.nodes[i].host, sc.chips[i]))
@@ -100,22 +100,6 @@ pub fn rig_with(n: u32, fp: &tca_core::FabricParams) -> Rig {
         fabric,
         sc,
         drivers,
-    }
-}
-
-/// Honours `TCA_FLIGHT_RING=<capacity>`: the one-switch flight-recording
-/// audit the CI neutrality smoke uses. Mirrors the gate in the
-/// `tca-core` backend constructors so the `bench_regression` rigs (which
-/// build fabrics directly) also record under the audit — recording must
-/// leave `BENCH_fabric.json` byte-identical. Host configuration, like a
-/// CLI flag; the fabric itself stays env-free.
-fn apply_env_flight(fabric: &mut Fabric) {
-    if let Ok(v) = std::env::var("TCA_FLIGHT_RING") {
-        if let Ok(cap) = v.trim().parse::<usize>() {
-            if cap > 0 {
-                fabric.enable_flight(cap, false);
-            }
-        }
     }
 }
 
@@ -854,66 +838,6 @@ pub fn theoretical_peaks() -> Vec<PeakRow> {
     ]
 }
 
-/// The artifacts of the telemetry rig: a metrics snapshot of a Fig. 7-style
-/// DMA sweep plus a Chrome trace of the Fig. 10 PIO loopback.
-#[derive(Clone, Debug)]
-pub struct TelemetryReport {
-    /// Metrics-snapshot JSON after the DMA sweep (link, DMA-engine, NIOS
-    /// port, and driver-side metrics all populated).
-    pub metrics_json: String,
-    /// Chrome trace-event JSON (an array of `ph`/`ts`/`name` objects) for
-    /// the loopback PIO store, loadable in `chrome://tracing` / Perfetto.
-    pub trace_json: String,
-    /// The loopback PIO one-way latency the trace covers, ns.
-    pub pio_latency_ns: f64,
-}
-
-/// Runs the representative telemetry rig: a local + remote DMA sweep on a
-/// two-node ring (metrics accumulate across the whole sweep on one shared
-/// fabric), then the Fig. 10 loopback PIO store under packet-level tracing.
-pub fn telemetry_report(sizes: &[u64]) -> TelemetryReport {
-    // --- Metrics: Fig. 7-style sweep on one shared two-node ring.
-    let mut r = rig(2);
-    for &size in sizes {
-        dma_bandwidth(&mut r, Target::LocalCpu, Direction::Write, 16, size);
-        dma_bandwidth(&mut r, Target::LocalGpu, Direction::Write, 16, size);
-        dma_bandwidth(&mut r, Target::RemoteCpu, Direction::Write, 16, size);
-    }
-    let chips = r.sc.chips.clone();
-    for chip in chips {
-        sync_nios_link_stats(&mut r.fabric, chip);
-    }
-    let metrics_json = r.fabric.metrics_snapshot().to_json();
-
-    // --- Trace: the Fig. 10 loopback PIO store, packet-level.
-    let mut f = Fabric::new();
-    let rigl = build_loopback(&mut f, &NodeConfig::default(), Peach2Params::default());
-    f.set_trace(TraceLevel::Packet, 4096);
-    let poll = 0x6000u64;
-    let watch = f
-        .device_mut::<HostBridge>(rigl.node.host)
-        .core_mut()
-        .add_watch(AddrRange::new(poll, 4));
-    let dst = rigl.map.global_addr(1, TcaBlock::Host, poll);
-    let t0 = f.now();
-    f.drive::<HostBridge, _>(rigl.node.host, |h, ctx| {
-        h.core_mut().cpu_store(dst, &1u32.to_le_bytes(), ctx);
-    });
-    f.run_until_idle();
-    let hits = f
-        .device::<HostBridge>(rigl.node.host)
-        .core()
-        .watch_hits(watch);
-    let pio_latency_ns = hits[0].since(t0).as_ns_f64();
-    let trace_json = f.chrome_trace_json();
-
-    TelemetryReport {
-        metrics_json,
-        trace_json,
-        pio_latency_ns,
-    }
-}
-
 /// Compact telemetry summary of a fabric run, embedded per point by
 /// `tca-bench --json` (the `telemetry` row field): peak link queue depth,
 /// worst per-link credit-stall fraction, sampler capture count, watchdog
@@ -966,7 +890,8 @@ pub fn telemetry_summary(fabric: &mut Fabric) -> JsonValue {
 
 /// The `tca-top` artifacts for one scenario: the rendered congestion
 /// report, its `tca-health/v1` JSON, the full `tca-series/v1` gauge
-/// time-series, and the Chrome trace (spans + counter tracks).
+/// time-series, the Chrome trace (spans + counter tracks) and the final
+/// metrics snapshot.
 #[derive(Clone, Debug)]
 pub struct TopReport {
     /// The aligned-text health report (what `--top` prints).
@@ -975,8 +900,12 @@ pub struct TopReport {
     pub health_json: String,
     /// Schema `tca-series/v1` JSON (the sampled gauge time-series).
     pub series_json: String,
-    /// Chrome trace-event JSON with `ph:"C"` counter events spliced in.
+    /// Chrome trace-event JSON: span events, then `ph:"C"` counter events.
     pub trace_json: String,
+    /// Every metric of the world after the run (link, DMA-engine, NIOS
+    /// port, host and GPU metrics), taken through the world's own
+    /// `metrics_snapshot` so the NIOS port counters are synced.
+    pub metrics_json: String,
 }
 
 /// Drives a representative traffic pattern for the health report: every
@@ -1005,28 +934,26 @@ fn drive_health_traffic(c: &mut impl tca_core::CommWorld, n: u32) {
     }
 }
 
-/// Builds an instrumented world (gauge sampling, armed watchdog, span
-/// tracing), runs the representative traffic for `scenario`, and captures
-/// the continuous-health artifacts. Two nodes for the point-to-point
-/// latency scenarios, the 8-node ring otherwise (`ring-hops` &co. — the
-/// all-to-all neighbour shift of the EXPERIMENTS.md worked example).
-pub fn top_report(scenario: &str, backend: scenario::BackendKind) -> TopReport {
-    top_report_with_flight(scenario, backend, false).0
-}
-
 /// Ring capacity for flight recording of the representative health
 /// run — large enough that nothing is evicted on the 8-node ring, so
 /// the log covers every step from simulation start.
 pub const FLIGHT_RING_CAPACITY: usize = 65536;
 
-/// [`top_report`] with an optional `tca-flight/v1` recording of the
-/// *same* instrumented run. When `flight` is true the returned log
-/// covers exactly the traffic that produced the health artifacts, so a
-/// byte-compare of the [`TopReport`] with recording off vs on is a
-/// genuine neutrality claim on a shared rig (the CI flight smoke relies
-/// on this). The log ends with the run's span records, letting
-/// `tca-flight path`/`flight diff` reconstruct span trees offline.
-pub fn top_report_with_flight(
+/// Builds an instrumented world (gauge sampling, armed watchdog, span
+/// tracing), runs the representative traffic for `scenario`, and captures
+/// the continuous-health artifacts. Two nodes for the point-to-point
+/// latency scenarios, the 8-node ring otherwise (`ring-hops` &co. — the
+/// all-to-all neighbour shift of the EXPERIMENTS.md worked example).
+///
+/// When `flight` is true the same run is also recorded as a
+/// `tca-flight/v1` log, returned beside the report; it is `None` only
+/// when `flight` is false. The log covers exactly the traffic that
+/// produced the health artifacts, so a byte-compare of the [`TopReport`]
+/// with recording off vs on is a genuine neutrality claim on a shared rig
+/// (the CI flight smoke relies on this), and logs of two backends are
+/// comparable step for step. The log ends with the run's span records,
+/// letting `tca-flight path`/`flight diff` reconstruct span trees offline.
+pub fn top_report(
     scenario: &str,
     backend: scenario::BackendKind,
     flight: bool,
@@ -1040,13 +967,14 @@ pub fn top_report_with_flight(
         "pingpong" | "latency" | "put-latency" | "fig7" | "fig8" | "fig9" | "fig12"
     );
     let n = if two_node { 2 } else { 8 };
-    let capture = |fabric: &mut Fabric, text: String, health_json: String| TopReport {
+    let capture = |fabric: &Fabric, text, health_json, metrics_json| TopReport {
         text,
         health_json,
         series_json: fabric
             .sampler()
             .map_or_else(|| "{}".to_string(), |s| s.to_json()),
         trace_json: fabric.chrome_trace_json(),
+        metrics_json,
     };
     match backend {
         BackendKind::Tca => {
@@ -1060,7 +988,8 @@ pub fn top_report_with_flight(
             drive_health_traffic(&mut c, n);
             let (text, health_json) = (c.health_report(), c.health_report_json());
             let log = c.flight_jsonl();
-            (capture(&mut c.fabric, text, health_json), log)
+            let metrics_json = c.metrics_snapshot().to_json();
+            (capture(&c.fabric, text, health_json, metrics_json), log)
         }
         BackendKind::MpiStaged | BackendKind::MpiGpuDirect => {
             let mode = if backend == BackendKind::MpiStaged {
@@ -1078,25 +1007,16 @@ pub fn top_report_with_flight(
             drive_health_traffic(&mut m, n);
             let (text, health_json) = (m.health_report(), m.health_report_json());
             let log = m.flight_jsonl();
-            (capture(&mut m.fabric, text, health_json), log)
+            let metrics_json = m.metrics_snapshot().to_json();
+            (capture(&m.fabric, text, health_json, metrics_json), log)
         }
     }
 }
 
-/// Records a `tca-flight/v1` log of the representative health run for
-/// `scenario` on `backend` (the [`top_report`] rig with flight recording
-/// on). Returns `None` only if the backend produced no recorder — it
-/// always records here, so callers can `.expect()` the log. This is the
-/// one-call entry the determinism suite and the `tca-flight` CLI use to
-/// obtain comparable same-rig logs across backends.
-pub fn flight_log(scenario: &str, backend: scenario::BackendKind) -> Option<String> {
-    top_report_with_flight(scenario, backend, true).1
-}
-
 impl TopReport {
-    /// Writes the three JSON artifacts into `dir` as
-    /// `<scenario>-<backend>.{health,series,trace}.json`, creating `dir`
-    /// if needed. Returns the paths written.
+    /// Writes the four JSON artifacts into `dir` as
+    /// `<scenario>-<backend>.{health,series,trace,metrics}.json`, creating
+    /// `dir` if needed. Returns the paths written.
     pub fn write_to(&self, dir: &Path, scenario: &str, backend: &str) -> Vec<PathBuf> {
         ensure_out_dir(dir);
         let stem = format!("{scenario}-{backend}");
@@ -1104,6 +1024,7 @@ impl TopReport {
             ("health", &self.health_json),
             ("series", &self.series_json),
             ("trace", &self.trace_json),
+            ("metrics", &self.metrics_json),
         ];
         files
             .iter()
@@ -1503,7 +1424,7 @@ mod tests {
     /// versa — the row counts are compared both ways).
     #[test]
     fn top_text_and_json_agree_field_for_field() {
-        let rep = top_report("ring-hops", scenario::BackendKind::Tca);
+        let (rep, _) = top_report("ring-hops", scenario::BackendKind::Tca, false);
         let json = tca_sim::JsonValue::parse(&rep.health_json).expect("health json parses");
         let text = &rep.text;
         let get_u64 = |v: &tca_sim::JsonValue, key: &str| {
@@ -1739,7 +1660,8 @@ mod tests {
 
     #[test]
     fn telemetry_artifacts_parse_back() {
-        let rep = telemetry_report(&[256, 4096]);
+        let (rep, log) = top_report("pingpong", scenario::BackendKind::Tca, false);
+        assert!(log.is_none(), "no flight log unless asked");
 
         // The Chrome trace is an array of events, each with ph/ts/name.
         let trace = tca_sim::JsonValue::parse(&rep.trace_json).expect("trace parses");
@@ -1751,7 +1673,7 @@ mod tests {
             assert!(ev.get("name").and_then(|v| v.as_str()).is_some(), "{ev:?}");
         }
 
-        // The metrics snapshot is an object carrying the sweep's counters.
+        // The metrics snapshot is an object carrying the run's counters.
         let metrics = tca_sim::JsonValue::parse(&rep.metrics_json).expect("metrics parse");
         let entries = metrics.as_object().expect("metrics object");
         assert!(
@@ -1766,7 +1688,6 @@ mod tests {
             entries.iter().any(|(k, _)| k.contains(".port.")),
             "NIOS port counters present"
         );
-        assert!((580.0..980.0).contains(&rep.pio_latency_ns), "{rep:?}");
     }
 
     #[test]

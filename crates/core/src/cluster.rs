@@ -188,15 +188,6 @@ impl TcaCluster {
         self.fabric.metrics_snapshot()
     }
 
-    /// Chrome trace-event JSON for whatever the tracer captured; enable
-    /// capture with `self.fabric.set_trace(..)` before running work.
-    /// When span tracing is on, the export also carries one complete
-    /// ("X") event per span and "s"/"f" flow arrows linking the causal
-    /// parent/child edges that cross devices.
-    pub fn chrome_trace_json(&self) -> String {
-        self.fabric.chrome_trace_json()
-    }
-
     /// Enables or disables causal span tracing on the underlying fabric.
     /// Off by default. Recording spans is pure data collection — like
     /// metrics, it never schedules events, so toggling it never shifts

@@ -43,23 +43,45 @@ pub use cluster::{TcaCluster, TcaClusterBuilder, Topology};
 /// Applies the `TCA_FLIGHT_RING` environment opt-in: when the variable
 /// holds a positive event count, the fabric records its dispatch stream
 /// into a flight ring of that capacity (no spill). Both backend
-/// constructors ([`TcaClusterBuilder::build`] and [`MpiBackend::new`])
-/// call this, which gives CI one switch to re-run *any* existing harness
-/// — `bench_regression`, `bench_engine`, the scenario sweeps — with
-/// recording on and diff the artifacts against a plain run, proving the
-/// recorder is byte-neutral end to end. Reading the environment here (host
-/// configuration, fixed for the process, like a CLI flag) keeps the
-/// simulation crates themselves entirely host-state-free.
-pub(crate) fn apply_env_flight(fabric: &mut tca_pcie::Fabric) {
+/// constructors ([`TcaClusterBuilder::build`] and [`MpiBackend::new`]) and
+/// the `tca-bench` rigs that build fabrics directly call this, which gives
+/// CI one switch to re-run *any* existing harness — `bench_regression`,
+/// `bench_engine`, the scenario sweeps — with recording on and diff the
+/// artifacts against a plain run, proving the recorder is byte-neutral end
+/// to end. Reading the environment here (host configuration, fixed for the
+/// process, like a CLI flag) keeps the simulation crates themselves
+/// entirely host-state-free.
+///
+/// # Panics
+///
+/// If the variable holds anything but a decimal event count (e.g. `4k`).
+pub fn apply_env_flight(fabric: &mut tca_pcie::Fabric) {
     let Ok(v) = std::env::var("TCA_FLIGHT_RING") else {
         return;
     };
-    if let Ok(cap) = v.parse::<usize>() {
-        if cap > 0 {
-            fabric.enable_flight(cap, false);
-        }
+    let cap = flight_ring_capacity(&v);
+    if cap > 0 {
+        fabric.enable_flight(cap, false);
     }
 }
+
+/// Parses a `TCA_FLIGHT_RING` value: a decimal event count, surrounding
+/// whitespace ignored; `0` or an empty value leaves recording off.
+///
+/// # Panics
+///
+/// On any other value (`4k`, `-1`, …), naming the variable and the value,
+/// so a mistyped audit fails instead of silently recording nothing.
+fn flight_ring_capacity(value: &str) -> usize {
+    let v = value.trim();
+    if v.is_empty() {
+        return 0;
+    }
+    v.parse().unwrap_or_else(|_| {
+        panic!("TCA_FLIGHT_RING={value:?} is not an event count (expected a decimal integer)")
+    })
+}
+
 pub use collectives::Collectives;
 pub use comm::{CommWorld, MpiBackend, MpiGpuMode, PutSpec, TcaBackend};
 pub use hierarchy::{HierarchicalCluster, Route};
@@ -78,4 +100,23 @@ pub mod prelude {
     pub use tca_peach2::{Descriptor, EngineKind};
     pub use tca_sim::{Dur, SimTime};
     pub use tca_sim::{ParamSet, Parameterized};
+}
+
+#[cfg(test)]
+mod tests {
+    use super::flight_ring_capacity;
+
+    #[test]
+    fn flight_ring_values_parse() {
+        assert_eq!(flight_ring_capacity("4096"), 4096);
+        assert_eq!(flight_ring_capacity(" 4096\n"), 4096);
+        assert_eq!(flight_ring_capacity("0"), 0);
+        assert_eq!(flight_ring_capacity(""), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "TCA_FLIGHT_RING=\"4k\" is not an event count")]
+    fn unparsable_flight_ring_fails_loudly() {
+        flight_ring_capacity("4k");
+    }
 }

@@ -26,7 +26,7 @@ use tca_pcie::{
 };
 use tca_sim::{
     BandwidthMeter, Counter, CounterId, Dur, GaugeId, HistogramId, LatencyHistogram, MeterId,
-    MetricsHub, SimTime, TraceLevel,
+    MetricsHub, SimTime,
 };
 
 /// Opaque pin token, as returned by the `cuPointerGetAttribute` step.
@@ -236,9 +236,6 @@ impl Device for Gpu {
                         .record(ctx.now() + self.params.write_latency, data.len() as u64);
                 } else {
                     self.faults.inc();
-                    ctx.trace(TraceLevel::Txn, || {
-                        format!("{}: write fault at dev {dev_addr:#x}", self.name)
-                    });
                 }
             }
             TlpKind::MemRead {

@@ -16,7 +16,7 @@
 use crate::params::HostParams;
 use std::collections::VecDeque;
 use tca_pcie::{AddrRange, Bytes, Ctx, Device, DeviceId, PageMemory, PortIdx, Tlp, TlpKind};
-use tca_sim::{Counter, SimTime, TraceCtx, TraceLevel};
+use tca_sim::{Counter, SimTime, TraceCtx};
 
 /// Identifier of a poll watch registered on a host.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -92,6 +92,8 @@ pub struct HostCore {
     pub dram_writes: Counter,
     /// Bytes written into DRAM by devices.
     pub dram_bytes_in: Counter,
+    /// Device writes dropped because no DRAM range or window maps them.
+    pub unmapped_writes: Counter,
 }
 
 impl HostCore {
@@ -298,6 +300,7 @@ impl HostBridge {
                 irq_spans: Vec::new(),
                 dram_writes: Counter::new(),
                 dram_bytes_in: Counter::new(),
+                unmapped_writes: Counter::new(),
             },
             agent: None,
             watch_events: Vec::new(),
@@ -392,9 +395,7 @@ impl Device for HostBridge {
                     assert_ne!(out, port, "routing loop at {addr:#x}");
                     ctx.send(out, tlp);
                 } else {
-                    ctx.trace(TraceLevel::Txn, || {
-                        format!("{}: dropping write to unmapped {addr:#x}", self.core.name)
-                    });
+                    self.core.unmapped_writes.inc();
                 }
             }
             TlpKind::MemRead {
@@ -630,6 +631,21 @@ mod tests {
         assert_eq!(core.watch_hits(watch).len(), 1);
         assert_eq!(core.dram_writes.get(), 2);
         assert_eq!(core.dram_bytes_in.get(), 20);
+    }
+
+    #[test]
+    fn unmapped_device_write_is_counted_and_dropped() {
+        let (mut f, host, dev) = rig();
+        // Past DRAM (128 GiB) and past the one 1 GiB window above it.
+        f.drive::<Probe, _>(dev, |_, ctx| {
+            ctx.send(PortIdx(0), Tlp::write(0x30_0000_0000, vec![5u8; 8]));
+        });
+        f.run_until_idle();
+        let core = f.device::<HostBridge>(host).core();
+        assert_eq!(core.unmapped_writes.get(), 1);
+        assert_eq!(core.dram_writes.get(), 0);
+        assert_eq!(core.mem_ref().resident_pages(), 0, "DRAM untouched");
+        assert!(f.device::<Probe>(dev).writes.is_empty());
     }
 
     #[test]

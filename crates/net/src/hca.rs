@@ -22,7 +22,7 @@
 use crate::params::IbParams;
 use std::collections::HashMap;
 use tca_pcie::{Bytes, Ctx, Device, DeviceId, PortIdx, ReadReassembly, TagPool, Tlp, TlpKind};
-use tca_sim::{Counter, CounterId, GaugeId, MetricsHub, TraceLevel};
+use tca_sim::{Counter, CounterId, GaugeId, MetricsHub};
 
 /// Bit position of the node tag in an IB wire address.
 pub const IB_NODE_SHIFT: u32 = 48;
@@ -195,12 +195,6 @@ impl IbHca {
                     Tlp::write(addr, Bytes::copy_from_slice(&op.flag_value.to_le_bytes())),
                 );
             }
-            ctx.trace(TraceLevel::Txn, || {
-                format!(
-                    "{}: send complete {} B -> node {}",
-                    self.name, op.len, op.dst_node
-                )
-            });
             self.active = None;
             self.try_start(ctx);
         }

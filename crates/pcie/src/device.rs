@@ -10,7 +10,7 @@
 use crate::fabric::Net;
 use crate::tlp::{DeviceId, Dir, FcClass, PortIdx, Tlp};
 use std::any::Any;
-use tca_sim::{Dur, MetricsHub, SimTime, SpanStore, TraceLevel};
+use tca_sim::{Dur, MetricsHub, SimTime, SpanStore};
 
 /// A held receive-buffer credit. Devices that apply backpressure (PEACH2's
 /// finite internal packet buffer) call [`Ctx::hold_credits`] inside
@@ -138,12 +138,6 @@ impl<'a> Ctx<'a> {
     /// diagnose it.
     pub fn note_progress(&mut self) {
         self.progress = true;
-    }
-
-    /// Emits a trace line at the given level.
-    pub fn trace(&mut self, level: TraceLevel, line: impl FnOnce() -> String) {
-        let now = self.net.now();
-        self.net.tracer.emit(level, now, line);
     }
 
     /// The fabric-wide causal span store. Recording into it is pure data

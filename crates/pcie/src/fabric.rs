@@ -34,8 +34,8 @@ use std::any::Any;
 use std::collections::VecDeque;
 use tca_sim::metrics::{CounterId, GaugeId, MeterId};
 use tca_sim::{
-    Dur, EventQueue, FlightRecorder, Fnv64, MetricsHub, MetricsSnapshot, Sampler, SimRng, SimTime,
-    SpanStore, StallReport, TraceCtx, TraceLevel, Tracer, Watchdog,
+    Dur, EventQueue, FlightRecorder, Fnv64, JsonValue, MetricsHub, MetricsSnapshot, Sampler,
+    SimRng, SimTime, SpanStore, StallReport, TraceCtx, Watchdog,
 };
 
 /// Identifier of a link within the fabric.
@@ -227,7 +227,6 @@ pub(crate) struct Net {
     /// `[device][port]`: every TLP send looks its port up here.
     ports: Vec<Vec<Option<(u32, Dir)>>>,
     links: Vec<LinkState>,
-    pub(crate) tracer: Tracer,
     metrics: MetricsHub,
     /// Causal span trees of in-flight and completed transfers.
     pub(crate) spans: SpanStore,
@@ -259,7 +258,6 @@ impl Fabric {
                 queue: EventQueue::new(),
                 ports: Vec::new(),
                 links: Vec::new(),
-                tracer: Tracer::default(),
                 metrics: MetricsHub::new(),
                 spans: SpanStore::new(),
                 rng: SimRng::seed_from_u64(0x7ca_2013),
@@ -279,41 +277,19 @@ impl Fabric {
         self.net.rng = SimRng::seed_from_u64(seed);
     }
 
-    /// Enables tracing at `level`, keeping the most recent `capacity` lines.
-    pub fn set_trace(&mut self, level: TraceLevel, capacity: usize) {
-        self.net.tracer = Tracer::new(level, capacity);
-    }
-
-    /// Renders the retained trace.
-    pub fn dump_trace(&self) -> String {
-        self.net.tracer.dump()
-    }
-
-    /// Renders the retained trace as Chrome trace-event JSON (`ph`/`ts`/
-    /// `name` fields, timestamps in microseconds), loadable in Perfetto or
-    /// `chrome://tracing`. When span tracing is on, the causal span trees
-    /// are appended as complete (`"X"`) events plus cross-device flow
-    /// (`"s"`/`"f"`) arrows in the same array; when sampling is enabled,
-    /// every gauge series is appended as counter (`"C"`) events so the
-    /// occupancy curves render under the spans.
+    /// Chrome trace-event JSON (`ph`/`ts`/`name` fields, timestamps in
+    /// microseconds), loadable in Perfetto or `chrome://tracing`. The causal
+    /// span trees become complete (`"X"`) events plus cross-device flow
+    /// (`"s"`/`"f"`) arrows; when sampling is enabled, every gauge series
+    /// follows as counter (`"C"`) events so the occupancy curves render
+    /// under the spans. `"[]"` when neither recorded anything.
     pub fn chrome_trace_json(&self) -> String {
-        let mut out = self.net.tracer.chrome_trace_json();
-        if !self.net.spans.is_empty() {
-            out = Self::splice_json_arrays(out, self.net.spans.chrome_trace_json());
-        }
+        let mut events = Vec::new();
+        self.net.spans.chrome_trace_events(&mut events);
         if let Some(s) = &self.sampler {
-            out = Self::splice_json_arrays(out, s.chrome_counter_events_json());
+            s.chrome_counter_events(&mut events);
         }
-        out
-    }
-
-    /// Concatenates two JSON array strings into one array.
-    fn splice_json_arrays(a: String, b: String) -> String {
-        match (a.as_str(), b.as_str()) {
-            ("[]", _) => b,
-            (_, "[]") => a,
-            _ => format!("{},{}", &a[..a.len() - 1], &b[1..]),
-        }
+        JsonValue::Array(events).to_json()
     }
 
     /// Enables periodic gauge sampling at `period` of simulated time.
@@ -884,9 +860,6 @@ impl Fabric {
                 w.progress(now);
             }
         }
-        self.net.tracer.emit(TraceLevel::Packet, now, || {
-            format!("deliver {tlp:?} -> dev{}:{port:?}", dst.0)
-        });
         let mut ctx = Ctx::new(&mut self.net, dst, Some(hold));
         self.devices[dst.0 as usize].on_tlp(port, tlp, &mut ctx);
         if ctx.finish() {
@@ -967,11 +940,8 @@ impl Net {
     #[track_caller]
     pub(crate) fn submit(&mut self, src: DeviceId, port: PortIdx, tlp: Tlp) {
         let Some((link, end)) = self.port_slot(src, port) else {
-            let err = ConfigError::UnconnectedPort { device: src, port };
-            self.tracer.emit(TraceLevel::Txn, self.queue.now(), || {
-                format!("{err}: dropping {tlp:?}")
-            });
-            self.config_errors.push(err);
+            self.config_errors
+                .push(ConfigError::UnconnectedPort { device: src, port });
             return;
         };
         let LinkState { params, dirs, .. } = &mut self.links[link as usize];
@@ -1041,9 +1011,6 @@ impl Net {
                     self.link_segs
                         .push((sp, "replay", departure, arrival, sender.0));
                 }
-                self.tracer.emit(TraceLevel::Packet, self.queue.now(), || {
-                    format!("tx link{link}/{dir} {tlp:?} CORRUPT -> replay")
-                });
                 continue;
             }
             self.metrics.inc(d.m.tlps);
@@ -1057,9 +1024,6 @@ impl Net {
                 self.link_segs
                     .push((sp, "wire", departure, arrival, sender.0));
             }
-            self.tracer.emit(TraceLevel::Packet, self.queue.now(), || {
-                format!("tx link{link}/{dir} {tlp:?} depart={departure} arrive={arrival}")
-            });
             let tlp = self.tlps.insert(tlp);
             self.queue
                 .schedule_at(arrival, Ev::Deliver { link, dir, tlp });
@@ -1395,20 +1359,6 @@ mod tests {
         assert!(f.now() <= SimTime::from_ps(300_000));
         f.run_until_idle();
         assert_eq!(f.device::<TestMem>(mem).delivered_writes.len(), 10);
-    }
-
-    #[test]
-    fn packet_trace_captures_hops() {
-        let (mut f, req, _mem) = pair();
-        f.set_trace(TraceLevel::Packet, 64);
-        f.drive::<Requester, _>(req, |_, ctx| {
-            ctx.send(PortIdx(0), Tlp::write(0xabc0, vec![1u8; 64]));
-        });
-        f.run_until_idle();
-        let dump = f.dump_trace();
-        assert!(dump.contains("tx link0/fwd"), "{dump}");
-        assert!(dump.contains("deliver"), "{dump}");
-        assert!(dump.contains("0xabc0"), "{dump}");
     }
 
     #[test]

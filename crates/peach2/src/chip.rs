@@ -25,7 +25,6 @@ use tca_pcie::{
 };
 use tca_sim::{
     Counter, CounterId, Dur, GaugeId, HistogramId, LatencyHistogram, MetricsHub, SimTime, TraceCtx,
-    TraceLevel,
 };
 
 /// Port N: host connection (always, §III-D).
@@ -500,12 +499,6 @@ impl Peach2 {
             bytes: 0,
             descriptors: self.dma.count,
         });
-        ctx.trace(TraceLevel::Txn, || {
-            format!(
-                "{}: DMA start, {} descriptors",
-                self.name, self.regs.dma_desc_count
-            )
-        });
         ctx.timer_in(self.params.engine_start, T_ENGINE_START);
     }
 
@@ -745,9 +738,6 @@ impl Peach2 {
         );
         self.nios.note_dma_complete(ctx.now(), self.dma.count);
         self.dma.phase = Phase::Idle;
-        ctx.trace(TraceLevel::Txn, || {
-            format!("{}: DMA complete, {} bytes", self.name, self.dma.run_bytes)
-        });
     }
 
     fn on_completion(&mut self, tlp: Tlp, ctx: &mut Ctx<'_>) {
@@ -864,9 +854,6 @@ impl Peach2 {
                             Err(e) => {
                                 // Software bug, not a chip invariant: drop
                                 // the store, record it for the verifier.
-                                ctx.trace(TraceLevel::Txn, || {
-                                    format!("{}: dropped register write: {e}", self.name)
-                                });
                                 self.reg_errors.push(e);
                             }
                         }

@@ -49,7 +49,6 @@ pub mod sampler;
 pub mod span;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use engine::{EventId, EventQueue};
 pub use flight::{FlightEvent, FlightRecorder, Fnv64, FLIGHT_SCHEMA};
@@ -67,4 +66,3 @@ pub use sampler::{GaugeSeries, Sampler, StallReport, Watchdog};
 pub use span::{SpanId, SpanStore, TraceCtx, WriteRec};
 pub use stats::{fmt_gbps, BandwidthMeter, Counter, HdrHistogram, LatencyHistogram, OnlineStats};
 pub use time::{Dur, SimTime};
-pub use trace::{TraceEvent, TraceKind, TraceLevel, Tracer};

@@ -168,11 +168,9 @@ impl Sampler {
         root.to_json()
     }
 
-    /// Renders every sample as a Chrome-trace *counter* event (`"ph":"C"`),
-    /// as a JSON array string suitable for splicing into an existing trace's
-    /// `traceEvents`. Returns `"[]"` when nothing was sampled.
-    pub fn chrome_counter_events_json(&self) -> String {
-        let mut events: Vec<JsonValue> = Vec::new();
+    /// Appends every sample to `events` as a Chrome-trace *counter* event
+    /// (`"ph":"C"`); appends nothing when nothing was sampled.
+    pub fn chrome_counter_events(&self, events: &mut Vec<JsonValue>) {
         for s in self.series() {
             for &(t, v) in &s.samples {
                 let mut ev = JsonValue::object();
@@ -187,7 +185,6 @@ impl Sampler {
                 events.push(ev);
             }
         }
-        JsonValue::Array(events).to_json()
     }
 }
 
@@ -355,14 +352,15 @@ mod tests {
         let hub = hub_with_gauge("link.0.fwd.queue_depth", 7);
         let mut s = Sampler::new(Dur::from_us(1));
         s.capture(SimTime::from_ps(2_000_000), &hub);
-        let j = s.chrome_counter_events_json();
+        let mut events = Vec::new();
+        s.chrome_counter_events(&mut events);
+        let j = JsonValue::Array(events).to_json();
         assert!(j.contains("\"ph\":\"C\""));
         assert!(j.contains("\"ts\":2"));
         assert!(j.contains("\"value\":7"));
-        assert_eq!(
-            Sampler::new(Dur::from_us(1)).chrome_counter_events_json(),
-            "[]"
-        );
+        let mut none = Vec::new();
+        Sampler::new(Dur::from_us(1)).chrome_counter_events(&mut none);
+        assert!(none.is_empty());
     }
 
     #[test]

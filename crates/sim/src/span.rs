@@ -1,14 +1,15 @@
 //! Causal span tracing with exact simulated-time attribution.
 //!
-//! The [`Tracer`](crate::trace::Tracer) answers "what happened on this
-//! link"; this module answers "where did *this one transfer* spend its
-//! nanoseconds". A [`TraceCtx`] is allocated at the origin of a transfer
-//! (a CPU PIO store, a DMA doorbell, an MPI message) and carried by every
-//! packet the transfer generates. Each layer the packet crosses records a
-//! closed *segment* — credit stall, wire serialization, router forward
-//! delay, descriptor fetch, interrupt entry — against the transfer's root
-//! span, and the finished transfer yields a parent/child span tree whose
-//! intervals decompose the end-to-end latency exactly.
+//! The [`FlightRecorder`](crate::flight::FlightRecorder) answers "what
+//! happened at each dispatch"; this module answers "where did *this one
+//! transfer* spend its nanoseconds". A [`TraceCtx`] is allocated at the
+//! origin of a transfer (a CPU PIO store, a DMA doorbell, an MPI message)
+//! and carried by every packet the transfer generates. Each layer the
+//! packet crosses records a closed *segment* — credit stall, wire
+//! serialization, router forward delay, descriptor fetch, interrupt entry
+//! — against the transfer's root span, and the finished transfer yields a
+//! parent/child span tree whose intervals decompose the end-to-end latency
+//! exactly.
 //!
 //! ## Determinism contract
 //!
@@ -93,7 +94,7 @@ pub struct WriteRec {
 }
 
 /// Collector of transfer span trees. Owned by the fabric next to the
-/// tracer and metrics hub; disabled (and free) by default.
+/// metrics hub; disabled (and free) by default.
 #[derive(Default)]
 pub struct SpanStore {
     enabled: bool,
@@ -425,12 +426,12 @@ impl SpanStore {
         obj
     }
 
-    /// Chrome trace-event JSON for the span forest: every closed span
-    /// becomes a complete (`"X"`) event on its device's track, and every
-    /// parent→child edge that crosses devices becomes a flow (`"s"`/`"f"`)
-    /// pair, so Perfetto draws arrows following a transfer across nodes.
-    pub fn chrome_trace_json(&self) -> String {
-        let mut events = Vec::new();
+    /// Appends the span forest's Chrome trace events to `events`: every
+    /// closed span becomes a complete (`"X"`) event on its device's track,
+    /// and every parent→child edge that crosses devices becomes a flow
+    /// (`"s"`/`"f"`) pair, so Perfetto draws arrows following a transfer
+    /// across nodes.
+    pub fn chrome_trace_events(&self, events: &mut Vec<JsonValue>) {
         for (i, s) in self.spans.iter().enumerate() {
             let end = match s.end {
                 Some(e) => e,
@@ -480,7 +481,6 @@ impl SpanStore {
                 }
             }
         }
-        JsonValue::Array(events).to_json()
     }
 }
 
@@ -585,7 +585,9 @@ mod tests {
         let tree = s.tree_text();
         assert!(tree.starts_with("pio ["));
         assert!(tree.contains("  wire ["));
-        let chrome = s.chrome_trace_json();
+        let mut events = Vec::new();
+        s.chrome_trace_events(&mut events);
+        let chrome = JsonValue::Array(events).to_json();
         assert!(chrome.contains("\"ph\":\"X\""));
         assert!(chrome.contains("\"ph\":\"s\"") && chrome.contains("\"ph\":\"f\""));
     }

@@ -212,7 +212,7 @@ if ! diff -r "$profdir/tel_fl" "$profdir/tel_nofl" > /dev/null; then
 fi
 # Telemetry-equivalence gate: the flight log pins event order and span
 # records, and trace.json further pins every segment id and flow arrow.
-# The health, series and trace artifacts of that run must match the
+# The health, series, trace and metrics artifacts of that run must match the
 # digests checked in at configs/flight/ring-hops.telemetry.sha256.
 if ! (cd "$profdir/tel_nofl" &&
     sha256sum -c --quiet "$OLDPWD/configs/flight/ring-hops.telemetry.sha256"); then

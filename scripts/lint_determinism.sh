@@ -8,9 +8,6 @@
 # host-side wall-clock profiler, which measures *simulator* speed (ns/event
 # on the host) and is observationally neutral to simulated time by
 # construction (asserted by the tca-prof CI smoke).
-#
-# (`TraceKind::Instant` is a span event name, hence the precise patterns
-# rather than a bare "Instant".)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -39,12 +39,12 @@ for s in put-latency cg stencil stencil2d nbody; do
     done
 done
 
-# Remaining standalone reports (artifact-writing).
-for b in telemetry trace_pio; do
-    echo "== $b =="
-    cargo run -q --release -p tca-bench --bin "$b" | tee "$out/$b.txt"
-    echo
-done
+# Telemetry artifacts of the instrumented ping-pong run: health report,
+# gauge series, Chrome trace (spans + counters) and metrics snapshot.
+echo "== telemetry =="
+cargo run -q --release -p tca-bench --bin tca-bench -- \
+    --scenario pingpong --top --telemetry-dir "$out/telemetry" | tee "$out/telemetry.txt"
+echo
 
 # Schema-stable perf-regression report (byte-identical across runs), with
 # every metric validated against its paper-anchored bound.

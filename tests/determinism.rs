@@ -18,15 +18,14 @@ fn run_workload() -> (u64, Vec<u64>) {
     (events, times)
 }
 
-/// The same workload, optionally with full telemetry: packet-level tracing,
-/// causal span tracing, continuous gauge sampling, an armed stall watchdog,
-/// plus a metrics snapshot taken *between* operations (mid-run) and another
-/// at the end. Returns the final snapshot JSON and the span-tree JSON when
+/// The same workload, optionally with full telemetry: causal span tracing,
+/// continuous gauge sampling, an armed stall watchdog, plus a metrics
+/// snapshot taken *between* operations (mid-run) and another at the end.
+/// Returns the final snapshot JSON and the span-tree JSON when
 /// instrumented.
 fn run_workload_telemetry(instrument: bool) -> (u64, Vec<u64>, String, String) {
     let mut c = TcaClusterBuilder::new(4).build();
     if instrument {
-        c.fabric.set_trace(tca::sim::TraceLevel::Packet, 65536);
         c.set_span_tracing(true);
         c.enable_sampling(Dur::from_ns(100));
         c.arm_watchdog(Dur::from_ms(1));
@@ -157,8 +156,9 @@ fn flight_diff_names_first_divergent_stage_across_backends() {
     // span stage whose attribution differs — backends are different
     // machines, so the very first dispatch already disagrees.
     use tca_bench::scenario::BackendKind;
-    let a = tca_bench::flight_log("pingpong", BackendKind::Tca).expect("tca flight log");
-    let b = tca_bench::flight_log("pingpong", BackendKind::MpiStaged).expect("mpi flight log");
+    let flight_log = |backend| tca_bench::top_report("pingpong", backend, true).1;
+    let a = flight_log(BackendKind::Tca).expect("tca flight log");
+    let b = flight_log(BackendKind::MpiStaged).expect("mpi flight log");
     let rep = tca::verify::diff_flight_texts(&a, &b);
     assert!(rep.fails(false), "backends must diverge");
     let codes: Vec<&str> = rep.diagnostics.iter().map(|d| d.code).collect();
@@ -176,7 +176,7 @@ fn flight_diff_names_first_divergent_stage_across_backends() {
         "stage-level explanation present:\n{rendered}"
     );
     // Same-backend control: identical seeds, zero divergences.
-    let a2 = tca_bench::flight_log("pingpong", BackendKind::Tca).expect("tca flight log");
+    let a2 = flight_log(BackendKind::Tca).expect("tca flight log");
     let control = tca::verify::diff_flight_texts(&a, &a2);
     assert!(control.is_clean(), "{}", control.render());
 }
@@ -284,8 +284,8 @@ fn health_artifacts_replay_byte_identically() {
     // The tca-top pipeline end to end: instrumented cluster, sampled
     // series, health report, Chrome trace with counter events. Two
     // identical runs must produce byte-identical artifacts.
-    let a = tca_bench::top_report("pingpong", tca_bench::scenario::BackendKind::Tca);
-    let b = tca_bench::top_report("pingpong", tca_bench::scenario::BackendKind::Tca);
+    let run = || tca_bench::top_report("pingpong", tca_bench::scenario::BackendKind::Tca, false).0;
+    let (a, b) = (run(), run());
     assert!(a.text.contains("fabric health:"), "{}", a.text);
     assert!(
         a.health_json.starts_with("{\"schema\":\"tca-health/v1\""),
@@ -305,6 +305,7 @@ fn health_artifacts_replay_byte_identically() {
     assert_eq!(a.health_json, b.health_json, "health JSON diverged");
     assert_eq!(a.series_json, b.series_json, "series JSON diverged");
     assert_eq!(a.trace_json, b.trace_json, "trace JSON diverged");
+    assert_eq!(a.metrics_json, b.metrics_json, "metrics JSON diverged");
 }
 
 #[test]
