@@ -1,8 +1,9 @@
 //! Fabric perf-regression harness: runs the §IV-B1 ping-pong, the hop
-//! sweep, and the Fig. 7/8/9 bandwidth kernels, writes the schema-stable
-//! `BENCH_fabric.json` (byte-identical across runs), and validates every
-//! metric against its paper-anchored bound. Exits non-zero on drift, so CI
-//! catches a fabric-timing regression the moment it lands.
+//! sweep, and the Fig. 7/8/9 bandwidth anchors through their registry
+//! sweep points, writes the schema-stable `BENCH_fabric.json`
+//! (byte-identical across runs), and validates every metric against its
+//! paper-anchored bound. Exits non-zero on drift, so CI catches a
+//! fabric-timing regression the moment it lands.
 //!
 //! Usage: `bench_regression [output.json]` (default `results/BENCH_fabric.json`).
 
@@ -18,11 +19,11 @@ fn main() -> ExitCode {
     println!("fabric regression report");
     println!(
         "  pingpong    PIO {:.3} µs (paper 2.3)   DMA {:.3} µs (paper 2.0)",
-        bench.pingpong.pio_us, bench.pingpong.dma_us
+        bench.pio_us, bench.dma_us
     );
     println!(
         "  hw legs     PIO {:.0} ns one-way       DMA {:.0} ns doorbell→commit",
-        bench.pingpong.pio_leg_ns, bench.pingpong.dma_leg_ns
+        bench.pio_leg_ns, bench.dma_leg_ns
     );
     print!("  hop sweep  ");
     for (i, ns) in bench.hop_pio_ns.iter().enumerate() {

@@ -27,14 +27,15 @@
 //! other artifact are byte-identical with and without it, which
 //! `scripts/ci.sh` asserts on every run.
 //!
-//! `--profile` takes a host-side engine profile of the scenario's
-//! representative rig (tca-prof layer two: `Instant` phase timers around
-//! build/warmup/steady plus per-event-kind dispatch time) and writes
-//! `PROF_<scenario>.json` (`tca-prof/v1`) and `PROF_<scenario>.folded`
-//! (flamegraph folded stacks) into `--profile-dir` (default `results/`).
-//! Profiling is observationally neutral: stdout — sweep JSON, tables,
-//! health reports — is byte-identical with and without it, which
-//! `scripts/ci.sh` asserts on every run.
+//! `--profile` writes the host cost of the sweep just run — wall time,
+//! allocations and allocated bytes per point, in sweep order — as
+//! `PROF_<scenario>.json` (`tca-prof/v2`) and `PROF_<scenario>.folded`
+//! (one flamegraph folded-stack line per point) into `--profile-dir`
+//! (default `results/`). Under `--top` the sweep still runs for the
+//! profile, but only the health report is printed. Profiling is
+//! observationally neutral: stdout — sweep JSON, tables, health reports —
+//! is byte-identical with and without it, which `scripts/ci.sh` asserts
+//! on every run.
 //!
 //! `--whatif` switches to the causal-profiler mode (tca backend only):
 //! the scenario's whatif workload is re-run once per duration parameter
@@ -58,7 +59,7 @@ use std::process::ExitCode;
 use tca_bench::scenario::{find, list_json, run_sweep, scenarios, BackendKind, TelemetryMode};
 
 /// Counts this process's heap allocations so `--profile` reports live
-/// allocs/bytes per phase (tca-prof layer one; observationally neutral).
+/// allocs/bytes per point (tca-prof layer one; observationally neutral).
 #[global_allocator]
 static ALLOC: tca_sim::prof::CountingAllocator = tca_sim::prof::CountingAllocator;
 
@@ -250,12 +251,19 @@ fn main() -> ExitCode {
         return fail("--set only applies to --whatif runs");
     }
 
-    // Host-side engine profile of the representative rig. Artifacts go to
-    // files and the notice to stderr, keeping stdout byte-identical with
-    // and without --profile (asserted by the ci.sh neutrality smoke).
+    // The sweep runs unless only the health report is wanted; --profile
+    // writes its per-point host costs. Artifacts go to files and the
+    // notice to stderr, keeping stdout byte-identical with and without
+    // --profile (asserted by the ci.sh neutrality smoke).
+    let telemetry = if json {
+        TelemetryMode::Summary
+    } else {
+        TelemetryMode::Off
+    };
+    let sweep = (profile || !top).then(|| run_sweep(&sc, backend, jobs, telemetry));
     if profile {
-        let prof = tca_bench::profile_scenario(sc.name);
-        for path in prof.write_to(&profile_dir) {
+        let sweep = sweep.as_ref().expect("--profile runs the sweep");
+        for path in tca_bench::prof::write_sweep_profile(sweep, &profile_dir) {
             eprintln!("tca-bench: wrote {}", path.display());
         }
     }
@@ -291,12 +299,7 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let telemetry = if json {
-        TelemetryMode::Summary
-    } else {
-        TelemetryMode::Off
-    };
-    let sweep = run_sweep(&sc, backend, jobs, telemetry);
+    let sweep = sweep.expect("the sweep runs whenever --top is off");
     if json {
         println!("{}", sweep.to_json());
     } else {

@@ -2,15 +2,39 @@
 //! paper's evaluation (§II Table I, §IV Figs. 7/8/9/12 and the latency
 //! measurement), plus the ablations DESIGN.md calls out.
 //!
-//! Each `figN_*` function rebuilds the paper's exact measurement rig
-//! inside a fresh simulation and returns the series the figure plots; the
-//! [`scenario`] registry behind `tca-bench` prints them as aligned tables
-//! or `tca-bench-sweep/v1` JSON, and `EXPERIMENTS.md` records
-//! paper-vs-measured values.
+//! Each `*_row` function rebuilds the paper's exact measurement rig for
+//! one sweep point inside a fresh simulation and returns that point's JSON
+//! row. The [`scenario`] registry behind `tca-bench` is the only caller
+//! that turns them into sweeps — printed as aligned tables or
+//! `tca-bench-sweep/v1` JSON, read back by [`fabric_regression`], and
+//! timed by `--profile` — and `EXPERIMENTS.md` records paper-vs-measured
+//! values.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+
+/// Builds the chosen backend world with `nodes` nodes and runs `body` on
+/// it, monomorphized per backend (app entry points take
+/// `&mut impl CommWorld`, which requires a sized concrete type).
+macro_rules! on_backend {
+    ($kind:expr, $nodes:expr, |$c:ident| $body:expr) => {
+        match $kind {
+            BackendKind::Tca => {
+                let mut $c = TcaClusterBuilder::new($nodes).build();
+                $body
+            }
+            BackendKind::MpiStaged => {
+                let mut $c = MpiBackend::new($nodes, MpiGpuMode::Staged);
+                $body
+            }
+            BackendKind::MpiGpuDirect => {
+                let mut $c = MpiBackend::new($nodes, MpiGpuMode::GpuDirect);
+                $body
+            }
+        }
+    };
+}
 
 pub mod prof;
 pub mod refqueue;
@@ -19,16 +43,17 @@ pub mod topo_fabric;
 pub mod whatif;
 
 pub use prof::{
-    engine_bench, engine_bench_with, profile_scenario, queue_race, EngineBench, EngineProfile,
-    EngineWorkload, QueueRace,
+    engine_bench, engine_bench_with, queue_race, EngineBench, EngineProfile, EngineWorkload,
+    QueueRace,
 };
 
 use std::path::{Path, PathBuf};
+use tca_core::{MpiBackend, MpiGpuMode};
 use tca_device::map::TcaBlock;
 use tca_device::node::{build_dual_socket_node, NodeConfig};
 use tca_device::{Gpu, HostBridge, QpiParams};
-use tca_net::{attach_ib, IbParams, MpiWorld, Protocol};
-use tca_pcie::{AddrRange, Fabric, LinkParams};
+use tca_net::{IbParams, Protocol};
+use tca_pcie::{AddrRange, Fabric};
 use tca_peach2::{
     build_loopback, build_ring, Descriptor, EngineKind, Peach2, Peach2Driver, Peach2Params,
     SubCluster,
@@ -60,32 +85,15 @@ pub struct Rig {
     pub drivers: Vec<Peach2Driver>,
 }
 
-/// Builds a fresh ring rig of `n` nodes.
+/// Builds a fresh ring rig of `n` nodes from the default (Table II)
+/// parameter bundle.
 pub fn rig(n: u32) -> Rig {
-    let mut fabric = Fabric::new();
-    tca_core::apply_env_flight(&mut fabric);
-    let sc = build_ring(
-        &mut fabric,
-        n,
-        &NodeConfig::default(),
-        Peach2Params::default(),
-    );
-    let drivers: Vec<Peach2Driver> = (0..n as usize)
-        .map(|i| Peach2Driver::new(sc.map, i as u32, sc.nodes[i].host, sc.chips[i]))
-        .collect();
-    for d in &drivers {
-        d.init(&mut fabric);
-    }
-    Rig {
-        fabric,
-        sc,
-        drivers,
-    }
+    rig_with(n, &tca_core::FabricParams::default())
 }
 
 /// Builds a ring rig of `n` nodes from an explicit parameter bundle —
-/// the entry point the `tca-whatif` causal profiler re-runs with one
-/// knob virtually scaled. `rig(n)` is exactly `rig_with(n, &default)`.
+/// the entry point the `--whatif` causal profiler re-runs with one knob
+/// virtually scaled.
 pub fn rig_with(n: u32, fp: &tca_core::FabricParams) -> Rig {
     let mut fabric = Fabric::new();
     tca_core::apply_env_flight(&mut fabric);
@@ -173,140 +181,77 @@ pub fn dma_bandwidth(r: &mut Rig, target: Target, dir: Direction, count: u64, si
     m.bandwidth()
 }
 
-/// One row of Fig. 7 / Fig. 8 (chained / single DMA, local targets).
-#[derive(Clone, Copy, Debug)]
-pub struct LocalDmaRow {
-    /// Transfer size per descriptor, bytes.
-    pub size: u64,
-    /// DMA write to local CPU memory, bytes/s.
-    pub cpu_write: f64,
-    /// DMA read from local CPU memory, bytes/s.
-    pub cpu_read: f64,
-    /// DMA write to local (pinned) GPU memory, bytes/s.
-    pub gpu_write: f64,
-    /// DMA read from local GPU memory, bytes/s.
-    pub gpu_read: f64,
+/// [`dma_bandwidth`] on a fresh 2-node rig, as a JSON number.
+fn dma_point(target: Target, dir: Direction, count: u64, size: u64) -> JsonValue {
+    jf(dma_bandwidth(&mut rig(2), target, dir, count, size))
 }
 
-/// Fig. 7: size vs bandwidth between PEACH2 and CPU/GPU, 255 chained DMAs.
-pub fn fig7(sizes: &[u64]) -> Vec<LocalDmaRow> {
-    local_dma_sweep(sizes, 255)
+/// Builds a sweep row: a JSON object with `fields` in the given order.
+pub(crate) fn row(fields: Vec<(&str, JsonValue)>) -> JsonValue {
+    let mut o = JsonValue::object();
+    for (k, v) in fields {
+        o.push(k, v);
+    }
+    o
 }
 
-/// Fig. 8: size vs bandwidth for a single DMA request.
-pub fn fig8(sizes: &[u64]) -> Vec<LocalDmaRow> {
-    local_dma_sweep(sizes, 1)
+pub(crate) fn jf(v: f64) -> JsonValue {
+    JsonValue::from(v)
 }
 
-fn local_dma_sweep(sizes: &[u64], count: u64) -> Vec<LocalDmaRow> {
-    sizes
-        .iter()
-        .map(|&size| LocalDmaRow {
-            size,
-            cpu_write: dma_bandwidth(&mut rig(2), Target::LocalCpu, Direction::Write, count, size),
-            cpu_read: dma_bandwidth(&mut rig(2), Target::LocalCpu, Direction::Read, count, size),
-            gpu_write: dma_bandwidth(&mut rig(2), Target::LocalGpu, Direction::Write, count, size),
-            gpu_read: dma_bandwidth(&mut rig(2), Target::LocalGpu, Direction::Read, count, size),
-        })
-        .collect()
+/// One row of Fig. 7 (`count` = 255 chained DMAs) or Fig. 8 (`count` = 1):
+/// bandwidth between PEACH2 and local CPU/GPU memory at `size` bytes per
+/// descriptor, bytes/s.
+pub fn local_dma_row(size: u64, count: u64) -> JsonValue {
+    use Direction::{Read, Write};
+    use Target::{LocalCpu, LocalGpu};
+    row(vec![
+        ("size", JsonValue::from(size)),
+        ("cpu_write_bps", dma_point(LocalCpu, Write, count, size)),
+        ("cpu_read_bps", dma_point(LocalCpu, Read, count, size)),
+        ("gpu_write_bps", dma_point(LocalGpu, Write, count, size)),
+        ("gpu_read_bps", dma_point(LocalGpu, Read, count, size)),
+    ])
 }
 
-/// One row of Fig. 9 (request count at fixed 4 KiB).
-#[derive(Clone, Copy, Debug)]
-pub struct Fig9Row {
-    /// Number of chained DMA requests.
-    pub requests: u64,
-    /// DMA write to CPU, bytes/s.
-    pub cpu_write: f64,
-    /// DMA write to GPU, bytes/s.
-    pub gpu_write: f64,
-    /// DMA read from CPU, bytes/s.
-    pub cpu_read: f64,
+/// One row of Fig. 9: `count` chained requests at a fixed 4 KiB, bytes/s.
+pub fn fig9_row(count: u64) -> JsonValue {
+    use Direction::{Read, Write};
+    use Target::{LocalCpu, LocalGpu};
+    row(vec![
+        ("requests", JsonValue::from(count)),
+        ("cpu_write_bps", dma_point(LocalCpu, Write, count, 4096)),
+        ("gpu_write_bps", dma_point(LocalGpu, Write, count, 4096)),
+        ("cpu_read_bps", dma_point(LocalCpu, Read, count, 4096)),
+    ])
 }
 
-/// Fig. 9: number of DMA requests vs bandwidth at a fixed 4 KiB size.
-pub fn fig9(counts: &[u64]) -> Vec<Fig9Row> {
-    counts
-        .iter()
-        .map(|&n| Fig9Row {
-            requests: n,
-            cpu_write: dma_bandwidth(&mut rig(2), Target::LocalCpu, Direction::Write, n, 4096),
-            gpu_write: dma_bandwidth(&mut rig(2), Target::LocalGpu, Direction::Write, n, 4096),
-            cpu_read: dma_bandwidth(&mut rig(2), Target::LocalCpu, Direction::Read, n, 4096),
-        })
-        .collect()
+/// One row of Fig. 12: 255 chained DMA writes of `size` bytes to the
+/// adjacent node's CPU and GPU memory over the cable, beside the local
+/// CPU curves of Fig. 7, bytes/s.
+pub fn fig12_row(size: u64) -> JsonValue {
+    use Direction::{Read, Write};
+    use Target::{LocalCpu, RemoteCpu, RemoteGpu};
+    row(vec![
+        ("size", JsonValue::from(size)),
+        ("cpu_local_write_bps", dma_point(LocalCpu, Write, 255, size)),
+        ("cpu_local_read_bps", dma_point(LocalCpu, Read, 255, size)),
+        (
+            "cpu_remote_write_bps",
+            dma_point(RemoteCpu, Write, 255, size),
+        ),
+        (
+            "gpu_remote_write_bps",
+            dma_point(RemoteGpu, Write, 255, size),
+        ),
+    ])
 }
 
-/// One row of Fig. 12 (remote-node DMA writes vs the local curves).
-#[derive(Clone, Copy, Debug)]
-pub struct Fig12Row {
-    /// Transfer size per descriptor, bytes.
-    pub size: u64,
-    /// Local CPU write (the Fig. 7 curve, for comparison).
-    pub cpu_local_write: f64,
-    /// Local CPU read (Fig. 7 curve).
-    pub cpu_local_read: f64,
-    /// DMA write to the adjacent node's CPU memory via the cable.
-    pub cpu_remote_write: f64,
-    /// DMA write to the adjacent node's GPU memory via the cable.
-    pub gpu_remote_write: f64,
-}
-
-/// Fig. 12: size vs bandwidth to the adjacent node, 255 chained DMAs.
-pub fn fig12(sizes: &[u64]) -> Vec<Fig12Row> {
-    sizes
-        .iter()
-        .map(|&size| Fig12Row {
-            size,
-            cpu_local_write: dma_bandwidth(
-                &mut rig(2),
-                Target::LocalCpu,
-                Direction::Write,
-                255,
-                size,
-            ),
-            cpu_local_read: dma_bandwidth(
-                &mut rig(2),
-                Target::LocalCpu,
-                Direction::Read,
-                255,
-                size,
-            ),
-            cpu_remote_write: dma_bandwidth(
-                &mut rig(2),
-                Target::RemoteCpu,
-                Direction::Write,
-                255,
-                size,
-            ),
-            gpu_remote_write: dma_bandwidth(
-                &mut rig(2),
-                Target::RemoteGpu,
-                Direction::Write,
-                255,
-                size,
-            ),
-        })
-        .collect()
-}
-
-/// The §IV-B1 latency report.
-#[derive(Clone, Copy, Debug)]
-pub struct LatencyReport {
-    /// PIO one-way latency through two boards and one cable (Fig. 10), ns.
-    /// Paper: 782 ns.
-    pub pio_oneway_ns: f64,
-    /// InfiniBand FDR RDMA-write one-way latency (host to host), ns.
-    /// Paper cites "< 1 µs" from the ConnectX-3 product brief.
-    pub ib_fdr_oneway_ns: f64,
-    /// InfiniBand QDR (base-cluster hardware) one-way latency, ns.
-    pub ib_qdr_oneway_ns: f64,
-    /// MPI (eager, host-to-host) half-round-trip over QDR, ns.
-    pub mpi_halfrtt_ns: f64,
-}
-
-/// Measures the Fig. 10 loopback PIO latency plus the IB comparison points.
-pub fn latency_report() -> LatencyReport {
+/// The §IV-B1 latency row: the Fig. 10 loopback PIO one-way latency
+/// through two boards and one cable (paper: 782 ns), InfiniBand FDR and
+/// QDR RDMA-write one-way latency host to host (the paper cites "< 1 µs"
+/// for FDR), and the eager MPI half round trip over QDR, all in ns.
+pub fn latency_row() -> JsonValue {
     // --- PIO via the two-board loopback rig.
     let pio_oneway_ns = {
         let mut f = Fabric::new();
@@ -330,21 +275,21 @@ pub fn latency_report() -> LatencyReport {
     };
 
     let ib_oneway = |params: IbParams| -> f64 {
-        let mut f = Fabric::new();
-        let mut nodes: Vec<_> = (0..2)
-            .map(|i| tca_device::node::build_node(&mut f, &format!("n{i}"), &NodeConfig::default()))
-            .collect();
-        let net = attach_ib(&mut f, &mut nodes, params);
-        f.device_mut::<HostBridge>(nodes[0].host)
+        let MpiBackend {
+            fabric: mut f,
+            world,
+            ..
+        } = MpiBackend::with_params(2, MpiGpuMode::Staged, NodeConfig::default(), params);
+        f.device_mut::<HostBridge>(world.nodes[0].host)
             .core_mut()
             .mem()
             .write(0x4000_0000, &[1u8; 4]);
         let watch = f
-            .device_mut::<HostBridge>(nodes[1].host)
+            .device_mut::<HostBridge>(world.nodes[1].host)
             .core_mut()
             .add_watch(AddrRange::new(0x5000_0000, 4));
         let t0 = f.now();
-        f.drive::<tca_net::IbHca, _>(net.hcas[0], |h, ctx| {
+        f.drive::<tca_net::IbHca, _>(world.net.hcas[0], |h, ctx| {
             h.post(
                 tca_net::SendOp {
                     src: 0x4000_0000,
@@ -359,86 +304,64 @@ pub fn latency_report() -> LatencyReport {
         });
         f.run_until_idle();
         let hits = f
-            .device::<HostBridge>(nodes[1].host)
+            .device::<HostBridge>(world.nodes[1].host)
             .core()
             .watch_hits(watch);
         hits[0].since(t0).as_ns_f64()
     };
 
     let mpi_halfrtt_ns = {
-        let mut f = Fabric::new();
-        let mut nodes: Vec<_> = (0..2)
-            .map(|i| tca_device::node::build_node(&mut f, &format!("n{i}"), &NodeConfig::default()))
-            .collect();
-        let net = attach_ib(&mut f, &mut nodes, IbParams::default());
-        let mut w = MpiWorld::new(nodes, net);
-        f.device_mut::<HostBridge>(w.nodes[0].host)
+        let MpiBackend {
+            fabric: mut f,
+            mut world,
+            ..
+        } = MpiBackend::new(2, MpiGpuMode::Staged);
+        f.device_mut::<HostBridge>(world.nodes[0].host)
             .core_mut()
             .mem()
             .write(0x4000_0000, &[1u8; 8]);
-        let fwd = w.send(&mut f, 0, 1, 0x4000_0000, 0x5000_0000, 8, Protocol::Eager);
-        let back = w.send(&mut f, 1, 0, 0x5000_0000, 0x4000_0100, 8, Protocol::Eager);
+        let fwd = world.send(&mut f, 0, 1, 0x4000_0000, 0x5000_0000, 8, Protocol::Eager);
+        let back = world.send(&mut f, 1, 0, 0x5000_0000, 0x4000_0100, 8, Protocol::Eager);
         ((fwd + back) / 2).as_ns_f64()
     };
 
-    LatencyReport {
-        pio_oneway_ns,
-        ib_fdr_oneway_ns: ib_oneway(IbParams::fdr()),
-        ib_qdr_oneway_ns: ib_oneway(IbParams::default()),
-        mpi_halfrtt_ns,
-    }
+    row(vec![
+        ("pio_oneway_ns", jf(pio_oneway_ns)),
+        ("ib_fdr_oneway_ns", jf(ib_oneway(IbParams::fdr()))),
+        ("ib_qdr_oneway_ns", jf(ib_oneway(IbParams::default()))),
+        ("mpi_halfrtt_ns", jf(mpi_halfrtt_ns)),
+    ])
 }
 
-/// One row of the A2 DMAC ablation: two-phase legacy put vs pipelined put.
-#[derive(Clone, Copy, Debug)]
-pub struct DmacAblationRow {
-    /// Transfer size, bytes.
-    pub size: u64,
-    /// Legacy two-phase node-to-node put, bytes/s.
-    pub legacy_two_phase: f64,
-    /// Pipelined (new DMAC) node-to-node put, bytes/s.
-    pub pipelined: f64,
+/// One row of the A2 DMAC ablation (§IV-B2): a `size`-byte node-to-node
+/// put through the shipping two-phase legacy procedure and through the
+/// pipelined "new DMAC", bytes/s.
+pub fn dmac_row(size: u64) -> JsonValue {
+    let mut r = rig(2);
+    let dst = r.sc.map.global_addr(1, TcaBlock::Host, 0x4000_0000);
+    let buf = r.drivers[0].dma_buf;
+    r.fabric
+        .device_mut::<HostBridge>(r.sc.nodes[0].host)
+        .core_mut()
+        .mem()
+        .fill_pattern(buf, size, 0x11);
+    let legacy = r.drivers[0]
+        .legacy_remote_put(&mut r.fabric, buf, dst, size)
+        .bandwidth();
+    let piped = r.drivers[0]
+        .pipelined_remote_put(&mut r.fabric, buf, dst, size)
+        .bandwidth();
+    row(vec![
+        ("size", JsonValue::from(size)),
+        ("legacy_two_phase_bps", jf(legacy)),
+        ("pipelined_bps", jf(piped)),
+    ])
 }
 
-/// A2: the §IV-B2 "new DMAC" against the shipping two-phase procedure.
-pub fn dmac_ablation(sizes: &[u64]) -> Vec<DmacAblationRow> {
-    sizes
-        .iter()
-        .map(|&size| {
-            let mut r = rig(2);
-            let dst = r.sc.map.global_addr(1, TcaBlock::Host, 0x4000_0000);
-            let buf = r.drivers[0].dma_buf;
-            r.fabric
-                .device_mut::<HostBridge>(r.sc.nodes[0].host)
-                .core_mut()
-                .mem()
-                .fill_pattern(buf, size, 0x11);
-            let legacy = r.drivers[0]
-                .legacy_remote_put(&mut r.fabric, buf, dst, size)
-                .bandwidth();
-            let piped = r.drivers[0]
-                .pipelined_remote_put(&mut r.fabric, buf, dst, size)
-                .bandwidth();
-            DmacAblationRow {
-                size,
-                legacy_two_phase: legacy,
-                pipelined: piped,
-            }
-        })
-        .collect()
-}
-
-/// The A1 QPI ablation: P2P write bandwidth same-socket vs across QPI.
-#[derive(Clone, Copy, Debug)]
-pub struct QpiReport {
-    /// CPU streaming-store bandwidth into a same-socket GPU, bytes/s.
-    pub same_socket: f64,
-    /// The same stores crossing QPI to the other socket's GPU, bytes/s.
-    pub across_qpi: f64,
-}
-
-/// A1: reproduces §IV-A2's "several hundred Mbytes/sec" QPI degradation.
-pub fn qpi_report() -> QpiReport {
+/// The A1 QPI ablation row: CPU streaming-store bandwidth into a
+/// same-socket GPU and into the other socket's GPU across QPI, bytes/s —
+/// §IV-A2's "several hundred Mbytes/sec" degradation.
+pub fn qpi_row() -> JsonValue {
     let run = |cross: bool| -> f64 {
         let mut f = Fabric::new();
         let node =
@@ -466,128 +389,95 @@ pub fn qpi_report() -> QpiReport {
         let end = f.run_until_idle();
         len as f64 / end.since(t0).as_s_f64()
     };
-    QpiReport {
-        same_socket: run(false),
-        across_qpi: run(true),
-    }
+    row(vec![
+        ("same_socket_bps", jf(run(false))),
+        ("across_qpi_bps", jf(run(true))),
+    ])
 }
 
-/// One row of the A3 comparison: GPU-to-GPU transfer time across stacks.
-#[derive(Clone, Copy, Debug)]
-pub struct ComparisonRow {
-    /// Message size, bytes.
-    pub size: u64,
-    /// TCA pipelined DMA GPU→GPU (remote), µs.
-    pub tca_dma_us: f64,
-    /// TCA PIO host→remote-GPU (short messages only; 0 when skipped), µs.
-    pub tca_pio_us: f64,
-    /// Conventional 3-copy path: cudaMemcpy + MPI/IB + cudaMemcpy, µs.
-    pub mpi_staged_us: f64,
-    /// GPUDirect-RDMA over IB (zero-copy, read-throttled), µs.
-    pub ib_gpudirect_us: f64,
+/// One row of the A3 comparison (the §I motivation quantified): the time
+/// to move `size` bytes GPU to GPU across nodes by TCA pipelined DMA, by
+/// TCA PIO from the host (messages up to 8 KiB; 0 otherwise), by the
+/// conventional cudaMemcpy + MPI/IB + cudaMemcpy path, and by GPUDirect
+/// RDMA over IB, µs.
+pub fn comparison_row(size: u64) -> JsonValue {
+    // --- TCA side: 2-node ring, GPU0@n0 → GPU0@n1, pipelined DMAC.
+    let (tca_dma_us, tca_pio_us) = {
+        let mut r = rig(2);
+        let src_bar = {
+            let g = r.fabric.device_mut::<Gpu>(r.sc.nodes[0].gpus[0]);
+            let a = g.alloc(size);
+            g.gddr().fill_pattern(a, size, 1);
+            let t = g.p2p_token(a, size);
+            g.pin(a, size, t)
+        };
+        {
+            let g = r.fabric.device_mut::<Gpu>(r.sc.nodes[1].gpus[0]);
+            let a = g.alloc(size);
+            let t = g.p2p_token(a, size);
+            g.pin(a, size, t);
+        }
+        let dst = r.sc.map.global_addr(1, TcaBlock::Gpu0, 0);
+        let dma = r.drivers[0]
+            .pipelined_remote_put(&mut r.fabric, src_bar, dst, size)
+            .window
+            .as_us_f64();
+        let pio = if size <= 8192 {
+            let t0 = r.fabric.now();
+            let data = vec![0u8; size as usize];
+            let host = r.sc.nodes[0].host;
+            r.fabric.drive::<HostBridge, _>(host, |h, ctx| {
+                h.core_mut().cpu_store_wc(dst, &data, ctx);
+            });
+            let end = r.fabric.run_until_idle();
+            end.since(t0).as_us_f64()
+        } else {
+            0.0
+        };
+        (dma, pio)
+    };
+
+    // --- Baseline side: 2 nodes + IB, staged and GPUDirect.
+    let (mpi_staged_us, ib_gpudirect_us) = {
+        let MpiBackend {
+            fabric: mut f,
+            world: mut w,
+            ..
+        } = MpiBackend::new(2, MpiGpuMode::Staged);
+        let (src_bar, dst_bar) = {
+            let g = f.device_mut::<Gpu>(w.nodes[0].gpus[0]);
+            let a = g.alloc(size);
+            g.gddr().fill_pattern(a, size, 2);
+            let t = g.p2p_token(a, size);
+            let s = g.pin(a, size, t);
+            let g = f.device_mut::<Gpu>(w.nodes[1].gpus[0]);
+            let b = g.alloc(size);
+            let t = g.p2p_token(b, size);
+            let d = g.pin(b, size, t);
+            (s, d)
+        };
+        let staged = w
+            .send_gpu_staged(&mut f, 0, 0, 1, 0, size, Protocol::Auto)
+            .as_us_f64();
+        let direct = w
+            .send_gpu_gpudirect(&mut f, 0, src_bar, 1, dst_bar, size)
+            .as_us_f64();
+        (staged, direct)
+    };
+
+    row(vec![
+        ("size", JsonValue::from(size)),
+        ("tca_dma_us", jf(tca_dma_us)),
+        ("tca_pio_us", jf(tca_pio_us)),
+        ("mpi_staged_us", jf(mpi_staged_us)),
+        ("ib_gpudirect_us", jf(ib_gpudirect_us)),
+    ])
 }
 
-/// A3: the §I motivation quantified — TCA vs the conventional cluster.
-pub fn comparison(sizes: &[u64]) -> Vec<ComparisonRow> {
-    sizes
-        .iter()
-        .map(|&size| {
-            // --- TCA side: 2-node ring, GPU0@n0 → GPU0@n1, pipelined DMAC.
-            let (tca_dma_us, tca_pio_us) = {
-                let mut r = rig(2);
-                let src_bar = {
-                    let g = r.fabric.device_mut::<Gpu>(r.sc.nodes[0].gpus[0]);
-                    let a = g.alloc(size);
-                    g.gddr().fill_pattern(a, size, 1);
-                    let t = g.p2p_token(a, size);
-                    g.pin(a, size, t)
-                };
-                {
-                    let g = r.fabric.device_mut::<Gpu>(r.sc.nodes[1].gpus[0]);
-                    let a = g.alloc(size);
-                    let t = g.p2p_token(a, size);
-                    g.pin(a, size, t);
-                }
-                let dst = r.sc.map.global_addr(1, TcaBlock::Gpu0, 0);
-                let dma = r.drivers[0]
-                    .pipelined_remote_put(&mut r.fabric, src_bar, dst, size)
-                    .window
-                    .as_us_f64();
-                let pio = if size <= 8192 {
-                    let t0 = r.fabric.now();
-                    let data = vec![0u8; size as usize];
-                    let host = r.sc.nodes[0].host;
-                    r.fabric.drive::<HostBridge, _>(host, |h, ctx| {
-                        h.core_mut().cpu_store_wc(dst, &data, ctx);
-                    });
-                    let end = r.fabric.run_until_idle();
-                    end.since(t0).as_us_f64()
-                } else {
-                    0.0
-                };
-                (dma, pio)
-            };
-
-            // --- Baseline side: 2 nodes + IB, staged and GPUDirect.
-            let (mpi_staged_us, ib_gpudirect_us) = {
-                let mut f = Fabric::new();
-                let mut nodes: Vec<_> = (0..2)
-                    .map(|i| {
-                        tca_device::node::build_node(
-                            &mut f,
-                            &format!("n{i}"),
-                            &NodeConfig::default(),
-                        )
-                    })
-                    .collect();
-                let net = attach_ib(&mut f, &mut nodes, IbParams::default());
-                let mut w = MpiWorld::new(nodes, net);
-                let (src_bar, dst_bar) = {
-                    let g = f.device_mut::<Gpu>(w.nodes[0].gpus[0]);
-                    let a = g.alloc(size);
-                    g.gddr().fill_pattern(a, size, 2);
-                    let t = g.p2p_token(a, size);
-                    let s = g.pin(a, size, t);
-                    let g = f.device_mut::<Gpu>(w.nodes[1].gpus[0]);
-                    let b = g.alloc(size);
-                    let t = g.p2p_token(b, size);
-                    let d = g.pin(b, size, t);
-                    (s, d)
-                };
-                let staged = w
-                    .send_gpu_staged(&mut f, 0, 0, 1, 0, size, Protocol::Auto)
-                    .as_us_f64();
-                let direct = w
-                    .send_gpu_gpudirect(&mut f, 0, src_bar, 1, dst_bar, size)
-                    .as_us_f64();
-                (staged, direct)
-            };
-
-            ComparisonRow {
-                size,
-                tca_dma_us,
-                tca_pio_us,
-                mpi_staged_us,
-                ib_gpudirect_us,
-            }
-        })
-        .collect()
-}
-
-/// One row of the A4 hop sweep.
-#[derive(Clone, Copy, Debug)]
-pub struct HopRow {
-    /// Ring hops between source and destination.
-    pub hops: u32,
-    /// PIO one-way latency, ns.
-    pub pio_ns: f64,
-    /// 4 KiB pipelined-DMA put window, µs.
-    pub dma_4k_us: f64,
-}
-
-/// One point of the A4 hop sweep: a fresh 8-node ring, PIO + 4 KiB DMA to
-/// the node `hops` eastward neighbours away.
-pub fn ring_hop(hops: u32) -> HopRow {
+/// One row of the A4 hop sweep (§III-E routing): on a fresh 8-node ring,
+/// the PIO one-way latency (ns) and the 4 KiB pipelined-DMA put window
+/// (µs) to the node `hops` eastward neighbours away.
+pub fn ring_hop_row(hops: u32) -> JsonValue {
     let mut r = rig(8);
     let dstn = hops; // eastward neighbours
     let poll = 0x4800_0000u64;
@@ -616,95 +506,66 @@ pub fn ring_hop(hops: u32) -> HopRow {
         .pipelined_remote_put(&mut r.fabric, buf, dma_dst, 4096)
         .window
         .as_us_f64();
-    HopRow {
-        hops,
-        pio_ns,
-        dma_4k_us,
-    }
+    row(vec![
+        ("hops", JsonValue::from(hops)),
+        ("pio_ns", jf(pio_ns)),
+        ("dma_4k_us", jf(dma_4k_us)),
+    ])
 }
 
-/// A4: latency vs ring hop count in an 8-node ring (§III-E routing).
-pub fn ring_hops() -> Vec<HopRow> {
-    (1..=4u32).map(ring_hop).collect()
-}
-
-/// One row of the A5 reliability ablation: cable bit errors vs remote
-/// bandwidth (PEARL's data-link replays keep transfers exact but slower).
-#[derive(Clone, Copy, Debug)]
-pub struct ReliabilityRow {
-    /// Per-TLP corruption probability, parts per million.
-    pub error_ppm: u32,
-    /// Remote 4 KiB × 255 chained write bandwidth, bytes/s.
-    pub remote_write: f64,
-    /// Link-level replays during the run.
-    pub replays: u64,
-}
-
-/// A5: sweeps the cable error rate; data integrity is asserted on every
-/// point — PEARL is a *reliable* link (§III-A).
-pub fn reliability_ablation(ppms: &[u32]) -> Vec<ReliabilityRow> {
-    ppms.iter()
-        .map(|&ppm| {
-            let mut fabric = Fabric::new();
-            let mut params = Peach2Params::default();
-            params.cable_link = params.cable_link.with_error_rate_ppm(ppm);
-            let sc = build_ring(&mut fabric, 2, &NodeConfig::default(), params);
-            let d = Peach2Driver::new(sc.map, 0, sc.nodes[0].host, sc.chips[0]);
-            d.init(&mut fabric);
+/// One row of the A5 reliability ablation: remote 4 KiB × 255 chained
+/// write bandwidth (bytes/s) and link-level replays with a cable that
+/// corrupts `ppm` parts per million of TLPs. Data integrity is asserted —
+/// PEARL is a *reliable* link (§III-A), so errors cost time, never bytes.
+pub fn pearl_row(ppm: u32) -> JsonValue {
+    let mut fabric = Fabric::new();
+    let mut params = Peach2Params::default();
+    params.cable_link = params.cable_link.with_error_rate_ppm(ppm);
+    let sc = build_ring(&mut fabric, 2, &NodeConfig::default(), params);
+    let d = Peach2Driver::new(sc.map, 0, sc.nodes[0].host, sc.chips[0]);
+    d.init(&mut fabric);
+    fabric
+        .device_mut::<Peach2>(sc.chips[0])
+        .sram_mut()
+        .fill_pattern(0, 4096, 0x42);
+    let dst = sc.map.global_addr(1, TcaBlock::Host, 0x4000_0000);
+    let descs: Vec<Descriptor> = (0..255)
+        .map(|_| Descriptor::new(d.sram_addr(0), dst, 4096))
+        .collect();
+    let t0 = fabric.now();
+    let m = d.run_dma(&mut fabric, &descs, EngineKind::Legacy);
+    // A lossy cable stalls *behind* the engine's pacing, so measure to
+    // full drain (run_dma leaves the fabric idle) rather than the
+    // doorbell→interrupt window.
+    let drained = fabric.now().since(t0);
+    // Integrity: the destination holds the exact pattern.
+    let host1 = fabric.device::<HostBridge>(sc.nodes[1].host).core();
+    let mut chk = tca_pcie::PageMemory::new();
+    chk.write(0, &host1.mem_ref().read(0x4000_0000, 4096));
+    assert!(chk.verify_pattern(0, 4096, 0x42).is_ok(), "data corrupted");
+    let replays: u64 = (0..fabric.link_count() as u32)
+        .map(|l| {
             fabric
-                .device_mut::<Peach2>(sc.chips[0])
-                .sram_mut()
-                .fill_pattern(0, 4096, 0x42);
-            let dst = sc.map.global_addr(1, TcaBlock::Host, 0x4000_0000);
-            let descs: Vec<Descriptor> = (0..255)
-                .map(|_| Descriptor::new(d.sram_addr(0), dst, 4096))
-                .collect();
-            let t0 = fabric.now();
-            let m = d.run_dma(&mut fabric, &descs, EngineKind::Legacy);
-            // A lossy cable stalls *behind* the engine's pacing, so measure
-            // to full drain (run_dma leaves the fabric idle) rather than
-            // the doorbell→interrupt window.
-            let drained = fabric.now().since(t0);
-            // Integrity: the destination holds the exact pattern.
-            let host1 = fabric.device::<HostBridge>(sc.nodes[1].host).core();
-            let mut chk = tca_pcie::PageMemory::new();
-            chk.write(0, &host1.mem_ref().read(0x4000_0000, 4096));
-            assert!(chk.verify_pattern(0, 4096, 0x42).is_ok(), "data corrupted");
-            let replays = (0..fabric.link_count() as u32)
-                .map(|l| {
-                    fabric
-                        .link_stats(tca_pcie::LinkId(l), tca_pcie::Dir::Fwd)
-                        .replays
-                        + fabric
-                            .link_stats(tca_pcie::LinkId(l), tca_pcie::Dir::Rev)
-                            .replays
-                })
-                .sum();
-            ReliabilityRow {
-                error_ppm: ppm,
-                remote_write: m.bytes as f64 / drained.as_s_f64(),
-                replays,
-            }
+                .link_stats(tca_pcie::LinkId(l), tca_pcie::Dir::Fwd)
+                .replays
+                + fabric
+                    .link_stats(tca_pcie::LinkId(l), tca_pcie::Dir::Rev)
+                    .replays
         })
-        .collect()
+        .sum();
+    row(vec![
+        ("error_ppm", JsonValue::from(ppm)),
+        ("remote_write_bps", jf(m.bytes as f64 / drained.as_s_f64())),
+        ("replays", JsonValue::from(replays)),
+    ])
 }
 
-/// The A6 contention report: per-flow bandwidth when flows share a cable.
-#[derive(Clone, Copy, Debug)]
-pub struct ContentionReport {
-    /// One flow alone (node 0 → node 2, two eastward hops), bytes/s.
-    pub solo: f64,
-    /// Two flows sharing the 1→2 cable (0→2 and 1→3), per-flow bytes/s.
-    pub shared_per_flow: f64,
-    /// Sum of the shared flows, bytes/s (should ≈ the solo rate: the
-    /// cable is the bottleneck and the wire serializes fairly).
-    pub shared_aggregate: f64,
-}
-
-/// A6: link contention on the ring — two pipelined puts whose eastward
-/// paths overlap on one cable. The wire model must serialize them and
-/// share bandwidth, with the aggregate pinned at the single-cable rate.
-pub fn contention_report() -> ContentionReport {
+/// The A6 contention row: two pipelined 1 MiB puts whose eastward paths
+/// overlap on one ring cable (0→2 and 1→3) against one flow alone (0→2).
+/// The wire model must serialize them and share bandwidth, with the
+/// aggregate pinned near the single-cable rate. Solo, shared per-flow and
+/// shared aggregate bandwidth, bytes/s.
+pub fn contention_row() -> JsonValue {
     use tca_core::prelude::*;
     let len = 1u64 << 20;
 
@@ -742,39 +603,24 @@ pub fn contention_report() -> ContentionReport {
         (agg / 2.0, agg)
     };
 
-    ContentionReport {
-        solo,
-        shared_per_flow,
-        shared_aggregate,
-    }
+    row(vec![
+        ("solo_bps", jf(solo)),
+        ("shared_per_flow_bps", jf(shared_per_flow)),
+        ("shared_aggregate_bps", jf(shared_aggregate)),
+    ])
 }
 
-/// One row of the A8 sub-cluster-size scaling sweep.
-#[derive(Clone, Copy, Debug)]
-pub struct ScalingRow {
-    /// Ring size.
-    pub nodes: u32,
-    /// PIO latency to the farthest node (ring diameter), ns.
-    pub diameter_pio_ns: f64,
-    /// Aggregate bandwidth of a simultaneous neighbour shift
-    /// (every node puts 256 KiB to its eastward neighbour), bytes/s.
-    pub shift_aggregate: f64,
-    /// Per-node bandwidth of the shift, bytes/s.
-    pub shift_per_node: f64,
-}
-
-/// A8: why the sub-cluster is 8–16 nodes (§II-B: "a large number of nodes
-/// degrades the performance"). Diameter latency grows linearly with ring
-/// size while the neighbour-shift aggregate scales with node count (each
-/// cable carries one flow) — so the *latency* bound, not bandwidth, caps
-/// the useful sub-cluster size.
-pub fn scaling_sweep() -> Vec<ScalingRow> {
-    [2u32, 4, 8, 16].into_iter().map(scaling_point).collect()
-}
-
-/// One point of the A8 scaling sweep: diameter latency and neighbour-shift
-/// bandwidth on a fresh `n`-node ring.
-pub fn scaling_point(n: u32) -> ScalingRow {
+/// One row of the A8 sub-cluster-size sweep on a fresh `n`-node ring: PIO
+/// latency to the farthest node (ns), and the aggregate and per-node
+/// bandwidth of a simultaneous neighbour shift where every node puts
+/// 256 KiB to its eastward neighbour (bytes/s).
+///
+/// Why the sub-cluster is 8–16 nodes (§II-B: "a large number of nodes
+/// degrades the performance"): diameter latency grows linearly with ring
+/// size while the shift aggregate scales with node count (each cable
+/// carries one flow) — so the *latency* bound, not bandwidth, caps the
+/// useful sub-cluster size.
+pub fn scaling_row(n: u32) -> JsonValue {
     use tca_core::prelude::*;
     // Diameter PIO latency.
     let mut c = TcaClusterBuilder::new(n).build();
@@ -805,37 +651,12 @@ pub fn scaling_point(n: u32) -> ScalingRow {
     c.synchronize();
     let elapsed = c.now().since(t0);
     let agg = (n as u64 * len) as f64 / elapsed.as_s_f64();
-    ScalingRow {
-        nodes: n,
-        diameter_pio_ns,
-        shift_aggregate: agg,
-        shift_per_node: agg / n as f64,
-    }
-}
-
-/// One row of the E0 theoretical-peak table (the §IV-A1 formula).
-#[derive(Clone, Copy, Debug)]
-pub struct PeakRow {
-    /// Link label.
-    pub label: &'static str,
-    /// Raw byte rate, bytes/s.
-    pub raw: u64,
-    /// Theoretical peak payload rate at the link's MPS, bytes/s.
-    pub peak: f64,
-}
-
-/// E0: the theoretical-peak arithmetic for the links the paper discusses.
-pub fn theoretical_peaks() -> Vec<PeakRow> {
-    let mk = |label, p: LinkParams| PeakRow {
-        label,
-        raw: p.raw_bytes_per_sec(),
-        peak: p.theoretical_peak_bytes_per_sec(),
-    };
-    vec![
-        mk("PCIe Gen2 x8 (PEACH2 ports)", LinkParams::gen2_x8()),
-        mk("PCIe Gen2 x16 (GPU slots)", LinkParams::gen2_x16()),
-        mk("PCIe Gen3 x8 (IB HCA slot)", LinkParams::gen3_x8()),
-    ]
+    row(vec![
+        ("nodes", JsonValue::from(n)),
+        ("diameter_pio_ns", jf(diameter_pio_ns)),
+        ("shift_aggregate_bps", jf(agg)),
+        ("shift_per_node_bps", jf(agg / n as f64)),
+    ])
 }
 
 /// Compact telemetry summary of a fabric run, embedded per point by
@@ -967,50 +788,29 @@ pub fn top_report(
         "pingpong" | "latency" | "put-latency" | "fig7" | "fig8" | "fig9" | "fig12"
     );
     let n = if two_node { 2 } else { 8 };
-    let capture = |fabric: &Fabric, text, health_json, metrics_json| TopReport {
-        text,
-        health_json,
-        series_json: fabric
-            .sampler()
-            .map_or_else(|| "{}".to_string(), |s| s.to_json()),
-        trace_json: fabric.chrome_trace_json(),
-        metrics_json,
-    };
-    match backend {
-        BackendKind::Tca => {
-            let mut c = TcaClusterBuilder::new(n).build();
-            c.fabric.set_span_tracing(true);
-            if flight {
-                c.enable_flight(FLIGHT_RING_CAPACITY, true);
-            }
-            c.enable_sampling(PERIOD);
-            c.arm_watchdog(WINDOW);
-            drive_health_traffic(&mut c, n);
-            let (text, health_json) = (c.health_report(), c.health_report_json());
-            let log = c.flight_jsonl();
-            let metrics_json = c.metrics_snapshot().to_json();
-            (capture(&c.fabric, text, health_json, metrics_json), log)
+    on_backend!(backend, n, |c| {
+        c.fabric.set_span_tracing(true);
+        if flight {
+            c.enable_flight(FLIGHT_RING_CAPACITY, true);
         }
-        BackendKind::MpiStaged | BackendKind::MpiGpuDirect => {
-            let mode = if backend == BackendKind::MpiStaged {
-                MpiGpuMode::Staged
-            } else {
-                MpiGpuMode::GpuDirect
-            };
-            let mut m = MpiBackend::new(n, mode);
-            m.fabric.set_span_tracing(true);
-            if flight {
-                m.enable_flight(FLIGHT_RING_CAPACITY, true);
-            }
-            m.enable_sampling(PERIOD);
-            m.arm_watchdog(WINDOW);
-            drive_health_traffic(&mut m, n);
-            let (text, health_json) = (m.health_report(), m.health_report_json());
-            let log = m.flight_jsonl();
-            let metrics_json = m.metrics_snapshot().to_json();
-            (capture(&m.fabric, text, health_json, metrics_json), log)
-        }
-    }
+        c.enable_sampling(PERIOD);
+        c.arm_watchdog(WINDOW);
+        drive_health_traffic(&mut c, n);
+        let (text, health_json) = (c.health_report(), c.health_report_json());
+        let log = c.flight_jsonl();
+        let metrics_json = c.metrics_snapshot().to_json();
+        let report = TopReport {
+            text,
+            health_json,
+            series_json: c
+                .fabric
+                .sampler()
+                .map_or_else(|| "{}".to_string(), |s| s.to_json()),
+            trace_json: c.fabric.chrome_trace_json(),
+            metrics_json,
+        };
+        (report, log)
+    })
 }
 
 impl TopReport {
@@ -1085,25 +885,13 @@ pub fn fmt_size(s: u64) -> String {
 // Causal span attribution: per-stage latency tables (`latency-attrib`).
 // ---------------------------------------------------------------------------
 
-/// One row of the per-stage latency-attribution table: one transfer kind at
-/// one ring distance, with the stage breakdown of its causal root span.
-#[derive(Clone, Debug)]
-pub struct AttribRow {
-    /// Transfer kind: `"pio"` or `"dma"`.
-    pub kind: &'static str,
-    /// End-to-end latency of the root span, ns.
-    pub total_ns: f64,
-    /// `(stage, ns)` attribution in first-occurrence order. The stage values
-    /// sum to `total_ns` *exactly* — the underlying partition is computed in
-    /// integer picoseconds and asserted against the root span's elapsed time.
-    pub stages: Vec<(String, f64)>,
-}
-
 /// Pulls the most recent *completed* root span named `kind` out of the
-/// fabric's span store and returns its end-to-end latency plus per-stage
-/// attribution, asserting the tentpole guarantee that the stages are an
-/// exact partition of the measured interval.
-fn root_attribution(f: &Fabric, kind: &'static str) -> AttribRow {
+/// fabric's span store and returns its attribution row: `kind`, `hops`,
+/// the end-to-end latency as `total_ns`, then one `<stage>_ns` field per
+/// stage in first-occurrence order. Asserts the tentpole guarantee that
+/// the stages are an exact partition of the measured interval (computed
+/// in integer picoseconds against the root span's elapsed time).
+fn root_attribution(f: &Fabric, kind: &'static str, hops: u32) -> JsonValue {
     let spans = f.spans();
     let root = spans
         .roots()
@@ -1118,11 +906,15 @@ fn root_attribution(f: &Fabric, kind: &'static str) -> AttribRow {
         sum, elapsed,
         "'{kind}' stage sums must equal the end-to-end latency exactly"
     );
-    AttribRow {
-        kind,
-        total_ns: elapsed.as_ns_f64(),
-        stages: attr.into_iter().map(|(s, d)| (s, d.as_ns_f64())).collect(),
+    let mut o = row(vec![
+        ("kind", JsonValue::from(kind)),
+        ("hops", JsonValue::from(hops)),
+        ("total_ns", jf(elapsed.as_ns_f64())),
+    ]);
+    for (stage, d) in attr {
+        o.push(format!("{stage}_ns"), jf(d.as_ns_f64()));
     }
+    o
 }
 
 /// Per-stage latency attribution of a 4 B PIO store and then a 4 KiB
@@ -1131,7 +923,7 @@ fn root_attribution(f: &Fabric, kind: &'static str) -> AttribRow {
 /// descriptor fetch/decode, DMA reads and writes, per-hop wire and
 /// credit-stall time, PEACH2 relay transits, and the completion path.
 /// Returns the `[pio, dma]` rows.
-pub fn latency_attribution(hops: u32) -> [AttribRow; 2] {
+pub fn latency_attribution(hops: u32) -> [JsonValue; 2] {
     assert!((1..=8).contains(&hops), "16-node ring: 1..=8 hops");
     let mut r = rig(16);
     r.fabric.set_span_tracing(true);
@@ -1142,14 +934,14 @@ pub fn latency_attribution(hops: u32) -> [AttribRow; 2] {
         h.core_mut().cpu_store(dst, &1u32.to_le_bytes(), ctx);
     });
     r.fabric.run_until_idle();
-    let pio = root_attribution(&r.fabric, "pio");
+    let pio = root_attribution(&r.fabric, "pio", hops);
     // --- DMA: 4 KiB pipelined put, root span opens at the doorbell and
     // closes at the completion-interrupt handler (or the last causal
     // remote commit, whichever is later).
     let dma_dst = r.sc.map.global_addr(hops, TcaBlock::Host, 0x4000_0000);
     let buf = r.drivers[0].dma_buf;
     r.drivers[0].pipelined_remote_put(&mut r.fabric, buf, dma_dst, 4096);
-    [pio, root_attribution(&r.fabric, "dma")]
+    [pio, root_attribution(&r.fabric, "dma", hops)]
 }
 
 // ---------------------------------------------------------------------------
@@ -1168,21 +960,6 @@ pub const PIO_PINGPONG_SW_TURNAROUND: Dur = Dur::from_ns(3036);
 /// descriptor is pre-posted and the turnaround is a single doorbell store.
 /// Calibrated to the paper's 2.0 µs chained-DMA ping-pong figure.
 pub const DMA_PINGPONG_SW_TURNAROUND: Dur = Dur::from_ns(1150);
-
-/// The §IV-B1 ping-pong pair, measured as two simulated hardware legs (data
-/// arrival at the receiver's poll buffer, watch-timestamped) composed with
-/// the calibrated software turnaround: `half-RTT = (leg + turnaround + leg) / 2`.
-#[derive(Clone, Copy, Debug)]
-pub struct PingPong {
-    /// PIO ping-pong half round trip, µs. Paper: 2.3 µs.
-    pub pio_us: f64,
-    /// Chained-DMA ping-pong half round trip, µs. Paper: 2.0 µs.
-    pub dma_us: f64,
-    /// Measured forward PIO hardware leg (store issue → remote commit), ns.
-    pub pio_leg_ns: f64,
-    /// Measured forward DMA hardware leg (doorbell → remote data commit), ns.
-    pub dma_leg_ns: f64,
-}
 
 fn pio_leg(r: &mut Rig, src: u32, dst: u32, poll: u64) -> Dur {
     let watch = r
@@ -1227,19 +1004,20 @@ fn dma_leg(r: &mut Rig, src: u32, dst: u32, addr: u64) -> Dur {
         .since(t0)
 }
 
-/// Measures the ping-pong pair on a 2-node ring. Both directions of each
-/// leg are measured (they are symmetric by construction, but a routing
-/// regression would break the symmetry and show up here).
-pub fn pingpong() -> PingPong {
-    pingpong_with_telemetry(false).0
-}
-
-/// [`pingpong`] with optional continuous-health instrumentation on the
-/// shared rig: gauge sampling plus span tracing, summarized by
-/// [`telemetry_summary`]. Sampling is time-neutral, so the measured
-/// numbers are byte-identical to the uninstrumented run — the regression
-/// gate relies on this.
-pub fn pingpong_with_telemetry(instrument: bool) -> (PingPong, Option<JsonValue>) {
+/// The §IV-B1 ping-pong row, measured on a 2-node ring as two simulated
+/// hardware legs (data arrival at the receiver's poll buffer,
+/// watch-timestamped) composed with the calibrated software turnaround:
+/// `half-RTT = (leg + turnaround + leg) / 2`. Fields: the PIO and
+/// chained-DMA half round trips (µs; paper 2.3 and 2.0) and the measured
+/// forward PIO (store issue → remote commit) and DMA (doorbell → remote
+/// data commit) legs (ns). Both directions of each leg are measured: they
+/// are symmetric by construction, but a routing regression would break the
+/// symmetry and show up here.
+///
+/// `instrument` adds gauge sampling and span tracing on the same rig and
+/// appends their [`telemetry_summary`] as a `telemetry` field. Both are
+/// time-neutral, so the measured fields are byte-identical either way.
+pub fn pingpong_row(instrument: bool) -> JsonValue {
     let mut r = rig(2);
     if instrument {
         r.fabric.enable_sampling(Dur::from_ns(100));
@@ -1249,23 +1027,37 @@ pub fn pingpong_with_telemetry(instrument: bool) -> (PingPong, Option<JsonValue>
     let pio_back = pio_leg(&mut r, 1, 0, 0x6200);
     let dma_fwd = dma_leg(&mut r, 0, 1, 0x4100_0000);
     let dma_back = dma_leg(&mut r, 1, 0, 0x4200_0000);
-    let pp = PingPong {
-        pio_us: ((pio_fwd + PIO_PINGPONG_SW_TURNAROUND + pio_back) / 2).as_us_f64(),
-        dma_us: ((dma_fwd + DMA_PINGPONG_SW_TURNAROUND + dma_back) / 2).as_us_f64(),
-        pio_leg_ns: pio_fwd.as_ns_f64(),
-        dma_leg_ns: dma_fwd.as_ns_f64(),
-    };
-    let telemetry = instrument.then(|| telemetry_summary(&mut r.fabric));
-    (pp, telemetry)
+    let mut o = row(vec![
+        (
+            "pio_us",
+            jf(((pio_fwd + PIO_PINGPONG_SW_TURNAROUND + pio_back) / 2).as_us_f64()),
+        ),
+        (
+            "dma_us",
+            jf(((dma_fwd + DMA_PINGPONG_SW_TURNAROUND + dma_back) / 2).as_us_f64()),
+        ),
+        ("pio_leg_ns", jf(pio_fwd.as_ns_f64())),
+        ("dma_leg_ns", jf(dma_fwd.as_ns_f64())),
+    ]);
+    if instrument {
+        o.push("telemetry", telemetry_summary(&mut r.fabric));
+    }
+    o
 }
 
 /// The schema-stable fabric regression report behind `BENCH_fabric.json`:
 /// ping-pong latency, per-hop latency delta, and the Fig. 7/8/9 bandwidth
-/// anchors, all measured in a fresh deterministic simulation.
+/// anchors, each read from the registry sweep point that measures it.
 #[derive(Clone, Debug)]
 pub struct FabricBench {
-    /// The §IV-B1 ping-pong pair.
-    pub pingpong: PingPong,
+    /// PIO ping-pong half round trip, µs. Paper: 2.3 µs.
+    pub pio_us: f64,
+    /// Chained-DMA ping-pong half round trip, µs. Paper: 2.0 µs.
+    pub dma_us: f64,
+    /// Measured forward PIO hardware leg (store issue → remote commit), ns.
+    pub pio_leg_ns: f64,
+    /// Measured forward DMA hardware leg (doorbell → remote data commit), ns.
+    pub dma_leg_ns: f64,
     /// PIO one-way latency at ring distance 1..=4 (8-node ring), ns.
     pub hop_pio_ns: Vec<f64>,
     /// Mean latency added per additional ring hop, ns.
@@ -1281,30 +1073,42 @@ pub struct FabricBench {
     pub fig9_ratio_4_vs_255: f64,
 }
 
-/// Runs the full fabric regression suite: ping-pong, hop sweep, and the
-/// Fig. 7/8/9 bandwidth kernels.
+/// Runs the full fabric regression suite through the registry points:
+/// `pingpong` `half-rtt`, `ring-hops` `1 hop`…`4 hop`, `fig7` and `fig8`
+/// `4KB`, and `fig9` `4 reqs` and `255 reqs`.
 pub fn fabric_regression() -> FabricBench {
-    let pp = pingpong();
-    let hops = ring_hops();
-    let hop_pio_ns: Vec<f64> = hops.iter().map(|h| h.pio_ns).collect();
+    use scenario::point_row;
+    let pp = point_row("pingpong", "half-rtt");
+    let cpu_write = |sc: &str, label: &str| num(&point_row(sc, label), "cpu_write_bps");
+    let hop_pio_ns: Vec<f64> = (1..=4)
+        .map(|h| num(&point_row("ring-hops", &format!("{h} hop")), "pio_ns"))
+        .collect();
     let deltas: Vec<f64> = hop_pio_ns.windows(2).map(|w| w[1] - w[0]).collect();
     let per_hop_delta_ns = deltas.iter().sum::<f64>() / deltas.len() as f64;
     let per_hop_linearity_err = deltas
         .iter()
         .map(|d| (d - per_hop_delta_ns).abs() / per_hop_delta_ns)
         .fold(0.0f64, f64::max);
-    let fig7_cpu_write_4k = fig7(&[4096])[0].cpu_write;
-    let fig8_cpu_write_4k = fig8(&[4096])[0].cpu_write;
-    let f9 = fig9(&[4, 255]);
     FabricBench {
-        pingpong: pp,
+        pio_us: num(&pp, "pio_us"),
+        dma_us: num(&pp, "dma_us"),
+        pio_leg_ns: num(&pp, "pio_leg_ns"),
+        dma_leg_ns: num(&pp, "dma_leg_ns"),
         hop_pio_ns,
         per_hop_delta_ns,
         per_hop_linearity_err,
-        fig7_cpu_write_4k,
-        fig8_cpu_write_4k,
-        fig9_ratio_4_vs_255: f9[0].cpu_write / f9[1].cpu_write,
+        fig7_cpu_write_4k: cpu_write("fig7", "4KB"),
+        fig8_cpu_write_4k: cpu_write("fig8", "4KB"),
+        fig9_ratio_4_vs_255: cpu_write("fig9", "4 reqs") / cpu_write("fig9", "255 reqs"),
     }
+}
+
+/// The number `key` of sweep row `row`; panics naming the key when the
+/// row has no such number.
+pub fn num(row: &JsonValue, key: &str) -> f64 {
+    row.get(key)
+        .and_then(JsonValue::as_f64)
+        .unwrap_or_else(|| panic!("row has no number '{key}': {}", row.to_json()))
 }
 
 impl FabricBench {
@@ -1313,10 +1117,10 @@ impl FabricBench {
     /// produce byte-identical text.
     pub fn to_json(&self) -> String {
         let mut pp = JsonValue::object();
-        pp.push("pio_us", JsonValue::from(self.pingpong.pio_us));
-        pp.push("dma_us", JsonValue::from(self.pingpong.dma_us));
-        pp.push("pio_leg_ns", JsonValue::from(self.pingpong.pio_leg_ns));
-        pp.push("dma_leg_ns", JsonValue::from(self.pingpong.dma_leg_ns));
+        pp.push("pio_us", JsonValue::from(self.pio_us));
+        pp.push("dma_us", JsonValue::from(self.dma_us));
+        pp.push("pio_leg_ns", JsonValue::from(self.pio_leg_ns));
+        pp.push("dma_leg_ns", JsonValue::from(self.dma_leg_ns));
         pp.push(
             "pio_sw_turnaround_ns",
             JsonValue::from(PIO_PINGPONG_SW_TURNAROUND.as_ns_f64()),
@@ -1370,8 +1174,8 @@ impl FabricBench {
             }
         }
         let mut v = Vec::new();
-        check(&mut v, "pingpong.pio_us", self.pingpong.pio_us, 2.07, 2.53);
-        check(&mut v, "pingpong.dma_us", self.pingpong.dma_us, 1.80, 2.20);
+        check(&mut v, "pingpong.pio_us", self.pio_us, 2.07, 2.53);
+        check(&mut v, "pingpong.dma_us", self.dma_us, 1.80, 2.20);
         check(
             &mut v,
             "hops.linearity_err",
@@ -1541,83 +1345,91 @@ mod tests {
 
     #[test]
     fn fig7_anchor_points() {
-        let rows = fig7(&[4096]);
-        let r = rows[0];
-        assert!((3.1e9..3.6e9).contains(&r.cpu_write), "{r:?}");
-        assert!(r.gpu_write > 0.9 * r.cpu_write, "GPU write ≈ CPU write");
-        assert!((0.6e9..0.87e9).contains(&r.gpu_read), "830 MB/s ceiling");
-        assert!(r.cpu_read < r.cpu_write);
+        let r = local_dma_row(4096, 255);
+        let cpu_write = num(&r, "cpu_write_bps");
+        assert!((3.1e9..3.6e9).contains(&cpu_write), "{r:?}");
+        assert!(
+            num(&r, "gpu_write_bps") > 0.9 * cpu_write,
+            "GPU write ≈ CPU write"
+        );
+        assert!(
+            (0.6e9..0.87e9).contains(&num(&r, "gpu_read_bps")),
+            "830 MB/s ceiling"
+        );
+        assert!(num(&r, "cpu_read_bps") < cpu_write);
     }
 
     #[test]
     fn fig8_is_much_slower_at_4k() {
-        let f7 = fig7(&[4096])[0];
-        let f8 = fig8(&[4096])[0];
-        assert!(f8.cpu_write < 0.5 * f7.cpu_write);
+        let f7 = local_dma_row(4096, 255);
+        let f8 = local_dma_row(4096, 1);
+        assert!(num(&f8, "cpu_write_bps") < 0.5 * num(&f7, "cpu_write_bps"));
     }
 
     #[test]
     fn fig9_seventy_percent_at_four() {
-        let rows = fig9(&[4, 255]);
-        let ratio = rows[0].cpu_write / rows[1].cpu_write;
+        let ratio = num(&fig9_row(4), "cpu_write_bps") / num(&fig9_row(255), "cpu_write_bps");
         assert!((0.6..0.8).contains(&ratio), "ratio={ratio}");
     }
 
     #[test]
     fn fig12_remote_write_converges_at_4k() {
-        let rows = fig12(&[256, 4096]);
-        let small = rows[0];
-        let big = rows[1];
+        let small = fig12_row(256);
+        let big = fig12_row(4096);
         assert!(
-            small.cpu_remote_write < 0.85 * small.cpu_local_write,
+            num(&small, "cpu_remote_write_bps") < 0.85 * num(&small, "cpu_local_write_bps"),
             "remote slower at small sizes: {small:?}"
         );
         assert!(
-            big.cpu_remote_write > 0.75 * big.cpu_local_write,
+            num(&big, "cpu_remote_write_bps") > 0.75 * num(&big, "cpu_local_write_bps"),
             "converging at 4 KiB: {big:?}"
         );
-        assert!(big.gpu_remote_write > 0.9 * big.cpu_local_write);
+        assert!(num(&big, "gpu_remote_write_bps") > 0.9 * num(&big, "cpu_local_write_bps"));
     }
 
     #[test]
     fn latency_report_matches_paper_regime() {
-        let l = latency_report();
-        assert!((580.0..980.0).contains(&l.pio_oneway_ns), "{l:?}");
-        assert!(l.ib_fdr_oneway_ns < 1600.0, "{l:?}");
-        assert!(l.pio_oneway_ns < l.ib_fdr_oneway_ns, "{l:?}");
-        assert!(l.mpi_halfrtt_ns > l.ib_qdr_oneway_ns, "{l:?}");
+        let l = latency_row();
+        let pio = num(&l, "pio_oneway_ns");
+        assert!((580.0..980.0).contains(&pio), "{l:?}");
+        assert!(num(&l, "ib_fdr_oneway_ns") < 1600.0, "{l:?}");
+        assert!(pio < num(&l, "ib_fdr_oneway_ns"), "{l:?}");
+        assert!(
+            num(&l, "mpi_halfrtt_ns") > num(&l, "ib_qdr_oneway_ns"),
+            "{l:?}"
+        );
     }
 
     #[test]
     fn qpi_ablation_degrades() {
-        let q = qpi_report();
-        assert!(q.across_qpi < 0.4e9, "{q:?}");
-        assert!(q.same_socket > 5.0 * q.across_qpi, "{q:?}");
+        let q = qpi_row();
+        let across = num(&q, "across_qpi_bps");
+        assert!(across < 0.4e9, "{q:?}");
+        assert!(num(&q, "same_socket_bps") > 5.0 * across, "{q:?}");
     }
 
     #[test]
     fn dmac_ablation_pipelined_wins() {
-        let rows = dmac_ablation(&[65536]);
+        let r = dmac_row(65536);
         assert!(
-            rows[0].pipelined > 1.5 * rows[0].legacy_two_phase,
-            "{rows:?}"
+            num(&r, "pipelined_bps") > 1.5 * num(&r, "legacy_two_phase_bps"),
+            "{r:?}"
         );
     }
 
     #[test]
     fn comparison_tca_wins_small_messages() {
-        let rows = comparison(&[64]);
-        let r = rows[0];
-        assert!(r.tca_dma_us < r.mpi_staged_us, "{r:?}");
-        assert!(r.tca_pio_us < r.ib_gpudirect_us, "{r:?}");
+        let r = comparison_row(64);
+        assert!(num(&r, "tca_dma_us") < num(&r, "mpi_staged_us"), "{r:?}");
+        assert!(num(&r, "tca_pio_us") < num(&r, "ib_gpudirect_us"), "{r:?}");
     }
 
     #[test]
     fn scaling_diameter_grows_but_shift_bandwidth_scales() {
-        let rows = scaling_sweep();
+        let rows: Vec<JsonValue> = [2u32, 4, 8, 16].into_iter().map(scaling_row).collect();
         for w in rows.windows(2) {
             assert!(
-                w[1].diameter_pio_ns > w[0].diameter_pio_ns,
+                num(&w[1], "diameter_pio_ns") > num(&w[0], "diameter_pio_ns"),
                 "diameter latency grows: {rows:?}"
             );
         }
@@ -1625,36 +1437,42 @@ mod tests {
         let last = rows.last().expect("rows");
         // Aggregate scales near-linearly (disjoint cables)...
         assert!(
-            last.shift_aggregate > 5.0 * first.shift_aggregate,
+            num(last, "shift_aggregate_bps") > 5.0 * num(first, "shift_aggregate_bps"),
             "{rows:?}"
         );
         // ...while per-node bandwidth stays roughly flat.
-        assert!(last.shift_per_node > 0.8 * first.shift_per_node, "{rows:?}");
+        assert!(
+            num(last, "shift_per_node_bps") > 0.8 * num(first, "shift_per_node_bps"),
+            "{rows:?}"
+        );
     }
 
     #[test]
     fn contention_shares_the_cable() {
-        let r = contention_report();
+        let r = contention_row();
+        let solo = num(&r, "solo_bps");
+        let aggregate = num(&r, "shared_aggregate_bps");
         // Each shared flow is slower than solo; the aggregate is within
         // the single-cable envelope (some slack: flows also use disjoint
         // first-hop links).
-        assert!(r.shared_per_flow < 0.8 * r.solo, "{r:?}");
-        assert!(r.shared_aggregate < 1.35 * r.solo, "{r:?}");
-        assert!(r.shared_aggregate > 0.8 * r.solo, "{r:?}");
+        assert!(num(&r, "shared_per_flow_bps") < 0.8 * solo, "{r:?}");
+        assert!(aggregate < 1.35 * solo, "{r:?}");
+        assert!(aggregate > 0.8 * solo, "{r:?}");
     }
 
     #[test]
     fn reliability_degrades_gracefully() {
-        let rows = reliability_ablation(&[0, 100_000]);
-        assert_eq!(rows[0].replays, 0);
-        assert!(rows[1].replays > 100, "{rows:?}");
-        assert!(
-            rows[1].remote_write < rows[0].remote_write,
-            "lossy slower: {rows:?}"
+        let (clean, lossy) = (pearl_row(0), pearl_row(100_000));
+        assert_eq!(num(&clean, "replays"), 0.0);
+        assert!(num(&lossy, "replays") > 100.0, "{lossy:?}");
+        let (clean_bw, lossy_bw) = (
+            num(&clean, "remote_write_bps"),
+            num(&lossy, "remote_write_bps"),
         );
+        assert!(lossy_bw < clean_bw, "lossy slower: {clean:?} {lossy:?}");
         assert!(
-            rows[1].remote_write > 0.5 * rows[0].remote_write,
-            "but not collapsed: {rows:?}"
+            lossy_bw > 0.5 * clean_bw,
+            "but not collapsed: {clean:?} {lossy:?}"
         );
     }
 
@@ -1692,9 +1510,11 @@ mod tests {
 
     #[test]
     fn ring_hops_monotonic() {
-        let rows = ring_hops();
-        for w in rows.windows(2) {
-            assert!(w[1].pio_ns > w[0].pio_ns, "{rows:?}");
+        let pio: Vec<f64> = (1..=4u32)
+            .map(|h| num(&ring_hop_row(h), "pio_ns"))
+            .collect();
+        for w in pio.windows(2) {
+            assert!(w[1] > w[0], "{pio:?}");
         }
     }
 
@@ -1705,25 +1525,34 @@ mod tests {
         // shape and that the expected pipeline stages show up.
         let one = latency_attribution(1);
         let two = latency_attribution(2);
-        fn stage_names(r: &AttribRow) -> Vec<&str> {
-            r.stages.iter().map(|(s, _)| s.as_str()).collect()
+        /// `(stage, ns)` of every `<stage>_ns` field but `total_ns`.
+        fn stages(r: &JsonValue) -> Vec<(&str, f64)> {
+            r.as_object()
+                .expect("rows are objects")
+                .iter()
+                .filter_map(|(k, v)| Some((k.strip_suffix("_ns")?, v.as_f64()?)))
+                .filter(|(k, _)| *k != "total")
+                .collect()
         }
         for r in one.iter().chain(&two) {
-            assert!(r.total_ns > 0.0, "{r:?}");
-            let sum: f64 = r.stages.iter().map(|(_, ns)| ns).sum();
-            assert!((sum - r.total_ns).abs() < 1e-9, "{r:?}");
+            let total = num(r, "total_ns");
+            assert!(total > 0.0, "{r:?}");
+            let sum: f64 = stages(r).iter().map(|(_, ns)| ns).sum();
+            assert!((sum - total).abs() < 1e-9, "{r:?}");
         }
         let [pio, dma] = &one;
-        assert_eq!((pio.kind, dma.kind), ("pio", "dma"));
-        assert!(stage_names(pio).contains(&"wire"), "{pio:?}");
+        assert_eq!(pio.get("kind"), Some(&JsonValue::from("pio")));
+        assert_eq!(dma.get("kind"), Some(&JsonValue::from("dma")));
+        let has = |r: &JsonValue, stage: &str| stages(r).iter().any(|(s, _)| *s == stage);
+        assert!(has(pio, "wire"), "{pio:?}");
         for stage in ["engine_start", "desc_fetch", "wire"] {
-            assert!(stage_names(dma).contains(&stage), "{dma:?}");
+            assert!(has(dma, stage), "{dma:?}");
         }
         // Two hops spend more time on the wire/relay path than one.
-        let wire_ns = |r: &AttribRow| {
-            r.stages
+        let wire_ns = |r: &JsonValue| {
+            stages(r)
                 .iter()
-                .filter(|(s, _)| s == "wire" || s == "relay")
+                .filter(|(s, _)| *s == "wire" || *s == "relay")
                 .map(|(_, ns)| ns)
                 .sum::<f64>()
         };
@@ -1738,14 +1567,14 @@ mod tests {
 
     #[test]
     fn pingpong_matches_paper_within_tolerance() {
-        let pp = pingpong();
+        let pp = pingpong_row(false);
         // §IV-B1: PIO 2.3 µs, chained DMA 2.0 µs, each ±10 %.
-        assert!((2.07..=2.53).contains(&pp.pio_us), "{pp:?}");
-        assert!((1.80..=2.20).contains(&pp.dma_us), "{pp:?}");
+        assert!((2.07..=2.53).contains(&num(&pp, "pio_us")), "{pp:?}");
+        assert!((1.80..=2.20).contains(&num(&pp, "dma_us")), "{pp:?}");
         // The hardware legs alone sit well below the software-inclusive
         // figure — the fabric is the minority of the ping-pong budget.
-        assert!(pp.pio_leg_ns < 1000.0, "{pp:?}");
-        assert!(pp.dma_leg_ns < 2000.0, "{pp:?}");
+        assert!(num(&pp, "pio_leg_ns") < 1000.0, "{pp:?}");
+        assert!(num(&pp, "dma_leg_ns") < 2000.0, "{pp:?}");
     }
 
     #[test]

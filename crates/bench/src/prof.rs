@@ -14,9 +14,11 @@
 //!   [`queue_race`] (timing wheel vs. the pre-rewrite reference heap on
 //!   one deterministic workload, ≥ 2× or CI fails), and the 256-node
 //!   `torus2d-16x16` all-to-all point;
-//! * [`profile_scenario`] — the representative rig behind
-//!   `tca-bench --profile`, emitting a `tca-prof/v1` report plus
-//!   flamegraph-compatible folded stacks of per-event-kind host time;
+//! * [`timed`] — wraps every sweep point `run_sweep` executes, so each
+//!   [`crate::scenario::Sweep`] carries the host wall time and this
+//!   thread's allocations per point; `tca-bench --profile` writes them
+//!   with [`write_sweep_profile`] as a `tca-prof/v2` report plus
+//!   flamegraph-compatible folded stacks;
 //! * the `topo-registry` scenario's host-cost columns
 //!   ([`timed_topo_run`]).
 //!
@@ -27,6 +29,7 @@
 
 use crate::ensure_out_dir;
 use crate::refqueue::RefQueue;
+use crate::scenario::Sweep;
 use crate::topo_fabric::{self, TopoRunReport};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -191,8 +194,6 @@ impl EngineWorkload {
 /// The complete host-side profile of one engine workload run.
 #[derive(Clone, Debug)]
 pub struct EngineProfile {
-    /// Workload label (scenario name or `engine`).
-    pub workload: String,
     /// The parameters that were run.
     pub params: EngineWorkload,
     /// Per-phase wall/event/allocation accounting.
@@ -251,9 +252,8 @@ fn merge_kinds(total: &mut Vec<KindStat>, round: Vec<KindStat>) {
 }
 
 /// Runs the engine workload under full host profiling and returns the
-/// profile. This is the measurement core shared by [`engine_bench`] and
-/// [`profile_scenario`].
-pub fn run_engine_profile(label: &str, params: EngineWorkload) -> EngineProfile {
+/// profile. This is the measurement core of [`engine_bench`].
+pub fn run_engine_profile(params: EngineWorkload) -> EngineProfile {
     let tlp0 = tca_pcie::tlp_counts();
     let alloc0 = tca_sim::alloc_snapshot();
     let mut phases = Vec::new();
@@ -307,7 +307,6 @@ pub fn run_engine_profile(label: &str, params: EngineWorkload) -> EngineProfile 
     phases.push(t.finish(sweep_events));
 
     EngineProfile {
-        workload: label.to_string(),
         params,
         phases,
         kinds,
@@ -328,12 +327,13 @@ impl EngineProfile {
             .expect("profile always has a steady phase")
     }
 
-    /// Serializes the profile as a `tca-prof/v1` report. Schema-stable:
-    /// fixed keys and ordering; the wall-clock values vary run to run.
+    /// Serializes the profile as the `tca-prof/v1` object embedded in
+    /// `BENCH_engine.json`. Schema-stable: fixed keys and ordering; the
+    /// wall-clock values vary run to run.
     pub fn to_json(&self) -> String {
         let mut root = JsonValue::object();
         root.push("schema", JsonValue::from("tca-prof/v1"));
-        root.push("workload", JsonValue::from(self.workload.as_str()));
+        root.push("workload", JsonValue::from("engine"));
         root.push("nodes", JsonValue::from(u64::from(self.params.nodes)));
         let mut phases = Vec::new();
         for p in &self.phases {
@@ -388,61 +388,69 @@ impl EngineProfile {
         root.push("alloc", a);
         root.to_json()
     }
-
-    /// Renders the profile as flamegraph-compatible folded stacks
-    /// (`frame;frame;frame value`, value = host nanoseconds). Feed the
-    /// output straight to `flamegraph.pl` / `inferno-flamegraph`.
-    pub fn to_folded(&self) -> String {
-        let mut out = String::new();
-        let w = &self.workload;
-        for p in &self.phases {
-            if p.name == "steady" {
-                // The steady phase splits into per-event-kind dispatch
-                // time plus the issue-side API time around the drains.
-                let drained: u64 = self.kinds.iter().map(|k| k.wall_ns).sum();
-                for k in &self.kinds {
-                    out.push_str(&format!("tca_bench;{w};steady;{} {}\n", k.kind, k.wall_ns));
-                }
-                out.push_str(&format!(
-                    "tca_bench;{w};steady;issue {}\n",
-                    p.wall_ns.saturating_sub(drained)
-                ));
-            } else {
-                out.push_str(&format!("tca_bench;{w};{} {}\n", p.name, p.wall_ns));
-            }
-        }
-        out
-    }
-
-    /// Writes `PROF_<workload>.json` and `PROF_<workload>.folded` into
-    /// `dir`, creating it if needed. Returns the paths written.
-    pub fn write_to(&self, dir: &Path) -> Vec<PathBuf> {
-        ensure_out_dir(dir);
-        let json = dir.join(format!("PROF_{}.json", self.workload));
-        let folded = dir.join(format!("PROF_{}.folded", self.workload));
-        std::fs::write(&json, self.to_json()).expect("write profile json");
-        std::fs::write(&folded, self.to_folded()).expect("write folded stacks");
-        vec![json, folded]
-    }
 }
 
-/// Profiles the representative engine workload of a registered scenario:
-/// the 2-node rig for the point-to-point latency scenarios, the 8-node
-/// ring otherwise (mirroring `top_report`), at a reduced round count.
-/// TCA-backend only — the profile measures the simulator's own engine,
-/// which is shared by every backend.
-pub fn profile_scenario(scenario: &str) -> EngineProfile {
-    let two_node = matches!(
-        scenario,
-        "pingpong" | "latency" | "put-latency" | "fig7" | "fig8" | "fig9" | "fig12"
-    );
-    let params = EngineWorkload {
-        nodes: if two_node { 2 } else { 8 },
-        warmup_rounds: 1,
-        steady_rounds: 8,
-        ..EngineWorkload::default()
+/// Host cost of one sweep point: wall time and the allocations the
+/// worker thread made while running it.
+#[derive(Clone, Copy, Debug)]
+pub struct PointCost {
+    /// Host wall time of the point, ns.
+    pub wall_ns: u64,
+    /// Heap allocations by the running thread (0 without the counting
+    /// allocator installed).
+    pub allocs: u64,
+    /// Bytes those allocations requested.
+    pub alloc_bytes: u64,
+}
+
+/// Runs `f` on the calling thread and returns its result with its
+/// [`PointCost`]. Allocation counts are per thread, so concurrent sweep
+/// workers do not charge each other.
+pub fn timed<T>(f: impl FnOnce() -> T) -> (T, PointCost) {
+    let alloc0 = tca_sim::thread_alloc_snapshot();
+    let start = Instant::now();
+    let out = f();
+    let wall = start.elapsed();
+    let alloc = tca_sim::thread_alloc_snapshot().since(&alloc0);
+    let cost = PointCost {
+        wall_ns: wall.as_nanos() as u64,
+        allocs: alloc.allocs,
+        alloc_bytes: alloc.bytes_allocated,
     };
-    run_engine_profile(scenario, params)
+    (out, cost)
+}
+
+/// Writes the `--profile` artifacts of `sweep` into `dir`, creating it if
+/// needed: `PROF_<scenario>.json` (schema `tca-prof/v2`, one entry per
+/// point in sweep order) and `PROF_<scenario>.folded` (one
+/// flamegraph-compatible `tca_bench;<scenario>;<label> <wall ns>` line per
+/// point). Returns the paths written.
+pub fn write_sweep_profile(sweep: &Sweep, dir: &Path) -> Vec<PathBuf> {
+    let mut points = Vec::with_capacity(sweep.costs.len());
+    let mut folded = String::new();
+    for ((label, _), c) in sweep.rows.iter().zip(&sweep.costs) {
+        let mut o = JsonValue::object();
+        o.push("label", JsonValue::from(label.as_str()));
+        o.push("wall_ns", JsonValue::from(c.wall_ns));
+        o.push("allocs", JsonValue::from(c.allocs));
+        o.push("alloc_bytes", JsonValue::from(c.alloc_bytes));
+        points.push(o);
+        folded.push_str(&format!(
+            "tca_bench;{};{label} {}\n",
+            sweep.scenario, c.wall_ns
+        ));
+    }
+    let mut root = JsonValue::object();
+    root.push("schema", JsonValue::from("tca-prof/v2"));
+    root.push("scenario", JsonValue::from(sweep.scenario));
+    root.push("backend", JsonValue::from(sweep.backend.name()));
+    root.push("points", JsonValue::Array(points));
+    ensure_out_dir(dir);
+    let json = dir.join(format!("PROF_{}.json", sweep.scenario));
+    let stacks = dir.join(format!("PROF_{}.folded", sweep.scenario));
+    std::fs::write(&json, root.to_json()).expect("write profile json");
+    std::fs::write(&stacks, folded).expect("write folded stacks");
+    vec![json, stacks]
 }
 
 /// Adapter over the two queue implementations the [`queue_race`] compares,
@@ -694,7 +702,7 @@ pub fn engine_bench() -> EngineBench {
 pub fn engine_bench_with(params: EngineWorkload) -> EngineBench {
     let race = queue_race(params.race_events);
     let torus = torus_point(&params.torus_topo);
-    let profile = run_engine_profile("engine", params);
+    let profile = run_engine_profile(params);
     let steady = profile.steady().clone();
     let wall_s = (steady.wall_ns as f64 / 1e9).max(1e-12);
     let events = steady.events;
@@ -794,8 +802,8 @@ impl EngineBench {
         root.push("steady", s);
         root.push("queue_race", r);
         root.push("torus", t);
-        // The full profile rides along for dashboards; same sub-schema as
-        // the standalone tca-prof/v1 report.
+        // The full profile rides along for dashboards, with the
+        // per-event-kind split of the steady drains (`kinds`).
         root.push(
             "profile",
             JsonValue::parse(&p.to_json()).expect("own serialization parses"),
@@ -887,15 +895,6 @@ mod tests {
             .profile
             .to_json()
             .starts_with("{\"schema\":\"tca-prof/v1\""));
-        // Folded output: one line per leaf frame, `frames value`.
-        let folded = b.profile.to_folded();
-        assert!(folded.contains("tca_bench;engine;steady;deliver "));
-        assert!(folded.contains("tca_bench;engine;build "));
-        for line in folded.lines() {
-            let (frames, value) = line.rsplit_once(' ').expect("folded line shape");
-            assert!(frames.starts_with("tca_bench;"));
-            value.parse::<u64>().expect("folded value is integer ns");
-        }
     }
 
     #[test]

@@ -21,9 +21,11 @@ use std::sync::Mutex;
 use tca_apps::{Stencil2dConfig, StencilConfig};
 use tca_core::prelude::*;
 use tca_device::HostBridge;
+use tca_pcie::LinkParams;
 use tca_sim::JsonValue;
 
-use crate::fmt_size;
+use crate::prof::{timed, PointCost};
+use crate::{fmt_size, jf, row};
 
 /// Which communication backend a sweep runs over.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -204,6 +206,9 @@ pub struct Sweep {
     pub backend: BackendKind,
     /// `(label, row-object)` per point, in the scenario's point order.
     pub rows: Vec<(String, JsonValue)>,
+    /// Host cost of each point, in the same order as `rows` — what
+    /// `--profile` reports. Varies run to run; never part of the rows.
+    pub costs: Vec<PointCost>,
 }
 
 /// Runs every point of `sc` on `backend` across `jobs` worker threads.
@@ -213,6 +218,7 @@ pub struct Sweep {
 /// point's slot, making the output independent of the job count and of
 /// thread scheduling. `telemetry` selects whether instrumented points
 /// embed their health summary; it never changes measurement fields.
+/// Every point runs under [`timed`], which fills [`Sweep::costs`].
 pub fn run_sweep(
     sc: &Scenario,
     backend: BackendKind,
@@ -220,7 +226,8 @@ pub fn run_sweep(
     telemetry: TelemetryMode,
 ) -> Sweep {
     let points = sc.points(backend);
-    let slots: Vec<Mutex<Option<JsonValue>>> = points.iter().map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<(JsonValue, PointCost)>>> =
+        points.iter().map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     let workers = jobs.max(1).min(points.len().max(1));
     std::thread::scope(|scope| {
@@ -230,28 +237,43 @@ pub fn run_sweep(
                 if i >= points.len() {
                     break;
                 }
-                let row = (points[i].run)(telemetry);
-                *slots[i].lock().expect("slot lock poisoned") = Some(row);
+                let done = timed(|| (points[i].run)(telemetry));
+                *slots[i].lock().expect("slot lock poisoned") = Some(done);
             });
         }
     });
-    let rows = points
+    let (rows, costs) = points
         .iter()
         .zip(slots)
         .map(|(p, slot)| {
-            (
-                p.label.clone(),
-                slot.into_inner()
-                    .expect("slot lock poisoned")
-                    .expect("worker filled the slot"),
-            )
+            let (row, cost) = slot
+                .into_inner()
+                .expect("slot lock poisoned")
+                .expect("worker filled the slot");
+            ((p.label.clone(), row), cost)
         })
-        .collect();
+        .unzip();
     Sweep {
         scenario: sc.name,
         backend,
         rows,
+        costs,
     }
+}
+
+/// Runs the TCA point `label` of scenario `name` with telemetry off and
+/// returns its row — the same row the sweep prints for that point.
+///
+/// # Panics
+/// Panics if no such scenario or point exists.
+pub fn point_row(name: &str, label: &str) -> JsonValue {
+    let sc = find(name).unwrap_or_else(|| panic!("no scenario '{name}'"));
+    let point = sc
+        .points(BackendKind::Tca)
+        .into_iter()
+        .find(|p| p.label == label)
+        .unwrap_or_else(|| panic!("scenario '{name}' has no point '{label}'"));
+    (point.run)(TelemetryMode::Off)
 }
 
 impl Sweep {
@@ -332,44 +354,6 @@ impl Sweep {
 }
 
 // ---------------------------------------------------------------------------
-// Row builders.
-// ---------------------------------------------------------------------------
-
-fn row(fields: Vec<(&str, JsonValue)>) -> JsonValue {
-    let mut o = JsonValue::object();
-    for (k, v) in fields {
-        o.push(k, v);
-    }
-    o
-}
-
-fn jf(v: f64) -> JsonValue {
-    JsonValue::from(v)
-}
-
-/// Builds the chosen backend world with `nodes` nodes and runs `body` on
-/// it, monomorphized per backend (app entry points take
-/// `&mut impl CommWorld`, which requires a sized concrete type).
-macro_rules! on_backend {
-    ($kind:expr, $nodes:expr, |$c:ident| $body:expr) => {
-        match $kind {
-            BackendKind::Tca => {
-                let mut $c = TcaClusterBuilder::new($nodes).build();
-                $body
-            }
-            BackendKind::MpiStaged => {
-                let mut $c = MpiBackend::new($nodes, MpiGpuMode::Staged);
-                $body
-            }
-            BackendKind::MpiGpuDirect => {
-                let mut $c = MpiBackend::new($nodes, MpiGpuMode::GpuDirect);
-                $body
-            }
-        }
-    };
-}
-
-// ---------------------------------------------------------------------------
 // The registry.
 // ---------------------------------------------------------------------------
 
@@ -384,18 +368,7 @@ pub fn scenarios() -> Vec<Scenario> {
             points: |_| {
                 crate::default_sizes()
                     .into_iter()
-                    .map(|size| {
-                        Point::new(fmt_size(size), move || {
-                            let r = crate::fig7(&[size])[0];
-                            row(vec![
-                                ("size", JsonValue::from(r.size)),
-                                ("cpu_write_bps", jf(r.cpu_write)),
-                                ("cpu_read_bps", jf(r.cpu_read)),
-                                ("gpu_write_bps", jf(r.gpu_write)),
-                                ("gpu_read_bps", jf(r.gpu_read)),
-                            ])
-                        })
-                    })
+                    .map(|size| Point::new(fmt_size(size), move || crate::local_dma_row(size, 255)))
                     .collect()
             },
         },
@@ -407,18 +380,7 @@ pub fn scenarios() -> Vec<Scenario> {
             points: |_| {
                 crate::default_sizes()
                     .into_iter()
-                    .map(|size| {
-                        Point::new(fmt_size(size), move || {
-                            let r = crate::fig8(&[size])[0];
-                            row(vec![
-                                ("size", JsonValue::from(r.size)),
-                                ("cpu_write_bps", jf(r.cpu_write)),
-                                ("cpu_read_bps", jf(r.cpu_read)),
-                                ("gpu_write_bps", jf(r.gpu_write)),
-                                ("gpu_read_bps", jf(r.gpu_read)),
-                            ])
-                        })
-                    })
+                    .map(|size| Point::new(fmt_size(size), move || crate::local_dma_row(size, 1)))
                     .collect()
             },
         },
@@ -431,15 +393,7 @@ pub fn scenarios() -> Vec<Scenario> {
                 crate::default_counts()
                     .into_iter()
                     .map(|count| {
-                        Point::new(format!("{count} reqs"), move || {
-                            let r = crate::fig9(&[count])[0];
-                            row(vec![
-                                ("requests", JsonValue::from(r.requests)),
-                                ("cpu_write_bps", jf(r.cpu_write)),
-                                ("gpu_write_bps", jf(r.gpu_write)),
-                                ("cpu_read_bps", jf(r.cpu_read)),
-                            ])
-                        })
+                        Point::new(format!("{count} reqs"), move || crate::fig9_row(count))
                     })
                     .collect()
             },
@@ -452,18 +406,7 @@ pub fn scenarios() -> Vec<Scenario> {
             points: |_| {
                 crate::default_sizes()
                     .into_iter()
-                    .map(|size| {
-                        Point::new(fmt_size(size), move || {
-                            let r = crate::fig12(&[size])[0];
-                            row(vec![
-                                ("size", JsonValue::from(r.size)),
-                                ("cpu_local_write_bps", jf(r.cpu_local_write)),
-                                ("cpu_local_read_bps", jf(r.cpu_local_read)),
-                                ("cpu_remote_write_bps", jf(r.cpu_remote_write)),
-                                ("gpu_remote_write_bps", jf(r.gpu_remote_write)),
-                            ])
-                        })
-                    })
+                    .map(|size| Point::new(fmt_size(size), move || crate::fig12_row(size)))
                     .collect()
             },
         },
@@ -472,17 +415,7 @@ pub fn scenarios() -> Vec<Scenario> {
             description: "PIO loopback latency vs InfiniBand FDR/QDR one-way",
             figure: "Fig. 10 / §IV-B1",
             backends: TCA_ONLY,
-            points: |_| {
-                vec![Point::new("one-way", || {
-                    let l = crate::latency_report();
-                    row(vec![
-                        ("pio_oneway_ns", jf(l.pio_oneway_ns)),
-                        ("ib_fdr_oneway_ns", jf(l.ib_fdr_oneway_ns)),
-                        ("ib_qdr_oneway_ns", jf(l.ib_qdr_oneway_ns)),
-                        ("mpi_halfrtt_ns", jf(l.mpi_halfrtt_ns)),
-                    ])
-                })]
-            },
+            points: |_| vec![Point::new("one-way", crate::latency_row)],
         },
         Scenario {
             name: "pingpong",
@@ -491,17 +424,7 @@ pub fn scenarios() -> Vec<Scenario> {
             backends: TCA_ONLY,
             points: |_| {
                 vec![Point::instrumented("half-rtt", |tel| {
-                    let (pp, telemetry) = crate::pingpong_with_telemetry(tel.is_on());
-                    let mut o = row(vec![
-                        ("pio_us", jf(pp.pio_us)),
-                        ("dma_us", jf(pp.dma_us)),
-                        ("pio_leg_ns", jf(pp.pio_leg_ns)),
-                        ("dma_leg_ns", jf(pp.dma_leg_ns)),
-                    ]);
-                    if let Some(t) = telemetry {
-                        o.push("telemetry", t);
-                    }
-                    o
+                    crate::pingpong_row(tel.is_on())
                 })]
             },
         },
@@ -513,14 +436,7 @@ pub fn scenarios() -> Vec<Scenario> {
             points: |_| {
                 (1..=4u32)
                     .map(|hops| {
-                        Point::new(format!("{hops} hop"), move || {
-                            let r = crate::ring_hop(hops);
-                            row(vec![
-                                ("hops", JsonValue::from(r.hops)),
-                                ("pio_ns", jf(r.pio_ns)),
-                                ("dma_4k_us", jf(r.dma_4k_us)),
-                            ])
-                        })
+                        Point::new(format!("{hops} hop"), move || crate::ring_hop_row(hops))
                     })
                     .collect()
             },
@@ -533,17 +449,7 @@ pub fn scenarios() -> Vec<Scenario> {
             points: |_| {
                 [2u32, 4, 8, 16]
                     .into_iter()
-                    .map(|n| {
-                        Point::new(format!("{n} nodes"), move || {
-                            let r = crate::scaling_point(n);
-                            row(vec![
-                                ("nodes", JsonValue::from(r.nodes)),
-                                ("diameter_pio_ns", jf(r.diameter_pio_ns)),
-                                ("shift_aggregate_bps", jf(r.shift_aggregate)),
-                                ("shift_per_node_bps", jf(r.shift_per_node)),
-                            ])
-                        })
-                    })
+                    .map(|n| Point::new(format!("{n} nodes"), move || crate::scaling_row(n)))
                     .collect()
             },
         },
@@ -552,16 +458,7 @@ pub fn scenarios() -> Vec<Scenario> {
             description: "two pipelined puts sharing one ring cable",
             figure: "§III-E",
             backends: TCA_ONLY,
-            points: |_| {
-                vec![Point::new("1 MiB flows", || {
-                    let r = crate::contention_report();
-                    row(vec![
-                        ("solo_bps", jf(r.solo)),
-                        ("shared_per_flow_bps", jf(r.shared_per_flow)),
-                        ("shared_aggregate_bps", jf(r.shared_aggregate)),
-                    ])
-                })]
-            },
+            points: |_| vec![Point::new("1 MiB flows", crate::contention_row)],
         },
         Scenario {
             name: "comparison",
@@ -572,18 +469,7 @@ pub fn scenarios() -> Vec<Scenario> {
                 (3..=21)
                     .step_by(2)
                     .map(|p| 1u64 << p)
-                    .map(|size| {
-                        Point::new(fmt_size(size), move || {
-                            let r = crate::comparison(&[size])[0];
-                            row(vec![
-                                ("size", JsonValue::from(r.size)),
-                                ("tca_dma_us", jf(r.tca_dma_us)),
-                                ("tca_pio_us", jf(r.tca_pio_us)),
-                                ("mpi_staged_us", jf(r.mpi_staged_us)),
-                                ("ib_gpudirect_us", jf(r.ib_gpudirect_us)),
-                            ])
-                        })
-                    })
+                    .map(|size| Point::new(fmt_size(size), move || crate::comparison_row(size)))
                     .collect()
             },
         },
@@ -595,16 +481,7 @@ pub fn scenarios() -> Vec<Scenario> {
             points: |_| {
                 (10..=20)
                     .map(|p| 1u64 << p)
-                    .map(|size| {
-                        Point::new(fmt_size(size), move || {
-                            let r = crate::dmac_ablation(&[size])[0];
-                            row(vec![
-                                ("size", JsonValue::from(r.size)),
-                                ("legacy_two_phase_bps", jf(r.legacy_two_phase)),
-                                ("pipelined_bps", jf(r.pipelined)),
-                            ])
-                        })
-                    })
+                    .map(|size| Point::new(fmt_size(size), move || crate::dmac_row(size)))
                     .collect()
             },
         },
@@ -613,15 +490,7 @@ pub fn scenarios() -> Vec<Scenario> {
             description: "P2P write bandwidth same-socket vs across QPI",
             figure: "§IV-A2",
             backends: TCA_ONLY,
-            points: |_| {
-                vec![Point::new("256 KiB stores", || {
-                    let q = crate::qpi_report();
-                    row(vec![
-                        ("same_socket_bps", jf(q.same_socket)),
-                        ("across_qpi_bps", jf(q.across_qpi)),
-                    ])
-                })]
-            },
+            points: |_| vec![Point::new("256 KiB stores", crate::qpi_row)],
         },
         Scenario {
             name: "ablation-pearl",
@@ -631,16 +500,7 @@ pub fn scenarios() -> Vec<Scenario> {
             points: |_| {
                 [0u32, 1_000, 10_000, 50_000, 100_000]
                     .into_iter()
-                    .map(|ppm| {
-                        Point::new(format!("{ppm} ppm"), move || {
-                            let r = crate::reliability_ablation(&[ppm])[0];
-                            row(vec![
-                                ("error_ppm", JsonValue::from(r.error_ppm)),
-                                ("remote_write_bps", jf(r.remote_write)),
-                                ("replays", JsonValue::from(r.replays)),
-                            ])
-                        })
-                    })
+                    .map(|ppm| Point::new(format!("{ppm} ppm"), move || crate::pearl_row(ppm)))
                     .collect()
             },
         },
@@ -866,17 +726,21 @@ pub fn scenarios() -> Vec<Scenario> {
             figure: "§IV-A1",
             backends: TCA_ONLY,
             points: |_| {
-                crate::theoretical_peaks()
-                    .into_iter()
-                    .map(|r| {
-                        Point::new(r.label, move || {
-                            row(vec![
-                                ("raw_bps", JsonValue::from(r.raw)),
-                                ("peak_bps", jf(r.peak)),
-                            ])
-                        })
+                [
+                    ("PCIe Gen2 x8 (PEACH2 ports)", LinkParams::gen2_x8()),
+                    ("PCIe Gen2 x16 (GPU slots)", LinkParams::gen2_x16()),
+                    ("PCIe Gen3 x8 (IB HCA slot)", LinkParams::gen3_x8()),
+                ]
+                .into_iter()
+                .map(|(label, p)| {
+                    Point::new(label, move || {
+                        row(vec![
+                            ("raw_bps", JsonValue::from(p.raw_bytes_per_sec())),
+                            ("peak_bps", jf(p.theoretical_peak_bytes_per_sec())),
+                        ])
                     })
-                    .collect()
+                })
+                .collect()
             },
         },
         Scenario {
@@ -924,16 +788,8 @@ pub fn scenarios() -> Vec<Scenario> {
                     .flat_map(|(k, kind)| {
                         (1..=8u32).map(move |hops| {
                             Point::new(format!("{kind} {hops} hop"), move || {
-                                let r = &crate::latency_attribution(hops)[k];
-                                let mut o = row(vec![
-                                    ("kind", JsonValue::from(kind)),
-                                    ("hops", JsonValue::from(hops)),
-                                    ("total_ns", jf(r.total_ns)),
-                                ]);
-                                for (stage, ns) in &r.stages {
-                                    o.push(format!("{stage}_ns"), jf(*ns));
-                                }
-                                o
+                                let rows = crate::latency_attribution(hops);
+                                rows.into_iter().nth(k).expect("pio and dma rows")
                             })
                         })
                     })

@@ -64,3 +64,51 @@ fn list_accepts_json() {
     assert_eq!(code, Some(0), "{stderr}");
     assert!(left.is_empty(), "{left:?}");
 }
+
+#[test]
+fn profile_times_every_sweep_point_without_touching_stdout() {
+    let dir = std::env::temp_dir().join(format!("tca-bench-cli-{}-profile", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let sweep = |extra: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_tca-bench"))
+            .args(["--scenario", "fig9", "--json"])
+            .args(extra)
+            .current_dir(std::env::temp_dir())
+            .output()
+            .expect("spawn tca-bench");
+        assert!(out.status.success(), "{out:?}");
+        out.stdout
+    };
+    let prof_dir = dir.join("P");
+    let prof_arg = prof_dir.to_str().expect("utf-8 temp path");
+    assert_eq!(
+        sweep(&[]),
+        sweep(&["--profile", "--profile-dir", prof_arg]),
+        "--profile changed the sweep stdout"
+    );
+
+    let labels = [1, 2, 4, 8, 16, 32, 64, 128, 255].map(|n| format!("{n} reqs"));
+    let json = std::fs::read_to_string(prof_dir.join("PROF_fig9.json")).expect("PROF json");
+    assert!(json.starts_with("{\"schema\":\"tca-prof/v2\""), "{json}");
+    let report = tca_sim::JsonValue::parse(&json).expect("PROF json parses");
+    let points = report
+        .get("points")
+        .and_then(|p| p.as_array())
+        .expect("points array");
+    let got: Vec<&str> = points
+        .iter()
+        .map(|p| p.get("label").and_then(|l| l.as_str()).expect("label"))
+        .collect();
+    assert_eq!(got, labels, "one entry per point, in sweep order");
+
+    // Folded stacks: one `tca_bench;fig9;<label> <ns>` line per point.
+    let folded = std::fs::read_to_string(prof_dir.join("PROF_fig9.folded")).expect("folded");
+    let lines: Vec<&str> = folded.lines().collect();
+    assert_eq!(lines.len(), labels.len(), "{folded}");
+    for (line, label) in lines.iter().zip(&labels) {
+        let (frames, value) = line.rsplit_once(' ').expect("folded line shape");
+        assert_eq!(frames, format!("tca_bench;fig9;{label}"));
+        value.parse::<u64>().expect("folded value is integer ns");
+    }
+    std::fs::remove_dir_all(&dir).expect("remove scratch dir");
+}

@@ -169,6 +169,19 @@ mod tests {
     }
 
     #[test]
+    fn table_ii_preset_equals_the_device_defaults() {
+        // Rigs built from `FabricParams::default()` and callers that pass
+        // `NodeConfig::default()` / `Peach2Params::default()` straight to
+        // `build_ring` describe the same fabric only while this holds.
+        let devices = FabricParams {
+            node: NodeConfig::default(),
+            peach2: Peach2Params::default(),
+            qpi: QpiParams::default(),
+        };
+        assert_eq!(devices.fingerprint(), FabricParams::default().fingerprint());
+    }
+
+    #[test]
     fn overlay_reaches_the_right_component() {
         let mut fp = FabricParams::default();
         let mut set = ParamSet::new();

@@ -137,12 +137,22 @@ if [[ ! -s "$profdir/out/PROF_pingpong.json" || ! -s "$profdir/out/PROF_pingpong
     echo "tca-prof smoke: --profile did not write the PROF artifacts" >&2
     exit 1
 fi
+# The profile times the sweep's own points: one entry per point, by label.
+prof_json=$(cat "$profdir/out/PROF_pingpong.json")
+if [[ "$prof_json" != '{"schema":"tca-prof/v2"'* || "$prof_json" != *'"label":"half-rtt"'* ]]; then
+    echo "tca-prof smoke: PROF_pingpong.json is not a tca-prof/v2 report of the half-rtt point" >&2
+    exit 1
+fi
 sweep_plain=$(cargo run -q --release --offline -p tca-bench --bin tca-bench -- \
     --scenario put-latency --json)
 sweep_prof=$(cargo run -q --release --offline -p tca-bench --bin tca-bench -- \
     --scenario put-latency --json --profile --profile-dir "$profdir/out" 2> /dev/null)
 if [[ "$sweep_plain" != "$sweep_prof" ]]; then
     echo "tca-prof smoke: --profile changed the sweep JSON" >&2
+    exit 1
+fi
+if [[ "$(wc -l < "$profdir/out/PROF_put-latency.folded")" -ne 4 ]]; then
+    echo "tca-prof smoke: PROF_put-latency.folded needs one line per put-latency point (4)" >&2
     exit 1
 fi
 

@@ -195,12 +195,12 @@ fn bench_fabric_report_is_byte_identical() {
 
 #[test]
 fn figure_sweeps_are_reproducible() {
-    let a = tca_bench::fig9(&[1, 4, 255]);
-    let b = tca_bench::fig9(&[1, 4, 255]);
-    for (x, y) in a.iter().zip(&b) {
-        assert_eq!(x.cpu_write.to_bits(), y.cpu_write.to_bits());
-        assert_eq!(x.cpu_read.to_bits(), y.cpu_read.to_bits());
-        assert_eq!(x.gpu_write.to_bits(), y.gpu_write.to_bits());
+    use tca_bench::{fig9_row, num};
+    for count in [1, 4, 255] {
+        let (x, y) = (fig9_row(count), fig9_row(count));
+        for key in ["cpu_write_bps", "cpu_read_bps", "gpu_write_bps"] {
+            assert_eq!(num(&x, key).to_bits(), num(&y, key).to_bits(), "{key}");
+        }
     }
 }
 
@@ -237,11 +237,11 @@ fn backend_sweeps_are_reproducible() {
 
 #[test]
 fn latency_report_is_reproducible() {
-    let a = tca_bench::latency_report();
-    let b = tca_bench::latency_report();
-    assert_eq!(a.pio_oneway_ns.to_bits(), b.pio_oneway_ns.to_bits());
-    assert_eq!(a.ib_qdr_oneway_ns.to_bits(), b.ib_qdr_oneway_ns.to_bits());
-    assert_eq!(a.mpi_halfrtt_ns.to_bits(), b.mpi_halfrtt_ns.to_bits());
+    use tca_bench::{latency_row, num};
+    let (a, b) = (latency_row(), latency_row());
+    for key in ["pio_oneway_ns", "ib_qdr_oneway_ns", "mpi_halfrtt_ns"] {
+        assert_eq!(num(&a, key).to_bits(), num(&b, key).to_bits(), "{key}");
+    }
 }
 
 #[test]
