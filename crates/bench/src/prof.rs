@@ -205,7 +205,7 @@ pub struct EngineProfile {
     /// Final dispatch counters of the steady-state fabric.
     pub dispatch: FabricProf,
     /// TLP construction/clone/relay deltas across the whole run
-    /// (process-wide counters; zeros without `host-prof`).
+    /// (the running thread's counters; zeros without `host-prof`).
     pub tlp: TlpCounts,
     /// Allocation activity across the whole run (zeros unless the binary
     /// installed the counting allocator).

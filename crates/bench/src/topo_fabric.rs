@@ -81,9 +81,10 @@ impl Device for TopoRouter {
 
 /// A built topology: the fabric plus the per-node device ids (index =
 /// node number). Reusable: after one [`TopoFabric::drain`] warms every
-/// pool (event slab and near tier, TLP slab, link queues, action scratch), further
-/// inject/drain rounds on the same instance run allocation-free — the
-/// property the zero-alloc steady-state test pins down.
+/// pool (event slab and near tier, lane heap, wire and credit lanes, link
+/// queues), further inject/drain rounds on the same instance run
+/// allocation-free — the property the zero-alloc steady-state test pins
+/// down.
 pub struct TopoFabric {
     /// The wired-up fabric, ready to run.
     pub fabric: Fabric,

@@ -16,6 +16,17 @@
 //! span segments are recorded when the dispatch ends, so a handler's own
 //! spans number before those of the TLPs it sent.
 //!
+//! Only device timers wait in the general event queue. A TLP on the wire
+//! waits in its link direction's FIFO: it lands at the wire's `busy_until`
+//! plus the link's fixed latency, and `busy_until` only grows, so the FIFO
+//! is in time order by construction. Credit returns wait likewise in one
+//! FIFO per link, each due its fixed `credit_return_delay` after it is
+//! made. These *lanes* take their sequence numbers from the queue's own
+//! counter, and the dispatch loop pops the smaller `(at, seq)` of the
+//! queue head and the earliest lane head (a small heap of the non-empty
+//! lanes), so events dispatch in exactly the `(at, seq)` order of one
+//! queue holding them all.
+//!
 //! Transmission rules per link direction:
 //! * the wire serializes one packet at a time (store-and-forward);
 //! * posted/non-posted requests share one FIFO, completions have their own
@@ -28,10 +39,11 @@
 use crate::device::{CreditHold, Ctx, Device};
 use crate::flow::CreditState;
 use crate::link::{LinkParams, WireState};
-use crate::slab::{TlpHandle, TlpSlab};
 use crate::tlp::{DeviceId, Dir, FcClass, PortIdx, Tlp, TlpKind};
 use std::any::Any;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BinaryHeap, VecDeque};
 use tca_sim::metrics::{CounterId, GaugeId, MeterId};
 use tca_sim::{
     Dur, EventQueue, FlightRecorder, Fnv64, JsonValue, MetricsHub, MetricsSnapshot, Sampler,
@@ -68,29 +80,76 @@ impl std::fmt::Display for ConfigError {
     }
 }
 
-/// One queued fabric event. Kept small (16 bytes of payload) on purpose:
-/// the event queue moves entries between its tiers and wheel levels as
-/// time advances, and a
-/// `Deliver` carries only a [`TlpHandle`] into the fabric's [`TlpSlab`] —
-/// the packet itself is parked once at transmit and taken at delivery,
-/// never cloned and never dragged through the wheel.
+/// The next fabric event, as [`Net::pop_next`] hands it to the dispatch
+/// loop. A delivery or credit return names only its lane: the TLP or the
+/// credits stay at the lane's front until the dispatch takes them, so the
+/// 72-byte packet is never copied through the pop.
 enum Ev {
-    Deliver {
-        link: u32,
-        dir: Dir,
-        tlp: TlpHandle,
-    },
-    Timer {
-        dst: DeviceId,
-        tag: u64,
-    },
-    CreditReturn {
-        link: u32,
-        dir: Dir,
-        class: FcClass,
-        hdr: u32,
-        data: u32,
-    },
+    Deliver { link: u32, dir: Dir },
+    Timer { dst: DeviceId, tag: u64 },
+    CreditReturn { link: u32 },
+}
+
+/// A lane FIFO: `(at, seq, item)` in ascending `(at, seq)` order.
+type LaneFifo<T> = VecDeque<(SimTime, u64, T)>;
+
+/// A non-empty lane in the lane heap, keyed by its front's `(at, seq)`.
+/// The lane number packs `link << 2 | k`: `k` is the [`Dir`] index of a
+/// wire lane, or 2 for the link's credit returns.
+type LaneKey = Reverse<(u64, u64, u32)>;
+
+/// Lane number of the TLPs on `link`'s wire in direction `dir`.
+#[inline]
+fn wire_lane(link: u32, dir: Dir) -> u32 {
+    link << 2 | dir as u32
+}
+
+/// Lane number of `link`'s credit returns.
+#[inline]
+fn credit_lane(link: u32) -> u32 {
+    link << 2 | 2
+}
+
+/// Appends `item`, due at `at`, to the lane FIFO `fifo` numbered `lane`.
+/// Its seq comes from the queue, so it orders against every other event
+/// exactly as a queued one would; a lane that was empty enters the heap.
+/// A lane relies on its times never decreasing, so that is checked, in
+/// release builds too: a violation would silently reorder events.
+#[inline]
+fn lane_push<T>(
+    queue: &mut EventQueue<(DeviceId, u64)>,
+    heap: &mut BinaryHeap<LaneKey>,
+    fifo: &mut LaneFifo<T>,
+    lane: u32,
+    at: SimTime,
+    item: T,
+) {
+    let seq = queue.take_seq();
+    match fifo.back() {
+        None => heap.push(Reverse((at.as_ps(), seq, lane))),
+        Some(&(back, ..)) => assert!(
+            at >= back,
+            "lane {lane} out of time order: {at:?} after {back:?}"
+        ),
+    }
+    fifo.push_back((at, seq, item));
+}
+
+/// Takes the front of lane `lane`, which [`Net::pop_next`] just chose and
+/// so heads the heap: the heap entry is re-keyed to the new front, or
+/// removed when the lane empties.
+#[inline]
+fn lane_take<T>(heap: &mut BinaryHeap<LaneKey>, fifo: &mut LaneFifo<T>, lane: u32) -> T {
+    let (_, _, item) = fifo.pop_front().expect("the chosen lane has a front");
+    let mut top = heap.peek_mut().expect("the chosen lane heads the heap");
+    debug_assert_eq!(top.0 .2, lane, "the chosen lane heads the heap");
+    match fifo.front() {
+        Some(&(at, seq, _)) => top.0 = (at.as_ps(), seq, lane),
+        None => {
+            PeekMut::pop(top);
+        }
+    }
+    item
 }
 
 /// The kind of event one [`Fabric::step_kind`] call dispatched. Public
@@ -170,6 +229,8 @@ struct LinkDir {
     reqq: VecDeque<(SimTime, Tlp)>,
     /// Completions blocked on credits; may bypass blocked requests.
     cplq: VecDeque<(SimTime, Tlp)>,
+    /// The wire lane: TLPs serialized onto the wire, not yet delivered.
+    inflight: LaneFifo<Tlp>,
     /// Total time packets spent queued waiting for credits.
     credit_stall: Dur,
     m: DirMetrics,
@@ -181,6 +242,9 @@ struct LinkState {
     /// `ends[1-d]`.
     ends: [(DeviceId, PortIdx); 2],
     dirs: [LinkDir; 2],
+    /// The credit lane: released credits of both directions, not yet back
+    /// at their sender.
+    credit_returns: LaneFifo<CreditHold>,
 }
 
 /// Aggregate counters for one link direction.
@@ -217,12 +281,16 @@ pub struct Fabric {
 /// awaiting [`Net::record_link_segments`].
 type LinkSeg = (TraceCtx, &'static str, SimTime, SimTime, u32);
 
-/// The part of the fabric a device handler acts on: the event queue, the
-/// links with their wires and credits, in-flight TLP storage, and the
-/// always-on data sinks. [`Ctx`] borrows it mutably, so every send, timer
-/// and credit release is applied the moment a handler makes it.
+/// The part of the fabric a device handler acts on: the event queue and
+/// its lanes, the links with their wires and credits, and the always-on
+/// data sinks. [`Ctx`] borrows it mutably, so every send, timer and credit
+/// release is applied the moment a handler makes it.
 pub(crate) struct Net {
-    queue: EventQueue<Ev>,
+    /// Device timers `(dst, tag)`; deliveries and credit returns wait in
+    /// the links' lanes instead.
+    queue: EventQueue<(DeviceId, u64)>,
+    /// Every non-empty lane, keyed by its front's `(at, seq)`.
+    lanes: BinaryHeap<LaneKey>,
     /// `(link, transmit direction)` of each connected port, indexed
     /// `[device][port]`: every TLP send looks its port up here.
     ports: Vec<Vec<Option<(u32, Dir)>>>,
@@ -236,8 +304,6 @@ pub(crate) struct Net {
     config_errors: Vec<ConfigError>,
     /// Host-side dispatch counters (`tca-prof` layer one).
     prof: FabricProf,
-    /// In-flight TLP storage; `Ev::Deliver` carries handles into it.
-    tlps: TlpSlab,
     /// Link-layer segments of the current dispatch. They are recorded
     /// when it ends, so they number after the handler's own spans.
     link_segs: Vec<LinkSeg>,
@@ -256,6 +322,7 @@ impl Fabric {
             devices: Vec::new(),
             net: Net {
                 queue: EventQueue::new(),
+                lanes: BinaryHeap::new(),
                 ports: Vec::new(),
                 links: Vec::new(),
                 metrics: MetricsHub::new(),
@@ -263,7 +330,6 @@ impl Fabric {
                 rng: SimRng::seed_from_u64(0x7ca_2013),
                 config_errors: Vec::new(),
                 prof: FabricProf::default(),
-                tlps: TlpSlab::new(),
                 link_segs: Vec::new(),
             },
             sampler: None,
@@ -451,6 +517,7 @@ impl Fabric {
                 credits: CreditState::from_params(&params),
                 reqq: VecDeque::new(),
                 cplq: VecDeque::new(),
+                inflight: VecDeque::new(),
                 credit_stall: Dur::ZERO,
                 m: DirMetrics {
                     tlps: metrics.counter(format!("{p}.tlps")),
@@ -467,6 +534,7 @@ impl Fabric {
             params,
             ends: [a, b],
             dirs: [mk_dir(Dir::Fwd), mk_dir(Dir::Rev)],
+            credit_returns: VecDeque::new(),
         });
         LinkId(id)
     }
@@ -571,7 +639,7 @@ impl Fabric {
 
     /// Executes events with timestamps `<= deadline`.
     pub fn run_until(&mut self, deadline: SimTime) {
-        while let Some(t) = self.net.queue.peek_time() {
+        while let Some(t) = self.net.peek_time() {
             if t > deadline {
                 break;
             }
@@ -590,7 +658,7 @@ impl Fabric {
     /// fabric itself stays wall-clock-free.
     pub fn step_kind(&mut self) -> Option<StepKind> {
         self.sample_pending();
-        let (_, ev) = self.net.queue.pop()?;
+        let ev = self.net.pop_next()?;
         self.record_flight(&ev);
         let kind = self.dispatch(ev);
         self.check_watchdog();
@@ -600,9 +668,11 @@ impl Fabric {
     /// Executes one already-popped event and reports its kind.
     fn dispatch(&mut self, ev: Ev) -> StepKind {
         let kind = match ev {
-            Ev::Deliver { link, dir, tlp } => {
+            Ev::Deliver { link, dir } => {
                 self.net.prof.deliver_events += 1;
-                let tlp = self.net.tlps.take(tlp);
+                let Net { links, lanes, .. } = &mut self.net;
+                let fifo = &mut links[link as usize].dirs[dir.index()].inflight;
+                let tlp = lane_take(lanes, fifo, wire_lane(link, dir));
                 self.deliver(link, dir, tlp);
                 StepKind::Deliver
             }
@@ -611,18 +681,15 @@ impl Fabric {
                 self.dispatch_timer(dst, tag);
                 StepKind::Timer
             }
-            Ev::CreditReturn {
-                link,
-                dir,
-                class,
-                hdr,
-                data,
-            } => {
+            Ev::CreditReturn { link } => {
                 self.net.prof.credit_return_events += 1;
-                self.net.links[link as usize].dirs[dir.index()]
+                let Net { links, lanes, .. } = &mut self.net;
+                let l = &mut links[link as usize];
+                let hold = lane_take(lanes, &mut l.credit_returns, credit_lane(link));
+                l.dirs[hold.dir.index()]
                     .credits
-                    .replenish(class, hdr, data);
-                self.net.pump_link(link, dir);
+                    .replenish(hold.class, hold.hdr, hold.data);
+                self.net.pump_link(link, hold.dir);
                 StepKind::CreditReturn
             }
         };
@@ -637,30 +704,35 @@ impl Fabric {
 
     /// Host-side counters of the underlying event queue (pushes, pops,
     /// cancels, entries re-filed by wheel cascades, peak pending depth).
+    /// Pushes, pops and the peak count lane events too; only cascades are
+    /// the wheel's alone.
     pub fn queue_prof(&self) -> tca_sim::ProfCounters {
         *self.net.queue.prof()
     }
 
-    /// Number of events currently pending in the queue. Exact: the timing
-    /// wheel unlinks cancelled entries eagerly, so there is no tombstone
-    /// residue to subtract.
+    /// Number of events currently pending, in the queue and in the lanes.
+    /// Exact: the timing wheel unlinks cancelled entries eagerly, so there
+    /// is no tombstone residue to subtract.
     pub fn queue_depth(&self) -> usize {
         self.net.queue.pending()
     }
 
     /// Appends the just-popped event to the flight recorder, if enabled.
     /// Runs between pop and dispatch so the log order *is* the dispatch
-    /// order; pure data capture — nothing here schedules events or touches
-    /// link state, so recording cannot shift simulated time.
+    /// order; a lane event is read at its lane's front, where it stays
+    /// until the dispatch takes it. Pure data capture — nothing here
+    /// schedules events or touches link state, so recording cannot shift
+    /// simulated time.
     fn record_flight(&mut self, ev: &Ev) {
         let Some(fl) = &mut self.flight else {
             return;
         };
         let at = self.net.queue.now();
         match ev {
-            Ev::Deliver { link, dir, tlp } => {
-                let (dst, port) = self.net.links[*link as usize].ends[dir.flip().index()];
-                let tlp = self.net.tlps.get(*tlp);
+            Ev::Deliver { link, dir } => {
+                let l = &self.net.links[*link as usize];
+                let (dst, port) = l.ends[dir.flip().index()];
+                let (_, _, tlp) = l.dirs[dir.index()].inflight.front().expect("lane front");
                 fl.record(
                     at,
                     StepKind::Deliver.name(),
@@ -678,14 +750,17 @@ impl Fabric {
                 };
                 fl.record(at, StepKind::Timer.name(), dst.0, None, None, *tag, label);
             }
-            Ev::CreditReturn {
-                link,
-                dir,
-                class,
-                hdr,
-                data,
-            } => {
-                let (src, port) = self.net.links[*link as usize].ends[dir.index()];
+            Ev::CreditReturn { link } => {
+                let l = &self.net.links[*link as usize];
+                let (_, _, hold) = l.credit_returns.front().expect("lane front");
+                let CreditHold {
+                    dir,
+                    class,
+                    hdr,
+                    data,
+                    ..
+                } = hold;
+                let (src, port) = l.ends[dir.index()];
                 let digest = Fnv64::new()
                     .write_u64(u64::from(*link))
                     .write_u64(dir.index() as u64)
@@ -714,7 +789,7 @@ impl Fabric {
         let Some(mut sampler) = self.sampler.take() else {
             return;
         };
-        if let Some(next_event) = self.net.queue.peek_time() {
+        if let Some(next_event) = self.net.peek_time() {
             while sampler.due_before(next_event) {
                 let at = sampler.next_due();
                 self.refresh_live_gauges();
@@ -899,22 +974,55 @@ impl Net {
     /// Arms a timer that calls `dst`'s `on_timer(tag)` after `delay`.
     #[inline]
     pub(crate) fn timer(&mut self, dst: DeviceId, delay: Dur, tag: u64) {
-        self.queue.schedule_in(delay, Ev::Timer { dst, tag });
+        self.queue.schedule_in(delay, (dst, tag));
     }
 
     /// Returns held credits to their link after its turnaround delay
-    /// (receiver-side processing plus the flow-control DLLP).
+    /// (receiver-side processing plus the flow-control DLLP). The delay is
+    /// fixed per link, so the link's credit lane stays in time order.
     pub(crate) fn release(&mut self, hold: CreditHold) {
-        self.queue.schedule_in(
-            self.links[hold.link as usize].params.credit_return_delay,
-            Ev::CreditReturn {
-                link: hold.link,
-                dir: hold.dir,
-                class: hold.class,
-                hdr: hold.hdr,
-                data: hold.data,
-            },
+        let link = hold.link;
+        let l = &mut self.links[link as usize];
+        let at = self.queue.now() + l.params.credit_return_delay;
+        let fifo = &mut l.credit_returns;
+        lane_push(
+            &mut self.queue,
+            &mut self.lanes,
+            fifo,
+            credit_lane(link),
+            at,
+            hold,
         );
+    }
+
+    /// Time of the next event, in the queue or a lane.
+    fn peek_time(&self) -> Option<SimTime> {
+        let lane = self.lanes.peek().map(|k| SimTime::from_ps(k.0 .0));
+        self.queue.peek_time().into_iter().chain(lane).min()
+    }
+
+    /// Pops the next event: the queue head or the earliest lane's front,
+    /// whichever is first in `(at, seq)` order. A lane event stays at its
+    /// lane's front until the dispatch takes it.
+    #[inline]
+    fn pop_next(&mut self) -> Option<Ev> {
+        let Some(&Reverse((at, seq, lane))) = self.lanes.peek() else {
+            let (_, (dst, tag)) = self.queue.pop()?;
+            return Some(Ev::Timer { dst, tag });
+        };
+        let at = SimTime::from_ps(at);
+        if let Some((_, (dst, tag))) = self.queue.pop_before(at, seq) {
+            return Some(Ev::Timer { dst, tag });
+        }
+        self.queue.advance_to(at);
+        let link = lane >> 2;
+        Some(match lane & 3 {
+            d @ (0 | 1) => Ev::Deliver {
+                link,
+                dir: Dir::ALL[d as usize],
+            },
+            _ => Ev::CreditReturn { link },
+        })
     }
 
     fn port_slot(&self, dev: DeviceId, port: PortIdx) -> Option<(u32, Dir)> {
@@ -984,7 +1092,7 @@ impl Net {
         }
     }
 
-    /// Reserves the wire and schedules delivery for a credit-approved TLP.
+    /// Reserves the wire and puts a credit-approved TLP on its wire lane.
     /// With a non-zero link error rate, corrupted transmissions occupy the
     /// wire, are NAKed, and replay after the penalty — in order, exactly
     /// like a PCIe/PEARL data-link-layer replay buffer.
@@ -1024,9 +1132,15 @@ impl Net {
                 self.link_segs
                     .push((sp, "wire", departure, arrival, sender.0));
             }
-            let tlp = self.tlps.insert(tlp);
-            self.queue
-                .schedule_at(arrival, Ev::Deliver { link, dir, tlp });
+            let lane = wire_lane(link, dir);
+            lane_push(
+                &mut self.queue,
+                &mut self.lanes,
+                &mut d.inflight,
+                lane,
+                arrival,
+                tlp,
+            );
             break;
         }
     }
@@ -1391,6 +1505,119 @@ mod tests {
         assert!(s.replays > 0, "some replays must have occurred");
         for i in 0..200u64 {
             assert_eq!(m.mem.read(i * 256, 1), vec![i as u8], "payload {i}");
+        }
+    }
+
+    #[test]
+    fn lossy_traffic_both_ways_keeps_every_lane_in_time_order() {
+        // Replays push `busy_until` past arrivals already on the wire;
+        // mixed sizes, reads answered on the reverse wire, and a small
+        // credit pool fill both wire lanes and the credit lane at once.
+        // Every lane push asserts its time order, so this run would
+        // panic on a lane that went backwards.
+        let mut f = Fabric::new();
+        let req = f.add_device(|id| Requester { id, got: vec![] });
+        let mem = f.add_device(TestMem::new);
+        let mut p = LinkParams::gen2_x8()
+            .with_latency(Dur::from_ns(100))
+            .with_error_rate_ppm(100_000);
+        p.posted_hdr_credits = 4;
+        f.connect((req, PortIdx(0)), (mem, PortIdx(0)), p);
+        f.drive::<Requester, _>(req, |d, ctx| {
+            for i in 0..120u64 {
+                let len = 64 + (i as usize * 40) % 193;
+                ctx.send(PortIdx(0), Tlp::write(i * 256, vec![i as u8; len]));
+                if i % 4 == 0 {
+                    ctx.send(PortIdx(0), Tlp::read(i * 256, 16, Tag(i as u16), d.id));
+                }
+            }
+        });
+        f.run_until_idle();
+        let m = f.device::<TestMem>(mem);
+        assert_eq!(m.delivered_writes.len(), 120, "exactly once");
+        assert!(m.delivered_writes.windows(2).all(|w| w[0].0 <= w[1].0));
+        let got = &f.device::<Requester>(req).got;
+        assert_eq!(got.len(), 30, "every read completed");
+        assert!(got.windows(2).all(|w| w[0].0 <= w[1].0));
+        let replays = |dir| f.link_stats(LinkId(0), dir).replays;
+        assert!(replays(Dir::Fwd) > 0 && replays(Dir::Rev) > 0);
+        assert_eq!(f.queue_depth(), 0, "every lane drained");
+    }
+
+    #[test]
+    fn queue_depth_counts_tlps_on_the_wire() {
+        let (mut f, req, _mem) = pair();
+        f.drive::<Requester, _>(req, |_, ctx| {
+            for i in 0..3u64 {
+                ctx.send(PortIdx(0), Tlp::write(i * 256, vec![0u8; 256]));
+            }
+        });
+        assert_eq!(f.queue_depth(), 3, "three deliveries pending");
+        f.run_until_idle();
+        // Three deliveries and their three credit returns.
+        let q = f.queue_prof();
+        assert_eq!((q.pushes, q.pops, q.peak_pending), (6, 6, 3));
+        assert_eq!((f.events_executed(), f.queue_depth()), (6, 0));
+    }
+
+    /// Every event of a drained fabric: its kind and time, in dispatch order.
+    fn dispatch_log(f: &mut Fabric) -> Vec<(StepKind, u64)> {
+        std::iter::from_fn(|| f.step_kind().map(|k| (k, f.now().as_ps() / 1_000))).collect()
+    }
+
+    #[test]
+    fn delivery_and_timer_at_one_instant_dispatch_in_seq_order() {
+        // The write lands at 170 ns (70 ns on the wire + 100 ns); a timer
+        // due then dispatches first only if it was scheduled first.
+        let write = |f: &mut Fabric, req| {
+            f.drive::<Requester, _>(req, |_, ctx| {
+                ctx.send(PortIdx(0), Tlp::write(0, vec![0u8; 256]));
+            });
+        };
+        let (mut f, req, mem) = pair();
+        f.schedule_timer(mem, Dur::from_ns(170), 0);
+        write(&mut f, req);
+        let timer_first = dispatch_log(&mut f);
+        let (mut f, req, mem) = pair();
+        write(&mut f, req);
+        f.schedule_timer(mem, Dur::from_ns(170), 0);
+        let delivery_first = dispatch_log(&mut f);
+        use StepKind::{CreditReturn, Deliver, Timer};
+        assert_eq!(
+            timer_first,
+            [(Timer, 170), (Deliver, 170), (CreditReturn, 270)]
+        );
+        assert_eq!(
+            delivery_first,
+            [(Deliver, 170), (Timer, 170), (CreditReturn, 270)]
+        );
+    }
+
+    #[test]
+    fn credit_return_and_timer_at_one_instant_dispatch_in_seq_order() {
+        // The delivery at 170 ns releases its credits, due back at 270 ns.
+        // A timer due then and scheduled earlier (at 0) dispatches first;
+        // one scheduled after the release dispatches second.
+        use StepKind::{CreditReturn, Deliver, Timer};
+        for timer_first in [true, false] {
+            let (mut f, req, mem) = pair();
+            if timer_first {
+                f.schedule_timer(mem, Dur::from_ns(270), 0);
+            }
+            f.drive::<Requester, _>(req, |_, ctx| {
+                ctx.send(PortIdx(0), Tlp::write(0, vec![0u8; 256]));
+            });
+            assert_eq!(f.step_kind(), Some(Deliver));
+            if !timer_first {
+                f.schedule_timer(mem, Dur::from_ns(100), 0);
+            }
+            let rest = dispatch_log(&mut f);
+            let want = if timer_first {
+                [(Timer, 270), (CreditReturn, 270)]
+            } else {
+                [(CreditReturn, 270), (Timer, 270)]
+            };
+            assert_eq!(rest, want, "timer_first={timer_first}");
         }
     }
 

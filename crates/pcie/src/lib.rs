@@ -44,7 +44,6 @@ pub mod flow;
 pub mod link;
 pub mod memory;
 pub mod prof;
-pub mod slab;
 pub mod tagpool;
 pub mod tlp;
 
@@ -55,6 +54,5 @@ pub use fabric::{ConfigError, Fabric, FabricProf, LinkDirStats, LinkId, StepKind
 pub use link::{LinkParams, PcieGen, WireState};
 pub use memory::{PageMemory, PAGE_SIZE};
 pub use prof::{tlp_counts, TlpCounts};
-pub use slab::{TlpHandle, TlpSlab};
 pub use tagpool::{ReadReassembly, TagPool};
 pub use tlp::{DeviceId, Dir, FcClass, PortIdx, Tag, Tlp, TlpKind, TLP_OVERHEAD_BYTES};

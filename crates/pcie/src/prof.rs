@@ -1,19 +1,20 @@
-//! Host-side TLP accounting for `tca-prof`: process-wide counters of TLP
+//! Host-side TLP accounting for `tca-prof`: per-thread counters of TLP
 //! constructions, clones, and router relay hops.
 //!
 //! Like the queue counters in [`tca_sim::prof`], these are pure host-side
 //! integers — they never schedule events or consult wall-clock time, so
 //! the determinism lint and the byte-identity tests stay intact. The
-//! counters are compiled to no-ops unless the `host-prof` feature is on,
-//! keeping the hot constructors free even of atomic traffic in ordinary
-//! builds.
+//! counters are compiled to no-ops unless the `host-prof` feature is on.
+//! With it they are plain thread-local cells, like the per-thread
+//! allocation tally in [`tca_sim::prof`], so counting costs no atomic
+//! read-modify-write per TLP.
 //!
-//! They are process-wide (a `Tlp` has no back-pointer to a fabric), so
-//! consumers measure *deltas* around a workload rather than absolutes;
-//! `tca-bench`'s profiler does exactly that.
+//! A `Tlp` has no back-pointer to a fabric, so consumers measure *deltas*
+//! around a workload, read on the thread that ran it; `tca-bench`'s
+//! profiler does exactly that. Work on other threads never shows up.
 
-/// Snapshot of the process-wide TLP accounting counters. All zeros unless
-/// the `host-prof` feature is enabled.
+/// Snapshot of the calling thread's TLP accounting counters. All zeros
+/// unless the `host-prof` feature is enabled.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TlpCounts {
     /// TLPs built through the [`crate::Tlp`] constructors
@@ -37,50 +38,50 @@ impl TlpCounts {
 }
 
 #[cfg(feature = "host-prof")]
-mod counters {
-    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+thread_local! {
+    static COUNTS: std::cell::Cell<TlpCounts> = const {
+        std::cell::Cell::new(TlpCounts {
+            constructed: 0,
+            cloned: 0,
+            relay_hops: 0,
+        })
+    };
+}
 
-    pub(super) static CONSTRUCTED: AtomicU64 = AtomicU64::new(0);
-    pub(super) static CLONED: AtomicU64 = AtomicU64::new(0);
-    pub(super) static RELAY_HOPS: AtomicU64 = AtomicU64::new(0);
-
-    #[inline]
-    pub(super) fn bump(c: &AtomicU64) {
-        c.fetch_add(1, Relaxed);
-    }
+/// Applies `f` to the calling thread's counters.
+#[inline]
+fn bump(_f: impl FnOnce(&mut TlpCounts)) {
+    #[cfg(feature = "host-prof")]
+    COUNTS.with(|c| {
+        let mut n = c.get();
+        _f(&mut n);
+        c.set(n);
+    });
 }
 
 /// Records one TLP construction (called by the [`crate::Tlp`] builders).
 #[inline]
 pub fn count_tlp_new() {
-    #[cfg(feature = "host-prof")]
-    counters::bump(&counters::CONSTRUCTED);
+    bump(|n| n.constructed += 1);
 }
 
 /// Records one TLP clone.
 #[inline]
 pub fn count_tlp_clone() {
-    #[cfg(feature = "host-prof")]
-    counters::bump(&counters::CLONED);
+    bump(|n| n.cloned += 1);
 }
 
 /// Records one router relay hop (called from the PEACH2 relay path).
 #[inline]
 pub fn count_relay_hop() {
-    #[cfg(feature = "host-prof")]
-    counters::bump(&counters::RELAY_HOPS);
+    bump(|n| n.relay_hops += 1);
 }
 
-/// Current process-wide TLP counters (zeros without `host-prof`).
+/// The calling thread's TLP counters (zeros without `host-prof`).
 pub fn tlp_counts() -> TlpCounts {
     #[cfg(feature = "host-prof")]
     {
-        use std::sync::atomic::Ordering::Relaxed;
-        TlpCounts {
-            constructed: counters::CONSTRUCTED.load(Relaxed),
-            cloned: counters::CLONED.load(Relaxed),
-            relay_hops: counters::RELAY_HOPS.load(Relaxed),
-        }
+        COUNTS.with(std::cell::Cell::get)
     }
     #[cfg(not(feature = "host-prof"))]
     {
@@ -121,7 +122,6 @@ mod tests {
         let t = crate::Tlp::write(0x1000, vec![0u8; 64]);
         let _c = t.clone();
         let d = tlp_counts().since(&before);
-        assert!(d.constructed >= 1);
-        assert!(d.cloned >= 1);
+        assert_eq!((d.constructed, d.cloned), (1, 1), "{d:?}");
     }
 }

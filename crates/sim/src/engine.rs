@@ -58,6 +58,19 @@
 //! tiers whole, in seq order). Global pop order is therefore
 //! lexicographic `(at, seq)` — the same total order the original
 //! binary-heap implementation produced, byte for byte in every flight log.
+//!
+//! # Events kept outside the queue
+//!
+//! An owner whose events already arrive in time order can keep them in
+//! FIFOs of its own instead (the PCIe fabric does so for its deliveries and
+//! credit returns). Each such event takes its seq from
+//! [`EventQueue::take_seq`] when it is made, exactly as `schedule_at`
+//! would have given it; the owner then dispatches the smaller `(at, seq)`
+//! of its earliest FIFO head and the queue head, by offering that FIFO
+//! head to [`EventQueue::pop_before`] and, when the queue declines,
+//! popping the FIFO and calling [`EventQueue::advance_to`]. The merged
+//! order is the same `(at, seq)` order, and the counters, `pending()` and
+//! `events_executed()` count outside events as if they had been queued.
 
 use crate::prof::ProfCounters;
 use crate::time::{Dur, SimTime};
@@ -146,13 +159,17 @@ pub struct EventQueue<E> {
     occ: [[u64; 4]; LEVELS],
     /// Bit `4 * level + word` is set while `occ[level][word] != 0`.
     summary: u32,
-    /// Wheel origin in ps, at or before `now`. Moves only inside `pop`: a
-    /// cascade jumps it to a bucket's minimum, which pops at once, and a
+    /// Wheel origin in ps, at or before `now`. Moves only inside
+    /// `pop_before`: a cascade jumps it to a bucket's minimum, which pops
+    /// at once (a head that does not pop is never cascaded), and a
     /// refill that empties the wheel drops it to `now` (never in
     /// `peek_time` — scheduling between a peek and the pop it predicts
     /// must stay legal).
     base: u64,
     live: usize,
+    /// Events kept outside the queue (see [`EventQueue::take_seq`]) that
+    /// have not yet been popped with [`EventQueue::advance_to`].
+    outside: usize,
     now: SimTime,
     next_seq: u64,
     popped: u64,
@@ -181,6 +198,7 @@ impl<E> EventQueue<E> {
             summary: 0,
             base: 0,
             live: 0,
+            outside: 0,
             now: SimTime::ZERO,
             next_seq: 0,
             popped: 0,
@@ -200,11 +218,12 @@ impl<E> EventQueue<E> {
         self.popped
     }
 
-    /// Number of live events still pending. Cancelled events leave no
-    /// residue, so this is exact (the old heap counted tombstones too).
+    /// Number of live events still pending, those kept outside the queue
+    /// included. Cancelled events leave no residue, so this is exact (the
+    /// old heap counted tombstones too).
     #[inline]
     pub fn pending(&self) -> usize {
-        self.live
+        self.live + self.outside
     }
 
     /// True while `id` is still pending (scheduled, not fired, not
@@ -277,7 +296,7 @@ impl<E> EventQueue<E> {
         }
         self.live += 1;
         self.prof.pushes += 1;
-        self.prof.peak_pending = self.prof.peak_pending.max(self.live as u64);
+        self.prof.peak_pending = self.prof.peak_pending.max(self.pending() as u64);
         EventId::encode(idx, gen)
     }
 
@@ -317,17 +336,74 @@ impl<E> EventQueue<E> {
 
     /// Pops the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        self.pop_before(SimTime::MAX, u64::MAX)
+    }
+
+    /// Reserves the next sequence number for an event kept outside the
+    /// queue: in a FIFO of its owner's whose times never decrease, which
+    /// the owner merges with the queue through [`EventQueue::pop_before`].
+    /// The event counts as pushed and pending from here until
+    /// [`EventQueue::advance_to`] pops it, so [`EventQueue::prof`],
+    /// [`EventQueue::pending`] and [`EventQueue::events_executed`] count
+    /// both kinds of event alike.
+    #[inline]
+    pub fn take_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.outside += 1;
+        self.prof.pushes += 1;
+        self.prof.peak_pending = self.prof.peak_pending.max(self.pending() as u64);
+        seq
+    }
+
+    /// Pops the next queued event only if it precedes `(at, seq)` in
+    /// `(time, seq)` order, advancing the clock to its timestamp; `None`
+    /// when the queue is empty or its head comes later. `(at, seq)` is the
+    /// head of an outside FIFO (see [`EventQueue::take_seq`]), so one call
+    /// decides which of the two dispatches next. Unlike a peek followed by
+    /// a pop, it finds the head once. A head it leaves in place may have
+    /// moved between the tiers, but never behind `now`: scheduling at or
+    /// after `at` stays legal.
+    pub fn pop_before(&mut self, at: SimTime, seq: u64) -> Option<(SimTime, E)> {
+        if self.live == 0 {
+            return None;
+        }
+        let key = (at.as_ps(), seq);
         if self.near.is_empty() {
             if self.live > NEAR_CAP {
                 // Too deep for the near tier: pop straight from the wheel.
-                let idx = self.earliest()?;
+                let idx = self.earliest_before(key)?;
                 self.unlink(idx);
                 return Some(self.pop_entry(idx));
             }
             self.refill();
         }
-        let (_, idx) = self.near.pop()?;
+        let &(_, idx) = self.near.last().expect("live events fill the near tier");
+        if self.key(idx) > key {
+            return None;
+        }
+        self.near.pop();
         Some(self.pop_entry(idx))
+    }
+
+    /// Pops an event kept outside the queue (its seq came from
+    /// [`EventQueue::take_seq`]), due at `at`: advances the clock to `at`
+    /// and counts the pop.
+    ///
+    /// # Panics
+    /// Panics if no outside event is pending or `at` is before now.
+    #[track_caller]
+    pub fn advance_to(&mut self, at: SimTime) {
+        assert!(self.outside > 0, "advance_to without an outside event");
+        assert!(
+            at >= self.now,
+            "advance_to into the past: at={at:?} now={:?}",
+            self.now
+        );
+        self.now = at;
+        self.outside -= 1;
+        self.popped += 1;
+        self.prof.pops += 1;
     }
 
     /// Timestamp of the next event without popping it.
@@ -351,9 +427,9 @@ impl<E> EventQueue<E> {
         Some(SimTime::from_ps(min))
     }
 
-    /// True when no events remain.
+    /// True when no events remain, those kept outside the queue included.
     pub fn is_idle(&self) -> bool {
-        self.live == 0
+        self.pending() == 0
     }
 
     // -- tier internals -----------------------------------------------------
@@ -380,7 +456,7 @@ impl<E> EventQueue<E> {
     /// after `now`.
     fn refill(&mut self) {
         debug_assert!(self.near.is_empty() && self.live <= NEAR_CAP);
-        while let Some(idx) = self.earliest() {
+        while let Some(idx) = self.earliest_before((u64::MAX, u64::MAX)) {
             self.unlink(idx);
             let e = &mut self.slab[idx as usize];
             e.level = LVL_NEAR;
@@ -491,22 +567,34 @@ impl<E> EventQueue<E> {
         (best, min, len)
     }
 
+    /// The `(at, seq)` order key of entry `idx`.
+    #[inline]
+    fn key(&self, idx: u32) -> (u64, u64) {
+        let e = &self.slab[idx as usize];
+        (e.at, e.seq)
+    }
+
     /// The slab index of the wheel's earliest `(at, seq)` entry, still
-    /// linked; `None` when the wheel is empty. A coarse bucket of at most
-    /// [`SCAN_MAX`] entries is answered by its scan; a denser one is
-    /// cascaded, after which its minimum heads a level-0 slot.
-    fn earliest(&mut self) -> Option<u32> {
+    /// linked, if it precedes `key`; `None` when the wheel is empty or its
+    /// earliest entry comes later. A coarse bucket of at most [`SCAN_MAX`]
+    /// entries is answered by its scan; a denser one is cascaded, after
+    /// which its minimum heads a level-0 slot. The comparison comes first:
+    /// a cascade moves `base` to the minimum, which must then pop.
+    fn earliest_before(&mut self, key: (u64, u64)) -> Option<u32> {
         let (level, slot) = self.first_occupied()?;
         let cell = level * SLOTS + slot;
         if level == 0 {
-            return Some(self.wheel[cell].head);
+            let idx = self.wheel[cell].head;
+            return (self.key(idx) < key).then_some(idx);
         }
         let (idx, min, len) = self.scan_bucket(cell);
-        if len <= SCAN_MAX {
-            return Some(idx);
+        if self.key(idx) > key {
+            return None;
         }
-        self.cascade(level, slot, min);
-        Some(self.wheel[min as u8 as usize].head)
+        if len > SCAN_MAX {
+            self.cascade(level, slot, min);
+        }
+        Some(idx)
     }
 
     /// Moves the base to `min`, bucket `(level, slot)`'s smallest time and
@@ -1008,14 +1096,69 @@ mod tests {
         assert_eq!(popped, scheduled);
     }
 
+    #[test]
+    fn outside_events_merge_in_time_seq_order() {
+        // An outside FIFO and the queue, merged through pop_before and
+        // advance_to, pop in (time, seq) order, ties by seq in both
+        // directions, and every counter counts the outside events.
+        let mut q = EventQueue::new();
+        let mut outside = std::collections::VecDeque::new();
+        q.schedule_at(SimTime::from_ps(10), "queued 10");
+        outside.push_back((10, q.take_seq(), "outside 10"));
+        outside.push_back((20, q.take_seq(), "outside 20"));
+        q.schedule_at(SimTime::from_ps(20), "queued 20");
+        q.schedule_at(SimTime::from_ps(5), "queued 5");
+        assert_eq!(q.pending(), 5);
+        assert_eq!(q.prof().peak_pending, 5);
+        let mut order = Vec::new();
+        loop {
+            let popped = match outside.front() {
+                None => q.pop(),
+                Some(&(at, seq, _)) => q.pop_before(SimTime::from_ps(at), seq),
+            };
+            if let Some((t, e)) = popped {
+                order.push((t.as_ps(), e));
+            } else if let Some((at, _, e)) = outside.pop_front() {
+                q.advance_to(SimTime::from_ps(at));
+                order.push((at, e));
+            } else {
+                break;
+            }
+        }
+        assert_eq!(
+            order,
+            [
+                (5, "queued 5"),
+                (10, "queued 10"),
+                (10, "outside 10"),
+                (20, "outside 20"),
+                (20, "queued 20"),
+            ]
+        );
+        assert_eq!(q.now(), SimTime::from_ps(20));
+        assert!(q.is_idle());
+        assert_eq!(q.events_executed(), 5);
+        let p = *q.prof();
+        assert_eq!((p.pushes, p.pops, p.peak_pending), (5, 5, 5));
+    }
+
+    #[test]
+    #[should_panic(expected = "advance_to without an outside event")]
+    fn advance_to_needs_an_outside_event() {
+        let mut q: EventQueue<()> = EventQueue::new();
+        q.advance_to(SimTime::from_ps(1));
+    }
+
     // The determinism contract, checked against a naive reference model:
     // under any schedule/cancel/pop interleaving, pop order must equal a
     // sorted-Vec model ordered by (time, schedule seq), `is_pending` must
     // match exact membership, and `pending()` must track the live count.
+    // Some events are kept in an outside FIFO instead and merged through
+    // `pop_before` and `advance_to`, as the fabric does with its lanes.
     mod properties {
         use super::*;
         use proptest::prelude::*;
-        use std::collections::BTreeSet;
+        use std::collections::{BTreeSet, VecDeque};
 
         /// Cases of `wheel_matches_sorted_vec_reference`.
         const CASES: u32 = 128;
@@ -1064,13 +1207,15 @@ mod tests {
             }
         }
 
-        /// The queue under test, the model, every id handed out (by seq),
+        /// The queue under test, the model, every id handed out (by seq;
+        /// `None` for an outside event), the outside FIFO of `(at, seq)`,
         /// and the two-tier paths the operations have taken so far, read
         /// off the queue's state around each one.
         struct Run<'a> {
             q: EventQueue<u64>,
             model: RefModel,
-            ids: Vec<EventId>,
+            ids: Vec<Option<EventId>>,
+            outside: VecDeque<(u64, u64)>,
             seen: &'a mut BTreeSet<&'static str>,
         }
 
@@ -1080,7 +1225,8 @@ mod tests {
             fn schedule(&mut self, at: u64) {
                 let (bound, wheel_empty) = (self.q.bound, self.q.summary == 0);
                 let seq = self.model.schedule(at);
-                self.ids.push(self.q.schedule_at(SimTime::from_ps(at), seq));
+                self.ids
+                    .push(Some(self.q.schedule_at(SimTime::from_ps(at), seq)));
                 if self.q.bound != bound {
                     self.seen.insert("demotion");
                 }
@@ -1089,8 +1235,32 @@ mod tests {
                 }
             }
 
+            /// Keeps an event at `at`, or at the FIFO's back if that is
+            /// later, in the outside FIFO; its seq must be the model's.
+            fn schedule_outside(&mut self, at: u64) -> Result<(), String> {
+                let at = self.outside.back().map_or(at, |&(back, _)| at.max(back));
+                let seq = self.model.schedule(at);
+                prop_assert_eq!(self.q.take_seq(), seq, "take_seq diverged from the model");
+                self.ids.push(None);
+                self.outside.push_back((at, seq));
+                Ok(())
+            }
+
+            /// The next event time, in the queue or the outside FIFO.
+            fn peek(&self) -> Option<u64> {
+                let q = self.q.peek_time().map(SimTime::as_ps);
+                let o = self.outside.front().map(|&(at, _)| at);
+                match (q, o) {
+                    (Some(q), Some(o)) => Some(q.min(o)),
+                    (q, o) => q.or(o),
+                }
+            }
+
             fn cancel(&mut self, seq: u64) -> Result<(), String> {
-                let id = self.ids[seq as usize];
+                // Outside events are never cancelled.
+                let Some(id) = self.ids[seq as usize] else {
+                    return Ok(());
+                };
                 let near =
                     self.q.is_pending(id) && self.q.slab[id.decode().0 as usize].level == LVL_NEAR;
                 let got = self.q.cancel(id);
@@ -1116,9 +1286,30 @@ mod tests {
                     .iter()
                     .take_while(|e| Some(e.0) == next_at)
                     .count();
-                let got = self.q.pop().map(|(t, seq)| (t.as_ps(), seq));
+                let got = match self.outside.front() {
+                    None => self.q.pop().map(|(t, seq)| (t.as_ps(), seq)),
+                    Some(&(at, seq)) => match self.q.pop_before(SimTime::from_ps(at), seq) {
+                        Some((t, s)) => {
+                            self.seen.insert("queue head ahead of an outside head");
+                            Some((t.as_ps(), s))
+                        }
+                        None => {
+                            self.outside.pop_front();
+                            self.q.advance_to(SimTime::from_ps(at));
+                            if from_wheel && deep {
+                                self.seen.insert("deep wheel head behind an outside head");
+                            } else if self.q.live > 0 {
+                                self.seen.insert("queue head behind an outside head");
+                            }
+                            Some((at, seq))
+                        }
+                    },
+                };
                 let want = self.model.pop();
                 prop_assert_eq!(got, want, "pop diverged from the model");
+                if let Some((at, _)) = got {
+                    prop_assert_eq!(self.q.now(), SimTime::from_ps(at), "clock diverged");
+                }
                 match (from_wheel, deep) {
                     (true, false) => {
                         self.seen.insert("refill");
@@ -1142,13 +1333,14 @@ mod tests {
                 q: EventQueue::new(),
                 model: RefModel::default(),
                 ids: Vec::new(),
+                outside: VecDeque::new(),
                 seen,
             };
             for &word in ops {
                 let (op, arg) = ((word & 0xFF) as u8, (word >> 8) as u32);
                 let now = r.model.now;
                 let shallow = r.model.events.len() < 2 * NEAR_CAP;
-                match op % 11 {
+                match op % 12 {
                     // Near future: exercises level 0/1 and cascades.
                     0 => r.schedule(now.saturating_add(u64::from(arg % 4096))),
                     // Far future: exercises the high levels.
@@ -1188,11 +1380,11 @@ mod tests {
                     6 => {
                         if let Some(&(at, _)) = r.model.events.first() {
                             while r.model.events.first().is_some_and(|e| e.0 == at) {
-                                prop_assert_eq!(r.q.peek_time(), Some(SimTime::from_ps(at)));
+                                prop_assert_eq!(r.peek(), Some(at));
                                 r.pop()?;
                             }
                             prop_assert!(
-                                r.q.peek_time().is_none_or(|t| t.as_ps() > at),
+                                r.peek().is_none_or(|t| t > at),
                                 "the same-time run was not drained"
                             );
                         }
@@ -1201,7 +1393,7 @@ mod tests {
                     // at or before the peeked time — usually inside the
                     // very bucket the peek scanned.
                     7 => {
-                        let peeked = r.q.peek_time().map(SimTime::as_ps);
+                        let peeked = r.peek();
                         prop_assert_eq!(peeked, r.model.events.first().map(|e| e.0));
                         if let Some(t) = peeked {
                             let back = u64::from(arg) % (t - now).saturating_add(1);
@@ -1221,13 +1413,21 @@ mod tests {
                     9 | 10 if shallow => {
                         let n = 65 + u64::from(arg % 236);
                         let first = now.saturating_add(u64::from((arg >> 9) % 4096));
-                        let span = if op % 11 == 9 {
+                        let span = if op % 12 == 9 {
                             1
                         } else {
                             1 + u64::from((arg >> 12) % 2_000_000)
                         };
                         for j in 0..n {
                             r.schedule(first.saturating_add((j * 7_919 + u64::from(arg)) % span));
+                        }
+                    }
+                    // An outside event: one to three at the same or
+                    // spread times, never before the FIFO's back.
+                    11 => {
+                        for j in 0..u64::from(1 + arg % 3) {
+                            let step = u64::from((arg >> 2) % 2_000);
+                            r.schedule_outside(now.saturating_add(j * step))?;
                         }
                     }
                     _ => {
@@ -1237,11 +1437,13 @@ mod tests {
                 prop_assert_eq!(r.q.pending(), r.model.events.len());
                 prop_assert!(r.q.near.len() <= NEAR_CAP, "near tier over its cap");
                 for (seq, id) in r.ids.iter().enumerate() {
-                    prop_assert_eq!(
-                        r.q.is_pending(*id),
-                        r.model.live[seq],
-                        "id membership diverged from the model"
-                    );
+                    if let Some(id) = id {
+                        prop_assert_eq!(
+                            r.q.is_pending(*id),
+                            r.model.live[seq],
+                            "id membership diverged from the model"
+                        );
+                    }
                 }
             }
             // Drain both to the end: identical tails.
@@ -1274,9 +1476,10 @@ mod tests {
             // demote a group, refill the near tier, pop straight from the
             // wheel while the queue is deeper than the tier, both in
             // general and through a same-instant group larger than the
-            // tier, cancel in the near tier, and schedule at u64::MAX with
-            // an empty wheel (where +∞, not u64::MAX, must bound the near
-            // tier).
+            // tier, cancel in the near tier, schedule at u64::MAX with an
+            // empty wheel (where +∞, not u64::MAX, must bound the near
+            // tier), and merge outside events both ways, a deep wheel
+            // declining included.
             let mut rng =
                 proptest::test_runner::TestRng::for_test("wheel_matches_sorted_vec_reference");
             let mut seen = BTreeSet::new();
@@ -1290,6 +1493,9 @@ mod tests {
                 "over-cap group popped from the wheel",
                 "cancel in the near tier",
                 "u64::MAX with an empty wheel",
+                "queue head ahead of an outside head",
+                "queue head behind an outside head",
+                "deep wheel head behind an outside head",
             ] {
                 assert!(
                     seen.contains(want),

@@ -24,9 +24,10 @@ use crate::json::JsonValue;
 /// which is a high-water mark; none of them feed back into scheduling.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ProfCounters {
-    /// Events scheduled (`schedule_at` / `schedule_in`).
+    /// Events scheduled (`schedule_at` / `schedule_in`) or kept outside
+    /// the queue (`take_seq`).
     pub pushes: u64,
-    /// Events popped and executed.
+    /// Events popped and executed (`pop` / `pop_before` / `advance_to`).
     pub pops: u64,
     /// Successful cancellations (entry unlinked eagerly, O(1)).
     pub cancels: u64,

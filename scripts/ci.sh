@@ -296,6 +296,18 @@ fi
 # Restore the unrecorded artifacts so the checked-in results/ stay canonical.
 cp "$profdir/fabric_plain.json" results/BENCH_fabric.json
 cp "$profdir/engine_plain.json" results/BENCH_engine.json
+# Engine-counter gate: the simulated-side counters of the plain bench_engine
+# run must equal configs/engine/sim-counters.golden, generated before the
+# fabric's deliveries and credit returns moved from the event queue into
+# per-link lanes. Lane events count as queue pushes and pops, so a change
+# that drops, merges or adds an event fails here. Cascades are left out:
+# they count how the timing wheel re-files its entries, which depends on
+# the queue's internal layout, not on the events the simulation makes.
+if ! diff -u configs/engine/sim-counters.golden \
+    <(sim_fields results/BENCH_engine.json | grep -v '^"cascades":'); then
+    echo "engine counters: BENCH_engine.json sim-side counters drifted from the golden" >&2
+    exit 1
+fi
 
 # What-if smoke (tca-bench --whatif): the causal profiler must be
 # deterministic, schema-stable, and observationally neutral. Running the

@@ -346,13 +346,11 @@ fn counting_allocator_is_live_and_byte_neutral() {
 #[test]
 fn prof_counters_replay_exactly_and_balance() {
     // ProfCounters (queue) and FabricProf (dispatch) are per-instance
-    // simulated-side tallies: two identical workloads must produce the
-    // same counts, every pop must have dispatched exactly one event kind,
-    // and the drained queue must hold no residue (the timing wheel
-    // unlinks eagerly — no tombstones to account for). TLP counts are
-    // process-global (shared with concurrently running tests), so only
-    // liveness is asserted here — exact replay is covered by the
-    // tca-bench unit tests.
+    // simulated-side tallies, and TLP counts are per-thread: two identical
+    // workloads on this thread must produce the same counts, every pop
+    // must have dispatched exactly one event kind, and the drained queue
+    // must hold no residue (the timing wheel unlinks eagerly — no
+    // tombstones to account for).
     let run = || {
         let tlp_before = tca::pcie::tlp_counts();
         let mut c = TcaClusterBuilder::new(4).build();
@@ -371,9 +369,10 @@ fn prof_counters_replay_exactly_and_balance() {
         )
     };
     let (q1, d1, t1) = run();
-    let (q2, d2, _) = run();
+    let (q2, d2, t2) = run();
     assert_eq!(q1, q2, "queue counters diverged between identical runs");
     assert_eq!(d1, d2, "dispatch counters diverged between identical runs");
+    assert_eq!(t1, t2, "TLP counters diverged between identical runs");
     assert!(q1.pops > 0 && q1.pushes >= q1.pops);
     assert!(q1.peak_pending > 0);
     assert_eq!(

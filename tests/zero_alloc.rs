@@ -12,10 +12,11 @@ use tca_bench::{Direction, Target};
 static ALLOC: tca::sim::prof::CountingAllocator = tca::sim::prof::CountingAllocator;
 
 /// Steady-state stepping on a warmed fabric performs zero heap
-/// allocations: the event slab, free list and near tier, the TLP slab,
-/// the per-link queues, and the action scratch pool all reach capacity during the first round of traffic, and an
-/// identical second round reuses every one of them. Payload allocation
-/// happens at inject (drive) time, outside the measured drain.
+/// allocations: the event slab, free list and near tier, the lane heap,
+/// the per-link wire and credit lanes and credit-blocked queues all reach
+/// capacity during the first round of traffic, and an identical second
+/// round reuses every one of them. Payload allocation happens at inject
+/// (drive) time, outside the measured drain.
 #[test]
 fn steady_state_stepping_is_allocation_free() {
     assert!(tca::sim::prof::alloc_tracking_compiled());
