@@ -75,12 +75,10 @@ fn main() -> ExitCode {
     }
     println!("  tlp_transmits={}", bench.profile.dispatch.tlp_transmits);
 
-    if let Some(dir) = std::path::Path::new(&out).parent() {
-        if !dir.as_os_str().is_empty() {
-            tca_bench::ensure_out_dir(dir);
-        }
+    if let Err(e) = tca_bench::write_artifact(std::path::Path::new(&out), bench.to_json()) {
+        eprintln!("bench_engine: cannot write {e}");
+        return ExitCode::FAILURE;
     }
-    std::fs::write(&out, bench.to_json()).expect("write BENCH json");
     println!("  wrote {out}");
 
     let violations = bench.validate();

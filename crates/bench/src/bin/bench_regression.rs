@@ -40,12 +40,10 @@ fn main() -> ExitCode {
         bench.fig9_ratio_4_vs_255
     );
 
-    if let Some(dir) = std::path::Path::new(&out).parent() {
-        if !dir.as_os_str().is_empty() {
-            tca_bench::ensure_out_dir(dir);
-        }
+    if let Err(e) = tca_bench::write_artifact(std::path::Path::new(&out), bench.to_json()) {
+        eprintln!("bench_regression: cannot write {e}");
+        return ExitCode::FAILURE;
     }
-    std::fs::write(&out, bench.to_json()).expect("write BENCH json");
     println!("  wrote {out}");
 
     let mut violations = bench.validate();

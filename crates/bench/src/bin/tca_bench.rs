@@ -3,39 +3,41 @@
 //! ```text
 //! tca-bench --list [--json]
 //! tca-bench --scenario <name> [--backend tca|mpi|mpi-gpudirect] [--json] [--jobs N]
-//!           [--top] [--telemetry-dir <dir>] [--profile] [--profile-dir <dir>]
+//!           [--profile] [--profile-dir <dir>]
+//! tca-bench --scenario health [--top] [--telemetry-dir <dir>] [--flight-dir <dir>] ...
 //! ```
 //!
 //! Each sweep point builds its own independent simulation, so `--jobs N`
 //! runs points on worker threads without perturbing any measurement; the
 //! output (table or `tca-bench-sweep/v1` JSON) is byte-identical at any
-//! job count.
+//! job count. `--json` only chooses how the sweep is printed: the
+//! `telemetry` summary that `pingpong` and `put-latency` rows carry is an
+//! object, which the table leaves out.
 //!
-//! `--json` additionally embeds a compact `telemetry` summary on the
-//! instrumented scenarios (`pingpong`, `put-latency`); collection is
-//! time-neutral, so measurement fields never change. `--top` switches to
-//! the continuous-health report mode: an instrumented run of the
-//! scenario's representative traffic, rendered as the per-link/per-engine
-//! congestion table (`tca-health/v1` JSON with `--json`).
-//! `--telemetry-dir <dir>` writes the full health/series/trace/metrics JSON
-//! artifacts of that instrumented run into `<dir>`.
-//!
-//! `--flight-dir <dir>` turns on the deterministic flight recorder for
-//! that same instrumented run and writes the `tca-flight/v1` log as
-//! `FLIGHT_<scenario>-<backend>.jsonl` into `<dir>` (query it with
-//! `tca-flight`). Recording is observationally neutral: stdout and every
-//! other artifact are byte-identical with and without it, which
-//! `scripts/ci.sh` asserts on every run.
+//! The `health` scenario runs the 8-node ring neighbour shift under span
+//! tracing, a gauge sampler and the stall watchdog; its row is the run's
+//! telemetry summary. Three flags observe that same run, and exit 2 on
+//! any other scenario: `--top` prints its per-link/per-engine congestion
+//! report instead of the sweep (`tca-health/v1` JSON with `--json`);
+//! `--telemetry-dir <dir>` writes its health/series/trace/metrics JSON as
+//! `health-<backend>.*.json`; and `--flight-dir <dir>` records it with the
+//! deterministic flight recorder and writes the `tca-flight/v1` log as
+//! `FLIGHT_health-<backend>.jsonl` (query it with `tca-flight`).
+//! Recording is observationally neutral: stdout and every other artifact
+//! are byte-identical with and without it, which `scripts/ci.sh` asserts
+//! on every run.
 //!
 //! `--profile` writes the host cost of the sweep just run — wall time,
 //! allocations and allocated bytes per point, in sweep order — as
-//! `PROF_<scenario>.json` (`tca-prof/v2`) and `PROF_<scenario>.folded`
-//! (one flamegraph folded-stack line per point) into `--profile-dir`
-//! (default `results/`). Under `--top` the sweep still runs for the
-//! profile, but only the health report is printed. Profiling is
-//! observationally neutral: stdout — sweep JSON, tables, health reports —
-//! is byte-identical with and without it, which `scripts/ci.sh` asserts
-//! on every run.
+//! `PROF_<scenario>-<backend>.json` (`tca-prof/v2`) and
+//! `PROF_<scenario>-<backend>.folded` (one flamegraph folded-stack line
+//! per point) into `--profile-dir` (default `results/`). Under `--top`
+//! the sweep still runs for the profile, but only the health report is
+//! printed; without `--profile` the health flags run the world once and
+//! the sweep row is that run's summary. Profiling is observationally
+//! neutral: stdout — sweep JSON, tables, health reports — is
+//! byte-identical with and without it, which `scripts/ci.sh` asserts on
+//! every run.
 //!
 //! `--whatif` switches to the causal-profiler mode (tca backend only):
 //! the scenario's whatif workload is re-run once per duration parameter
@@ -52,11 +54,14 @@
 //! A flag the chosen mode would ignore is an error (exit 2): `--list`
 //! takes only `--json`; `--whatif` takes none of `--top`,
 //! `--telemetry-dir`, `--flight-dir`, `--profile`, `--profile-dir` or
-//! `--jobs`; `--top` takes no `--jobs`; `--profile-dir` needs `--profile`.
+//! `--jobs`; `--top` takes no `--jobs`; `--profile-dir` needs `--profile`;
+//! `--top`, `--telemetry-dir` and `--flight-dir` need `--scenario health`.
+//! An artifact that cannot be written is reported and exits 1.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use tca_bench::scenario::{find, list_json, run_sweep, scenarios, BackendKind, TelemetryMode};
+use tca_bench::scenario::{find, list_json, run_sweep, scenarios, BackendKind, Sweep};
+use tca_bench::write_artifact;
 
 /// Counts this process's heap allocations so `--profile` reports live
 /// allocs/bytes per point (tca-prof layer one; observationally neutral).
@@ -65,7 +70,7 @@ static ALLOC: tca_sim::prof::CountingAllocator = tca_sim::prof::CountingAllocato
 
 const USAGE: &str = "usage: tca-bench --list [--json]
        tca-bench --scenario <name> [--backend tca|mpi|mpi-gpudirect] [--json] [--jobs N]
-                 [--top] [--telemetry-dir <dir>] [--flight-dir <dir>]
+                 [--top] [--telemetry-dir <dir>] [--flight-dir <dir>]  (health only)
                  [--profile] [--profile-dir <dir>]
                  [--whatif] [--whatif-dir <dir>] [--set id=value]...";
 
@@ -91,6 +96,20 @@ fn fail(msg: &str) -> ExitCode {
     eprintln!("tca-bench: {msg}");
     eprintln!("{USAGE}");
     ExitCode::from(2)
+}
+
+/// Notes each artifact written on stderr, or reports the write that
+/// failed and exits 1 (nothing has reached stdout yet).
+fn wrote(paths: std::io::Result<impl IntoIterator<Item = PathBuf>>) {
+    match paths {
+        Ok(paths) => paths
+            .into_iter()
+            .for_each(|p| eprintln!("tca-bench: wrote {}", p.display())),
+        Err(e) => {
+            eprintln!("tca-bench: cannot write {e}");
+            std::process::exit(1);
+        }
+    }
 }
 
 fn main() -> ExitCode {
@@ -196,6 +215,11 @@ fn main() -> ExitCode {
             return fail(&format!("{f} requires --profile"));
         }
     }
+    if scenario_name.as_deref() != Some("health") {
+        if let Some(f) = first_of(&["--top", "--telemetry-dir", "--flight-dir"]) {
+            return fail(&format!("{f} applies only to --scenario health"));
+        }
+    }
 
     if do_list {
         if json {
@@ -231,13 +255,9 @@ fn main() -> ExitCode {
             Err(e) => return fail(&e),
         };
         if let Some(dir) = &whatif_dir {
-            tca_bench::ensure_out_dir(dir);
-            let json_path = dir.join(format!("WHATIF_{}.json", sc.name));
-            let diff_path = dir.join(format!("WHATIF_{}.folded.diff", sc.name));
-            std::fs::write(&json_path, rep.to_json() + "\n").expect("write whatif report");
-            std::fs::write(&diff_path, rep.folded_diff()).expect("write whatif folded diff");
-            eprintln!("tca-bench: wrote {}", json_path.display());
-            eprintln!("tca-bench: wrote {}", diff_path.display());
+            let path = |ext: &str| dir.join(format!("WHATIF_{}.{ext}", sc.name));
+            wrote(write_artifact(&path("json"), rep.to_json() + "\n").map(Some));
+            wrote(write_artifact(&path("folded.diff"), rep.folded_diff()).map(Some));
         }
         if whatif {
             if json {
@@ -251,55 +271,48 @@ fn main() -> ExitCode {
         return fail("--set only applies to --whatif runs");
     }
 
-    // The sweep runs unless only the health report is wanted; --profile
-    // writes its per-point host costs. Artifacts go to files and the
-    // notice to stderr, keeping stdout byte-identical with and without
-    // --profile (asserted by the ci.sh neutrality smoke).
-    let telemetry = if json {
-        TelemetryMode::Summary
-    } else {
-        TelemetryMode::Off
+    // `--top`, `--telemetry-dir` and `--flight-dir` (health scenario only,
+    // checked above) share one run of the health world; its summary is the
+    // scenario's one sweep row, so the sweep reuses it unless --profile
+    // has to time the point. Artifacts go to files and notices to stderr,
+    // keeping stdout byte-identical with and without --profile and the
+    // artifact flags (asserted by the ci.sh neutrality smokes).
+    let health = (top || telemetry_dir.is_some() || flight_dir.is_some())
+        .then(|| tca_bench::health_run(backend, flight_dir.is_some()));
+    let sweep = match &health {
+        Some(rep) if !profile => Sweep {
+            scenario: sc.name,
+            backend,
+            rows: sc
+                .points(backend)
+                .into_iter()
+                .map(|p| (p.label, rep.summary.clone()))
+                .collect(),
+            costs: Vec::new(),
+        },
+        _ => run_sweep(&sc, backend, jobs),
     };
-    let sweep = (profile || !top).then(|| run_sweep(&sc, backend, jobs, telemetry));
     if profile {
-        let sweep = sweep.as_ref().expect("--profile runs the sweep");
-        for path in tca_bench::prof::write_sweep_profile(sweep, &profile_dir) {
-            eprintln!("tca-bench: wrote {}", path.display());
+        wrote(tca_bench::prof::write_sweep_profile(&sweep, &profile_dir));
+    }
+    if let Some(rep) = health {
+        if let Some(dir) = &telemetry_dir {
+            wrote(rep.write_to(dir, backend.name()));
+        }
+        if let (Some(log), Some(dir)) = (&rep.flight, &flight_dir) {
+            let path = dir.join(format!("FLIGHT_{}-{}.jsonl", sc.name, backend.name()));
+            wrote(write_artifact(&path, log).map(Some));
+        }
+        if top {
+            if json {
+                println!("{}", rep.health_json);
+            } else {
+                print!("{}", rep.text);
+            }
+            return ExitCode::SUCCESS;
         }
     }
 
-    // The health artifacts come from one instrumented representative run,
-    // shared between `--top`, `--telemetry-dir`, and `--flight-dir` —
-    // flight recording rides along on the exact rig the health report
-    // measures, so the log and the artifacts describe the same run.
-    let (health, flight) = if top || telemetry_dir.is_some() || flight_dir.is_some() {
-        let (rep, log) = tca_bench::top_report(sc.name, backend, flight_dir.is_some());
-        (Some(rep), log)
-    } else {
-        (None, None)
-    };
-    if let (Some(rep), Some(dir)) = (&health, &telemetry_dir) {
-        for path in rep.write_to(dir, sc.name, backend.name()) {
-            eprintln!("tca-bench: wrote {}", path.display());
-        }
-    }
-    if let (Some(log), Some(dir)) = (&flight, &flight_dir) {
-        tca_bench::ensure_out_dir(dir);
-        let path = dir.join(format!("FLIGHT_{}-{}.jsonl", sc.name, backend.name()));
-        std::fs::write(&path, log).expect("write flight log");
-        eprintln!("tca-bench: wrote {}", path.display());
-    }
-    if top {
-        let rep = health.expect("built above");
-        if json {
-            println!("{}", rep.health_json);
-        } else {
-            print!("{}", rep.text);
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    let sweep = sweep.expect("the sweep runs whenever --top is off");
     if json {
         println!("{}", sweep.to_json());
     } else {

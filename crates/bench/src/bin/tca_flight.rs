@@ -20,8 +20,9 @@
 //! and with `--trace` exports that tree (plus its fabric events as
 //! instant markers) as Chrome trace-event JSON for Perfetto.
 //!
-//! Record a log with `tca-bench --scenario <name> --flight-dir <dir>` or
-//! any embedding of `Fabric::enable_flight`.
+//! Record a log with `tca-bench --scenario health --flight-dir <dir>` or
+//! any embedding that turns on the `flight` observer of a
+//! `tca_pcie::Instrument`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -245,7 +246,10 @@ fn cmd_path(log: &FlightLog, id: u64, trace_out: Option<&PathBuf>) -> ExitCode {
     let attributed = log.events.iter().filter(|e| e.span == Some(root)).count();
     println!("{attributed} fabric event(s) attributed to this tree");
     if let Some(out) = trace_out {
-        std::fs::write(out, span_tree_trace(log, root)).expect("write trace");
+        if let Err(e) = tca_bench::write_artifact(out, span_tree_trace(log, root)) {
+            eprintln!("tca-flight: cannot write {e}");
+            return ExitCode::from(1);
+        }
         eprintln!("tca-flight: wrote {}", out.display());
     }
     ExitCode::SUCCESS

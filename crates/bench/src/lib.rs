@@ -47,13 +47,14 @@ pub use prof::{
     QueueRace,
 };
 
+use std::io;
 use std::path::{Path, PathBuf};
 use tca_core::{MpiBackend, MpiGpuMode};
 use tca_device::map::TcaBlock;
 use tca_device::node::{build_dual_socket_node, NodeConfig};
 use tca_device::{Gpu, HostBridge, QpiParams};
 use tca_net::{IbParams, Protocol};
-use tca_pcie::{AddrRange, Fabric};
+use tca_pcie::{AddrRange, Fabric, Instrument};
 use tca_peach2::{
     build_loopback, build_ring, Descriptor, EngineKind, Peach2, Peach2Driver, Peach2Params,
     SubCluster,
@@ -659,11 +660,12 @@ pub fn scaling_row(n: u32) -> JsonValue {
     ])
 }
 
-/// Compact telemetry summary of a fabric run, embedded per point by
-/// `tca-bench --json` (the `telemetry` row field): peak link queue depth,
-/// worst per-link credit-stall fraction, sampler capture count, watchdog
-/// state, and span-latency percentiles from the HDR histogram. All-integer
-/// fields, so the summary is byte-stable across identical runs.
+/// Compact telemetry summary of a fabric run — the `telemetry` field of
+/// the `pingpong` and `put-latency` rows and the whole `health` row: peak
+/// link queue depth, worst per-link credit-stall fraction, sampler capture
+/// count, watchdog state, and span-latency percentiles from the HDR
+/// histogram. All-integer fields, so the summary is byte-stable across
+/// identical runs.
 pub fn telemetry_summary(fabric: &mut Fabric) -> JsonValue {
     let snap = fabric.metrics_snapshot();
     let elapsed_ps = fabric.now().as_ps().max(1);
@@ -709,10 +711,10 @@ pub fn telemetry_summary(fabric: &mut Fabric) -> JsonValue {
     o
 }
 
-/// The `tca-top` artifacts for one scenario: the rendered congestion
-/// report, its `tca-health/v1` JSON, the full `tca-series/v1` gauge
-/// time-series, the Chrome trace (spans + counter tracks) and the final
-/// metrics snapshot.
+/// Everything one run of the `health` scenario produces: the rendered
+/// congestion report, its `tca-health/v1` JSON, the full `tca-series/v1`
+/// gauge time-series, the Chrome trace (spans + counter tracks), the final
+/// metrics snapshot, the sweep row, and the flight log when recorded.
 #[derive(Clone, Debug)]
 pub struct TopReport {
     /// The aligned-text health report (what `--top` prints).
@@ -727,6 +729,10 @@ pub struct TopReport {
     /// port, host and GPU metrics), taken through the world's own
     /// `metrics_snapshot` so the NIOS port counters are synced.
     pub metrics_json: String,
+    /// The run's [`telemetry_summary`]: the `health` sweep row.
+    pub summary: JsonValue,
+    /// The `tca-flight/v1` log of the run; `None` unless recorded.
+    pub flight: Option<String>,
 }
 
 /// Drives a representative traffic pattern for the health report: every
@@ -755,85 +761,90 @@ fn drive_health_traffic(c: &mut impl tca_core::CommWorld, n: u32) {
     }
 }
 
-/// Ring capacity for flight recording of the representative health
-/// run — large enough that nothing is evicted on the 8-node ring, so
-/// the log covers every step from simulation start.
-pub const FLIGHT_RING_CAPACITY: usize = 65536;
+/// Ring capacity for flight recording of the health run — large enough
+/// that nothing is evicted on the 8-node ring, so the log covers every
+/// step from simulation start.
+const FLIGHT_RING_CAPACITY: usize = 65536;
 
-/// Builds an instrumented world (gauge sampling, armed watchdog, span
-/// tracing), runs the representative traffic for `scenario`, and captures
-/// the continuous-health artifacts. Two nodes for the point-to-point
-/// latency scenarios, the 8-node ring otherwise (`ring-hops` &co. — the
-/// all-to-all neighbour shift of the EXPERIMENTS.md worked example).
-///
-/// When `flight` is true the same run is also recorded as a
-/// `tca-flight/v1` log, returned beside the report; it is `None` only
-/// when `flight` is false. The log covers exactly the traffic that
-/// produced the health artifacts, so a byte-compare of the [`TopReport`]
-/// with recording off vs on is a genuine neutrality claim on a shared rig
-/// (the CI flight smoke relies on this), and logs of two backends are
-/// comparable step for step. The log ends with the run's span records,
-/// letting `tca-flight path`/`flight diff` reconstruct span trees offline.
-pub fn top_report(
-    scenario: &str,
-    backend: scenario::BackendKind,
-    flight: bool,
-) -> (TopReport, Option<String>) {
+/// Node count of the `health` scenario's ring.
+const HEALTH_NODES: u32 = 8;
+
+/// The observers of every `health` run: span tracing, a 250 ns gauge
+/// sampler and a 200 µs stall watchdog.
+fn health_instrument() -> Instrument {
+    Instrument::default()
+        .spans()
+        .sample(Dur::from_ns(250))
+        .watchdog(Dur::from_us(200))
+}
+
+/// Runs the `health` scenario's one point on `backend` and returns its
+/// row: the run's [`telemetry_summary`]. The 8-node world runs under
+/// [`health_instrument`], driven by the all-to-all neighbour shift of the
+/// EXPERIMENTS.md worked example; [`health_run`] runs the same world and
+/// also renders the report and its artifacts, which this row skips.
+pub fn health_summary(backend: scenario::BackendKind) -> JsonValue {
     use scenario::BackendKind;
     use tca_core::prelude::*;
-    const PERIOD: Dur = Dur::from_ns(250);
-    const WINDOW: Dur = Dur::from_us(200);
-    let two_node = matches!(
-        scenario,
-        "pingpong" | "latency" | "put-latency" | "fig7" | "fig8" | "fig9" | "fig12"
-    );
-    let n = if two_node { 2 } else { 8 };
-    on_backend!(backend, n, |c| {
-        c.fabric.set_span_tracing(true);
-        if flight {
-            c.enable_flight(FLIGHT_RING_CAPACITY, true);
-        }
-        c.enable_sampling(PERIOD);
-        c.arm_watchdog(WINDOW);
-        drive_health_traffic(&mut c, n);
-        let (text, health_json) = (c.health_report(), c.health_report_json());
-        let log = c.flight_jsonl();
-        let metrics_json = c.metrics_snapshot().to_json();
-        let report = TopReport {
-            text,
-            health_json,
+    on_backend!(backend, HEALTH_NODES, |c| {
+        c.fabric.observe(health_instrument());
+        drive_health_traffic(&mut c, HEALTH_NODES);
+        telemetry_summary(&mut c.fabric)
+    })
+}
+
+/// Runs the `health` scenario on `backend` as [`health_summary`] does and
+/// keeps everything it produces: the report, its artifacts and the
+/// summary row. `tca-bench --top`/`--telemetry-dir`/`--flight-dir` call
+/// this once and print the row from it.
+///
+/// With `flight` the same run is also recorded as a `tca-flight/v1` log
+/// ending with the run's span records, so `tca-flight path`/`diff` can
+/// rebuild span trees offline. Recording is time-neutral: every other
+/// field of the report is byte-identical with `flight` on or off (the CI
+/// flight smoke relies on this), and logs of two backends compare step
+/// for step.
+pub fn health_run(backend: scenario::BackendKind, flight: bool) -> TopReport {
+    use scenario::BackendKind;
+    use tca_core::prelude::*;
+    on_backend!(backend, HEALTH_NODES, |c| {
+        c.fabric.observe(match flight {
+            true => health_instrument().flight(FLIGHT_RING_CAPACITY, true),
+            false => health_instrument(),
+        });
+        drive_health_traffic(&mut c, HEALTH_NODES);
+        let health = c.health_report();
+        TopReport {
+            text: health.render(),
+            health_json: health.to_json(),
+            flight: c.fabric.flight_jsonl(),
+            metrics_json: c.metrics_snapshot().to_json(),
             series_json: c
                 .fabric
                 .sampler()
                 .map_or_else(|| "{}".to_string(), |s| s.to_json()),
             trace_json: c.fabric.chrome_trace_json(),
-            metrics_json,
-        };
-        (report, log)
+            summary: telemetry_summary(&mut c.fabric),
+        }
     })
 }
 
 impl TopReport {
     /// Writes the four JSON artifacts into `dir` as
-    /// `<scenario>-<backend>.{health,series,trace,metrics}.json`, creating
+    /// `health-<backend>.{health,series,trace,metrics}.json`, creating
     /// `dir` if needed. Returns the paths written.
-    pub fn write_to(&self, dir: &Path, scenario: &str, backend: &str) -> Vec<PathBuf> {
-        ensure_out_dir(dir);
-        let stem = format!("{scenario}-{backend}");
-        let files = [
+    pub fn write_to(&self, dir: &Path, backend: &str) -> io::Result<Vec<PathBuf>> {
+        [
             ("health", &self.health_json),
             ("series", &self.series_json),
             ("trace", &self.trace_json),
             ("metrics", &self.metrics_json),
-        ];
-        files
-            .iter()
-            .map(|(kind, body)| {
-                let path = dir.join(format!("{stem}.{kind}.json"));
-                std::fs::write(&path, body).expect("write telemetry artifact");
-                path
-            })
-            .collect()
+        ]
+        .into_iter()
+        .map(|(kind, body)| {
+            write_artifact(&dir.join(format!("health-{backend}.{kind}.json")), body)
+        })
+        .collect()
     }
 }
 
@@ -862,12 +873,17 @@ pub fn hazard_check() -> tca_verify::Report {
     c.detect_hazards(&[AddrRange::new(0x5800_0000, 8)])
 }
 
-/// Creates `dir` (and any missing parents) or panics with a message that
-/// names the offending path — the single output-directory helper every
-/// artifact writer in this crate goes through.
-pub fn ensure_out_dir(dir: &Path) {
-    std::fs::create_dir_all(dir)
-        .unwrap_or_else(|e| panic!("cannot create output directory {}: {e}", dir.display()));
+/// Writes `body` to `path`, creating its missing parent directories first,
+/// and returns the path written — the one file writer every artifact of
+/// this crate goes through. The error names the path that could not be
+/// created or written.
+pub fn write_artifact(path: &Path, body: impl AsRef<[u8]>) -> io::Result<PathBuf> {
+    let named = |p: &Path, e: io::Error| io::Error::new(e.kind(), format!("{}: {e}", p.display()));
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir).map_err(|e| named(dir, e))?;
+    }
+    std::fs::write(path, body).map_err(|e| named(path, e))?;
+    Ok(path.to_path_buf())
 }
 
 /// Formats a byte size compactly (64B, 4KB, 1MB).
@@ -1014,15 +1030,13 @@ fn dma_leg(r: &mut Rig, src: u32, dst: u32, addr: u64) -> Dur {
 /// are symmetric by construction, but a routing regression would break the
 /// symmetry and show up here.
 ///
-/// `instrument` adds gauge sampling and span tracing on the same rig and
-/// appends their [`telemetry_summary`] as a `telemetry` field. Both are
-/// time-neutral, so the measured fields are byte-identical either way.
-pub fn pingpong_row(instrument: bool) -> JsonValue {
+/// The rig runs under span tracing and a 100 ns gauge sampler, whose
+/// [`telemetry_summary`] the row carries as a `telemetry` field. Both
+/// observers are time-neutral, so they move no measured field.
+pub fn pingpong_row() -> JsonValue {
     let mut r = rig(2);
-    if instrument {
-        r.fabric.enable_sampling(Dur::from_ns(100));
-        r.fabric.set_span_tracing(true);
-    }
+    r.fabric
+        .observe(Instrument::default().spans().sample(Dur::from_ns(100)));
     let pio_fwd = pio_leg(&mut r, 0, 1, 0x6100);
     let pio_back = pio_leg(&mut r, 1, 0, 0x6200);
     let dma_fwd = dma_leg(&mut r, 0, 1, 0x4100_0000);
@@ -1039,9 +1053,7 @@ pub fn pingpong_row(instrument: bool) -> JsonValue {
         ("pio_leg_ns", jf(pio_fwd.as_ns_f64())),
         ("dma_leg_ns", jf(dma_fwd.as_ns_f64())),
     ]);
-    if instrument {
-        o.push("telemetry", telemetry_summary(&mut r.fabric));
-    }
+    o.push("telemetry", telemetry_summary(&mut r.fabric));
     o
 }
 
@@ -1211,13 +1223,32 @@ impl FabricBench {
 mod tests {
     use super::*;
 
-    /// The indented rows of one section of the `--top` text report
-    /// (everything under the line starting with `header`).
-    fn report_section<'a>(text: &'a str, header: &str) -> Vec<&'a str> {
-        text.lines()
-            .skip_while(|l| !l.starts_with(header))
+    /// Pairs each entry of the health JSON object `key` with the columns
+    /// of the `--top` text row it names in the `key:` section, asserting
+    /// that the section has exactly one row per entry.
+    fn paired_rows<'a>(
+        json: &'a JsonValue,
+        text: &'a str,
+        key: &str,
+    ) -> Vec<(&'a str, &'a JsonValue, Vec<&'a str>)> {
+        let entries = json.get(key).and_then(|v| v.as_object()).expect(key);
+        let rows: Vec<Vec<&str>> = text
+            .lines()
+            .skip_while(|l| !l.starts_with(&format!("{key}:")))
             .skip(1)
             .take_while(|l| l.starts_with("  "))
+            .map(|r| r.split_whitespace().collect())
+            .collect();
+        assert_eq!(rows.len(), entries.len(), "one {key} row each:\n{text}");
+        entries
+            .iter()
+            .map(|(name, v)| {
+                let cols = rows
+                    .iter()
+                    .find(|c| c.first() == Some(&name.as_str()))
+                    .unwrap_or_else(|| panic!("{key} {name} missing from text:\n{text}"));
+                (name.as_str(), v, cols.clone())
+            })
             .collect()
     }
 
@@ -1228,7 +1259,7 @@ mod tests {
     /// versa — the row counts are compared both ways).
     #[test]
     fn top_text_and_json_agree_field_for_field() {
-        let (rep, _) = top_report("ring-hops", scenario::BackendKind::Tca, false);
+        let rep = health_run(scenario::BackendKind::Tca, false);
         let json = tca_sim::JsonValue::parse(&rep.health_json).expect("health json parses");
         let text = &rep.text;
         let get_u64 = |v: &tca_sim::JsonValue, key: &str| {
@@ -1247,23 +1278,9 @@ mod tests {
         );
         assert!(text.contains(&format!("{events} events")), "{text}");
 
-        let links = json
-            .get("links")
-            .and_then(|v| v.as_object())
-            .expect("links");
-        let link_rows = report_section(text, "links:");
+        let links = paired_rows(&json, text, "links");
         assert!(!links.is_empty(), "instrumented run lit links");
-        assert_eq!(
-            link_rows.len(),
-            links.len(),
-            "one text row per JSON link:\n{text}"
-        );
-        for (label, v) in links {
-            let cols: Vec<&str> = link_rows
-                .iter()
-                .map(|r| r.split_whitespace().collect::<Vec<_>>())
-                .find(|c| c.first() == Some(&label.as_str()))
-                .unwrap_or_else(|| panic!("link {label} missing from text:\n{text}"));
+        for (label, v, cols) in links {
             assert_eq!(cols[1], get_u64(v, "tlps").expect("tlps").to_string());
             assert_eq!(
                 cols[2],
@@ -1291,45 +1308,16 @@ mod tests {
             assert_eq!(cols[8..], [src, "->", dst], "route for {label}");
         }
 
-        let engines = json
-            .get("engines")
-            .and_then(|v| v.as_object())
-            .expect("engines");
-        let engine_rows = report_section(text, "engines:");
-        assert_eq!(
-            engine_rows.len(),
-            engines.len(),
-            "one text row per engine:\n{text}"
-        );
-        for (name, v) in engines {
-            let cols: Vec<&str> = engine_rows
-                .iter()
-                .map(|r| r.split_whitespace().collect::<Vec<_>>())
-                .find(|c| c.first() == Some(&name.as_str()))
-                .unwrap_or_else(|| panic!("engine {name} missing from text:\n{text}"));
+        for (_, v, cols) in paired_rows(&json, text, "engines") {
             assert_eq!(cols[1], get_u64(v, "current").expect("current").to_string());
             assert_eq!(cols[2], get_u64(v, "peak").expect("peak").to_string());
             assert_eq!(cols[3], fmt_opt(get_u64(v, "mean"), &|m| m.to_string()));
             assert_eq!(cols[4], fmt_opt(get_u64(v, "busy_permille"), &fmt_pct));
         }
 
-        let latency = json
-            .get("latency")
-            .and_then(|v| v.as_object())
-            .expect("latency");
-        let latency_rows = report_section(text, "latency:");
+        let latency = paired_rows(&json, text, "latency");
         assert!(!latency.is_empty(), "root spans recorded");
-        assert_eq!(
-            latency_rows.len(),
-            latency.len(),
-            "one text row per span kind"
-        );
-        for (name, v) in latency {
-            let cols: Vec<&str> = latency_rows
-                .iter()
-                .map(|r| r.split_whitespace().collect::<Vec<_>>())
-                .find(|c| c.first() == Some(&name.as_str()))
-                .unwrap_or_else(|| panic!("span {name} missing from text:\n{text}"));
+        for (name, v, cols) in latency {
             for (i, key) in ["count", "p50_ns", "p99_ns", "p999_ns", "max_ns"]
                 .iter()
                 .enumerate()
@@ -1478,8 +1466,8 @@ mod tests {
 
     #[test]
     fn telemetry_artifacts_parse_back() {
-        let (rep, log) = top_report("pingpong", scenario::BackendKind::Tca, false);
-        assert!(log.is_none(), "no flight log unless asked");
+        let rep = health_run(scenario::BackendKind::Tca, false);
+        assert!(rep.flight.is_none(), "no flight log unless asked");
 
         // The Chrome trace is an array of events, each with ph/ts/name.
         let trace = tca_sim::JsonValue::parse(&rep.trace_json).expect("trace parses");
@@ -1567,7 +1555,7 @@ mod tests {
 
     #[test]
     fn pingpong_matches_paper_within_tolerance() {
-        let pp = pingpong_row(false);
+        let pp = pingpong_row();
         // §IV-B1: PIO 2.3 µs, chained DMA 2.0 µs, each ±10 %.
         assert!((2.07..=2.53).contains(&num(&pp, "pio_us")), "{pp:?}");
         assert!((1.80..=2.20).contains(&num(&pp, "dma_us")), "{pp:?}");

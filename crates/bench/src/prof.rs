@@ -27,10 +27,11 @@
 //! the host-time numbers vary run to run, so the JSON artifacts here are
 //! *schema*-stable rather than byte-stable.
 
-use crate::ensure_out_dir;
 use crate::refqueue::RefQueue;
 use crate::scenario::Sweep;
 use crate::topo_fabric::{self, TopoRunReport};
+use crate::write_artifact;
+use std::io;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 use tca_core::prelude::*;
@@ -138,8 +139,8 @@ pub fn profiled_drain(fabric: &mut Fabric) -> Vec<KindStat> {
 /// phase re-runs a smaller put batch across every ring size up to the
 /// 16-node cap of the Fig. 4 address map (64 puts total at the default
 /// settings — the "64-node sweep" budget spread over the buildable ring
-/// sizes; single rings beyond 16 nodes need the hierarchical topology of
-/// ROADMAP item 2).
+/// sizes; single rings beyond 16 nodes need a wider address map, which
+/// the ROADMAP's torus-scale item plans).
 #[derive(Clone, Debug)]
 pub struct EngineWorkload {
     /// Ring size of the steady-state phase.
@@ -421,11 +422,12 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, PointCost) {
 }
 
 /// Writes the `--profile` artifacts of `sweep` into `dir`, creating it if
-/// needed: `PROF_<scenario>.json` (schema `tca-prof/v2`, one entry per
-/// point in sweep order) and `PROF_<scenario>.folded` (one
-/// flamegraph-compatible `tca_bench;<scenario>;<label> <wall ns>` line per
-/// point). Returns the paths written.
-pub fn write_sweep_profile(sweep: &Sweep, dir: &Path) -> Vec<PathBuf> {
+/// needed: `PROF_<scenario>-<backend>.json` (schema `tca-prof/v2`, with
+/// the sweep's `config_fnv` and one entry per point in sweep order) and
+/// `PROF_<scenario>-<backend>.folded` (one flamegraph-compatible
+/// `tca_bench;<scenario>;<label> <wall ns>` line per point). Returns the
+/// paths written.
+pub fn write_sweep_profile(sweep: &Sweep, dir: &Path) -> io::Result<Vec<PathBuf>> {
     let mut points = Vec::with_capacity(sweep.costs.len());
     let mut folded = String::new();
     for ((label, _), c) in sweep.rows.iter().zip(&sweep.costs) {
@@ -444,13 +446,14 @@ pub fn write_sweep_profile(sweep: &Sweep, dir: &Path) -> Vec<PathBuf> {
     root.push("schema", JsonValue::from("tca-prof/v2"));
     root.push("scenario", JsonValue::from(sweep.scenario));
     root.push("backend", JsonValue::from(sweep.backend.name()));
+    let config_fnv = tca_core::default_fingerprint_hex();
+    root.push("config_fnv", JsonValue::from(config_fnv));
     root.push("points", JsonValue::Array(points));
-    ensure_out_dir(dir);
-    let json = dir.join(format!("PROF_{}.json", sweep.scenario));
-    let stacks = dir.join(format!("PROF_{}.folded", sweep.scenario));
-    std::fs::write(&json, root.to_json()).expect("write profile json");
-    std::fs::write(&stacks, folded).expect("write folded stacks");
-    vec![json, stacks]
+    let stem = format!("PROF_{}-{}", sweep.scenario, sweep.backend.name());
+    Ok(vec![
+        write_artifact(&dir.join(format!("{stem}.json")), root.to_json())?,
+        write_artifact(&dir.join(format!("{stem}.folded")), folded)?,
+    ])
 }
 
 /// Adapter over the two queue implementations the [`queue_race`] compares,

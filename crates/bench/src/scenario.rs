@@ -21,7 +21,7 @@ use std::sync::Mutex;
 use tca_apps::{Stencil2dConfig, StencilConfig};
 use tca_core::prelude::*;
 use tca_device::HostBridge;
-use tca_pcie::LinkParams;
+use tca_pcie::{Instrument, LinkParams};
 use tca_sim::JsonValue;
 
 use crate::prof::{timed, PointCost};
@@ -71,36 +71,12 @@ const ALL_BACKENDS: &[BackendKind] = &[
     BackendKind::MpiGpuDirect,
 ];
 
-/// Whether sweep points additionally collect the continuous-health
-/// telemetry summary (peak queue depths, stall fractions, span latency
-/// percentiles) into a `telemetry` sub-object of their row.
-///
-/// Telemetry collection is time-neutral — sampling and span recording
-/// never schedule events — so the measurement fields of a row are
-/// byte-identical in either mode; `Summary` only *adds* a field on the
-/// points that support it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum TelemetryMode {
-    /// Measurements only (the default; keeps rows minimal).
-    #[default]
-    Off,
-    /// Embed the compact telemetry summary per instrumented point.
-    Summary,
-}
-
-impl TelemetryMode {
-    /// Whether telemetry should be collected.
-    pub fn is_on(self) -> bool {
-        self == TelemetryMode::Summary
-    }
-}
-
 /// One independent sweep point: a label plus a closure that builds its own
 /// simulation and returns the point's JSON row (an object).
 pub struct Point {
     /// Human-readable point label (also the `label` field of the row).
     pub label: String,
-    run: Box<dyn Fn(TelemetryMode) -> JsonValue + Send + Sync>,
+    run: Box<dyn Fn() -> JsonValue + Send + Sync>,
 }
 
 impl Point {
@@ -108,19 +84,6 @@ impl Point {
     pub fn new(
         label: impl Into<String>,
         run: impl Fn() -> JsonValue + Send + Sync + 'static,
-    ) -> Point {
-        Point {
-            label: label.into(),
-            run: Box::new(move |_| run()),
-        }
-    }
-
-    /// Wraps a telemetry-aware measurement closure: the closure receives
-    /// the sweep's [`TelemetryMode`] and appends a `telemetry` sub-object
-    /// to its row when asked to.
-    pub fn instrumented(
-        label: impl Into<String>,
-        run: impl Fn(TelemetryMode) -> JsonValue + Send + Sync + 'static,
     ) -> Point {
         Point {
             label: label.into(),
@@ -208,6 +171,7 @@ pub struct Sweep {
     pub rows: Vec<(String, JsonValue)>,
     /// Host cost of each point, in the same order as `rows` — what
     /// `--profile` reports. Varies run to run; never part of the rows.
+    /// Empty when the row came from a `tca-bench` health-flag run.
     pub costs: Vec<PointCost>,
 }
 
@@ -216,15 +180,9 @@ pub struct Sweep {
 /// Each point builds its own fabric, so workers cannot interact; a shared
 /// atomic cursor hands out point indices and each result lands in its
 /// point's slot, making the output independent of the job count and of
-/// thread scheduling. `telemetry` selects whether instrumented points
-/// embed their health summary; it never changes measurement fields.
-/// Every point runs under [`timed`], which fills [`Sweep::costs`].
-pub fn run_sweep(
-    sc: &Scenario,
-    backend: BackendKind,
-    jobs: usize,
-    telemetry: TelemetryMode,
-) -> Sweep {
+/// thread scheduling. Every point runs under [`timed`], which fills
+/// [`Sweep::costs`].
+pub fn run_sweep(sc: &Scenario, backend: BackendKind, jobs: usize) -> Sweep {
     let points = sc.points(backend);
     let slots: Vec<Mutex<Option<(JsonValue, PointCost)>>> =
         points.iter().map(|_| Mutex::new(None)).collect();
@@ -237,7 +195,7 @@ pub fn run_sweep(
                 if i >= points.len() {
                     break;
                 }
-                let done = timed(|| (points[i].run)(telemetry));
+                let done = timed(|| (points[i].run)());
                 *slots[i].lock().expect("slot lock poisoned") = Some(done);
             });
         }
@@ -261,8 +219,8 @@ pub fn run_sweep(
     }
 }
 
-/// Runs the TCA point `label` of scenario `name` with telemetry off and
-/// returns its row — the same row the sweep prints for that point.
+/// Runs the TCA point `label` of scenario `name` and returns its row — the
+/// same row the sweep prints for that point.
 ///
 /// # Panics
 /// Panics if no such scenario or point exists.
@@ -273,7 +231,7 @@ pub fn point_row(name: &str, label: &str) -> JsonValue {
         .into_iter()
         .find(|p| p.label == label)
         .unwrap_or_else(|| panic!("scenario '{name}' has no point '{label}'"));
-    (point.run)(TelemetryMode::Off)
+    (point.run)()
 }
 
 impl Sweep {
@@ -282,8 +240,8 @@ impl Sweep {
     pub fn to_json(&self) -> String {
         // Registry points all build their fabrics from the default
         // Table I/II parameter bundle, so every point record carries that
-        // bundle's config hash — the cache key a result store (ROADMAP
-        // item 5) would dedup identical points by.
+        // bundle's config hash — the key a memo of identical points would
+        // dedup them by.
         let config_fnv = tca_core::params::default_fingerprint_hex();
         let mut root = JsonValue::object();
         root.push("schema", JsonValue::from("tca-bench-sweep/v1"));
@@ -307,12 +265,13 @@ impl Sweep {
     }
 
     /// Renders the sweep as an aligned text table (column order = field
-    /// order of the first row).
+    /// order of the first row). Object-valued fields, such as a
+    /// `telemetry` summary, are left to the JSON.
     pub fn render(&self) -> String {
         let mut cols: Vec<String> = vec!["label".into()];
         for (_, row) in &self.rows {
-            for (k, _) in row.as_object().expect("rows are objects") {
-                if !cols.iter().any(|c| c == k) {
+            for (k, v) in row.as_object().expect("rows are objects") {
+                if !matches!(v, JsonValue::Object(_)) && !cols.iter().any(|c| c == k) {
                     cols.push(k.clone());
                 }
             }
@@ -422,11 +381,7 @@ pub fn scenarios() -> Vec<Scenario> {
             description: "the §IV-B1 PIO and chained-DMA ping-pong half round trips",
             figure: "§IV-B1",
             backends: TCA_ONLY,
-            points: |_| {
-                vec![Point::instrumented("half-rtt", |tel| {
-                    crate::pingpong_row(tel.is_on())
-                })]
-            },
+            points: |_| vec![Point::new("half-rtt", crate::pingpong_row)],
         },
         Scenario {
             name: "ring-hops",
@@ -513,12 +468,11 @@ pub fn scenarios() -> Vec<Scenario> {
                 [8u64, 256, 4096, 65536]
                     .into_iter()
                     .map(move |size| {
-                        Point::instrumented(fmt_size(size), move |tel| {
+                        Point::new(fmt_size(size), move || {
                             on_backend!(kind, 2, |c| {
-                                if tel.is_on() {
-                                    c.fabric.enable_sampling(Dur::from_ns(500));
-                                    c.fabric.set_span_tracing(true);
-                                }
+                                c.fabric.observe(
+                                    Instrument::default().spans().sample(Dur::from_ns(500)),
+                                );
                                 c.write(&MemRef::host(0, 0x4000_0000), &vec![3u8; size as usize]);
                                 let host_us = c
                                     .put(
@@ -536,9 +490,7 @@ pub fn scenarios() -> Vec<Scenario> {
                                     ("host_us", jf(host_us)),
                                     ("gpu_us", jf(gpu_us)),
                                 ]);
-                                if tel.is_on() {
-                                    o.push("telemetry", crate::telemetry_summary(&mut c.fabric));
-                                }
+                                o.push("telemetry", crate::telemetry_summary(&mut c.fabric));
                                 o
                             })
                         })
@@ -819,6 +771,13 @@ pub fn scenarios() -> Vec<Scenario> {
                     .collect()
             },
         },
+        Scenario {
+            name: "health",
+            description: "fabric health of an 8-node ring neighbour shift (what --top reports)",
+            figure: "§III-A / §III-E",
+            backends: ALL_BACKENDS,
+            points: |kind| vec![Point::new("8 nodes", move || crate::health_summary(kind))],
+        },
     ]
 }
 
@@ -854,31 +813,10 @@ mod tests {
     }
 
     #[test]
-    fn sweep_json_is_independent_of_job_count() {
-        let sc = find("put-latency").expect("registered");
-        let a = run_sweep(&sc, BackendKind::Tca, 1, TelemetryMode::Off);
-        let b = run_sweep(&sc, BackendKind::Tca, 8, TelemetryMode::Off);
-        assert_eq!(a.to_json(), b.to_json(), "jobs must not affect output");
-        assert_eq!(a.render(), b.render());
-        let parsed = JsonValue::parse(&a.to_json()).expect("valid JSON");
-        assert_eq!(
-            parsed.get("schema").and_then(|v| v.as_str()),
-            Some("tca-bench-sweep/v1")
-        );
-        assert_eq!(
-            parsed
-                .get("points")
-                .and_then(|v| v.as_array())
-                .map(<[_]>::len),
-            Some(4)
-        );
-    }
-
-    #[test]
     fn backend_aware_scenarios_run_on_mpi() {
         let sc = find("put-latency").expect("registered");
-        let tca = run_sweep(&sc, BackendKind::Tca, 2, TelemetryMode::Off);
-        let mpi = run_sweep(&sc, BackendKind::MpiStaged, 2, TelemetryMode::Off);
+        let tca = run_sweep(&sc, BackendKind::Tca, 2);
+        let mpi = run_sweep(&sc, BackendKind::MpiStaged, 2);
         // Small puts: the TCA fabric must win, per the paper's Fig. 7/10.
         let first = |s: &Sweep, key: &str| {
             s.rows[0]
@@ -893,16 +831,29 @@ mod tests {
 
     #[test]
     fn telemetry_summary_adds_field_without_changing_measurements() {
-        let sc = find("pingpong").expect("registered");
-        let off = run_sweep(&sc, BackendKind::Tca, 1, TelemetryMode::Off);
-        let on = run_sweep(&sc, BackendKind::Tca, 1, TelemetryMode::Summary);
-        let (row_off, row_on) = (&off.rows[0].1, &on.rows[0].1);
-        // Time-neutrality: the measured fields are identical either way.
-        for key in ["pio_us", "dma_us", "pio_leg_ns", "dma_leg_ns"] {
-            assert_eq!(row_off.get(key), row_on.get(key), "{key} shifted");
-        }
-        assert!(row_off.get("telemetry").is_none(), "off mode stays lean");
-        let t = row_on.get("telemetry").expect("summary embedded");
+        let s = sweep("pingpong");
+        let r = &s.rows[0].1;
+        // Time-neutrality: an unobserved rig driven through the same four
+        // legs measures every field of the observed sweep point.
+        let mut plain = crate::rig(2);
+        let pio_fwd = crate::pio_leg(&mut plain, 0, 1, 0x6100);
+        let pio_back = crate::pio_leg(&mut plain, 1, 0, 0x6200);
+        let dma_fwd = crate::dma_leg(&mut plain, 0, 1, 0x4100_0000);
+        let dma_back = crate::dma_leg(&mut plain, 1, 0, 0x4200_0000);
+        let half_rtt =
+            |fwd: Dur, turnaround: Dur, back: Dur| jf(((fwd + turnaround + back) / 2).as_us_f64());
+        let pio_us = half_rtt(pio_fwd, crate::PIO_PINGPONG_SW_TURNAROUND, pio_back);
+        let dma_us = half_rtt(dma_fwd, crate::DMA_PINGPONG_SW_TURNAROUND, dma_back);
+        assert_eq!(r.get("pio_us"), Some(&pio_us));
+        assert_eq!(r.get("dma_us"), Some(&dma_us));
+        assert_eq!(r.get("pio_leg_ns"), Some(&jf(pio_fwd.as_ns_f64())));
+        assert_eq!(r.get("dma_leg_ns"), Some(&jf(dma_fwd.as_ns_f64())));
+        // The summary rides in the JSON only; the table leaves it out.
+        let (json, table) = (s.to_json(), s.render());
+        assert!(json.contains("\"telemetry\":{"), "{json}");
+        assert!(!table.contains("telemetry"), "{table}");
+        assert!(table.contains("pio_leg_ns"), "{table}");
+        let t = r.get("telemetry").expect("summary embedded");
         let num = |k: &str| t.get(k).and_then(|v| v.as_f64()).expect(k);
         assert!(num("captures") > 0.0, "sampler ran: {t:?}");
         assert!(num("span_count") > 0.0, "root spans recorded: {t:?}");
@@ -914,7 +865,7 @@ mod tests {
     fn put_latency_embeds_telemetry_on_all_backends() {
         let sc = find("put-latency").expect("registered");
         for backend in BackendKind::ALL {
-            let sweep = run_sweep(&sc, backend, 2, TelemetryMode::Summary);
+            let sweep = run_sweep(&sc, backend, 2);
             for (label, row) in &sweep.rows {
                 let t = row
                     .get("telemetry")
@@ -938,12 +889,7 @@ mod tests {
     }
 
     fn sweep(name: &str) -> Sweep {
-        run_sweep(
-            &find(name).expect("registered"),
-            BackendKind::Tca,
-            2,
-            TelemetryMode::Off,
-        )
+        run_sweep(&find(name).expect("registered"), BackendKind::Tca, 2)
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! `tca-bench` rejects flags its chosen mode would ignore: each rejected
 //! combination exits 2, names the offending flag, and starts no run, so no
-//! artifact directory appears.
+//! artifact directory appears. An artifact it cannot write exits 1 with
+//! the path named, never with a panic.
 
 use std::process::Command;
 
@@ -29,6 +30,18 @@ fn run(name: &str, args: &str) -> (Option<i32>, String, Vec<String>) {
     (out.status.code(), stderr, left)
 }
 
+/// Runs `tca-bench <args>` in the temp directory, asserts that it
+/// succeeded, and returns its stdout.
+fn stdout(args: &str) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_tca-bench"))
+        .args(args.split_whitespace())
+        .current_dir(std::env::temp_dir())
+        .output()
+        .expect("spawn tca-bench");
+    assert!(out.status.success(), "{out:?}");
+    String::from_utf8(out.stdout).expect("utf-8 stdout")
+}
+
 #[test]
 fn ignored_flags_are_rejected_before_any_run() {
     let cases = [
@@ -48,6 +61,10 @@ fn ignored_flags_are_rejected_before_any_run() {
         ("--list --json --top", "--top"),
         ("--scenario put-latency --profile-dir P", "--profile-dir"),
         ("--scenario pingpong --top --telemetry-dir T --profile-dir P", "--profile-dir"),
+        ("--scenario fig7 --top", "--top"),
+        ("--scenario fig7 --telemetry-dir T", "--telemetry-dir"),
+        ("--scenario fig7 --flight-dir F", "--flight-dir"),
+        ("--top", "--top"),
     ];
     for (i, (args, flag)) in cases.into_iter().enumerate() {
         let (code, stderr, left) = run(&format!("reject{i}"), args);
@@ -67,29 +84,21 @@ fn list_accepts_json() {
 
 #[test]
 fn profile_times_every_sweep_point_without_touching_stdout() {
-    let dir = std::env::temp_dir().join(format!("tca-bench-cli-{}-profile", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let sweep = |extra: &[&str]| {
-        let out = Command::new(env!("CARGO_BIN_EXE_tca-bench"))
-            .args(["--scenario", "fig9", "--json"])
-            .args(extra)
-            .current_dir(std::env::temp_dir())
-            .output()
-            .expect("spawn tca-bench");
-        assert!(out.status.success(), "{out:?}");
-        out.stdout
-    };
-    let prof_dir = dir.join("P");
-    let prof_arg = prof_dir.to_str().expect("utf-8 temp path");
+    let dir = format!("tca-bench-cli-{}-profile", std::process::id());
+    let prof_dir = std::env::temp_dir().join(&dir);
+    let _ = std::fs::remove_dir_all(&prof_dir);
     assert_eq!(
-        sweep(&[]),
-        sweep(&["--profile", "--profile-dir", prof_arg]),
+        stdout("--scenario fig9 --json"),
+        stdout(&format!(
+            "--scenario fig9 --json --profile --profile-dir {dir}"
+        )),
         "--profile changed the sweep stdout"
     );
 
     let labels = [1, 2, 4, 8, 16, 32, 64, 128, 255].map(|n| format!("{n} reqs"));
-    let json = std::fs::read_to_string(prof_dir.join("PROF_fig9.json")).expect("PROF json");
+    let json = std::fs::read_to_string(prof_dir.join("PROF_fig9-tca.json")).expect("PROF json");
     assert!(json.starts_with("{\"schema\":\"tca-prof/v2\""), "{json}");
+    assert!(json.contains("\"config_fnv\":\""), "{json}");
     let report = tca_sim::JsonValue::parse(&json).expect("PROF json parses");
     let points = report
         .get("points")
@@ -102,7 +111,7 @@ fn profile_times_every_sweep_point_without_touching_stdout() {
     assert_eq!(got, labels, "one entry per point, in sweep order");
 
     // Folded stacks: one `tca_bench;fig9;<label> <ns>` line per point.
-    let folded = std::fs::read_to_string(prof_dir.join("PROF_fig9.folded")).expect("folded");
+    let folded = std::fs::read_to_string(prof_dir.join("PROF_fig9-tca.folded")).expect("folded");
     let lines: Vec<&str> = folded.lines().collect();
     assert_eq!(lines.len(), labels.len(), "{folded}");
     for (line, label) in lines.iter().zip(&labels) {
@@ -110,5 +119,50 @@ fn profile_times_every_sweep_point_without_touching_stdout() {
         assert_eq!(frames, format!("tca_bench;fig9;{label}"));
         value.parse::<u64>().expect("folded value is integer ns");
     }
-    std::fs::remove_dir_all(&dir).expect("remove scratch dir");
+    std::fs::remove_dir_all(&prof_dir).expect("remove scratch dir");
+}
+
+#[test]
+fn health_top_json_shows_an_armed_quiet_watchdog() {
+    let top = stdout("--scenario health --top --json");
+    assert!(top.starts_with("{\"schema\":\"tca-health/v1\""), "{top}");
+    assert!(top.contains("\"watchdog_armed\":true"), "{top}");
+    assert!(top.contains("\"watchdog_fired\":false"), "{top}");
+}
+
+/// Without `--top` the health flags print the sweep from the run that
+/// wrote the artifacts; that row must be the one the plain sweep prints.
+#[test]
+fn health_artifact_flags_print_the_plain_sweep() {
+    let dir = format!("tca-bench-cli-{}-health", std::process::id());
+    let root = std::env::temp_dir().join(&dir);
+    let _ = std::fs::remove_dir_all(&root);
+    let plain = stdout("--scenario health --json");
+    assert!(plain.contains("\"label\":\"8 nodes\""), "{plain}");
+    let flags = format!("--telemetry-dir {dir}/T --flight-dir {dir}/F");
+    let observed = stdout(&format!("--scenario health --json {flags}"));
+    assert_eq!(plain, observed, "the artifact flags changed the sweep");
+    assert!(root.join("T/health-tca.health.json").is_file());
+    assert!(root.join("F/FLIGHT_health-tca.jsonl").is_file());
+    std::fs::remove_dir_all(&root).expect("remove scratch dir");
+}
+
+#[test]
+fn unwritable_artifact_exits_1_without_a_panic() {
+    for (i, args) in [
+        "--scenario health --telemetry-dir /dev/null/x",
+        "--scenario tables --profile --profile-dir /dev/null/x",
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let (code, stderr, left) = run(&format!("unwritable{i}"), args);
+        assert_eq!(code, Some(1), "`{args}` must exit 1; stderr: {stderr}");
+        let named = stderr.contains("tca-bench: cannot write /dev/null/x");
+        assert!(
+            named && !stderr.contains("panicked at"),
+            "`{args}`: {stderr}"
+        );
+        assert!(left.is_empty(), "`{args}` created {left:?}");
+    }
 }

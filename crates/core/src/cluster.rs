@@ -2,7 +2,7 @@
 
 use tca_device::node::NodeConfig;
 use tca_net::{attach_ib, IbParams, MpiWorld};
-use tca_pcie::Fabric;
+use tca_pcie::{Fabric, Instrument};
 use tca_peach2::{build_dual_ring, build_ring, Peach2Driver, Peach2Params, SubCluster};
 
 /// Topology of the sub-cluster cables.
@@ -271,48 +271,33 @@ impl TcaCluster {
         out
     }
 
-    /// Enables periodic gauge sampling on the underlying fabric at `period`
-    /// of simulated time. Time-neutral: captures happen between events and
-    /// never schedule anything (see [`tca_pcie::Fabric::enable_sampling`]).
+    /// Samples every gauge at `period` of simulated time (the `sample`
+    /// observer of [`Instrument`]).
     pub fn enable_sampling(&mut self, period: tca_sim::Dur) {
-        self.fabric.enable_sampling(period);
+        self.fabric.observe(Instrument::default().sample(period));
     }
 
-    /// Arms the no-progress watchdog with `window` of simulated time (see
-    /// [`tca_pcie::Fabric::arm_watchdog`]).
+    /// Arms the no-progress watchdog with `window` of simulated time (the
+    /// `watchdog` observer of [`Instrument`]).
     pub fn arm_watchdog(&mut self, window: tca_sim::Dur) {
-        self.fabric.arm_watchdog(window);
+        self.fabric.observe(Instrument::default().watchdog(window));
     }
 
-    /// Enables the deterministic flight recorder on the underlying fabric
-    /// (see [`tca_pcie::Fabric::enable_flight`]): a bounded ring of
-    /// dispatch events, with optional spill of evicted events so the full
-    /// log is retained. Pure observation — recording never shifts
-    /// simulated time.
+    /// Records the dispatch stream into a flight ring of `ring_capacity`
+    /// events, spilling evicted ones when `spill` (the `flight` observer
+    /// of [`Instrument`]).
     pub fn enable_flight(&mut self, ring_capacity: usize, spill: bool) {
-        self.fabric.enable_flight(ring_capacity, spill);
+        self.fabric
+            .observe(Instrument::default().flight(ring_capacity, spill));
     }
 
-    /// The `tca-flight/v1` JSONL log (events plus span records), when
-    /// recording is enabled.
-    pub fn flight_jsonl(&self) -> Option<String> {
-        self.fabric.flight_jsonl()
-    }
-
-    /// Renders the continuous-health congestion report (`tca-top`): a
+    /// Collects the continuous-health congestion report (`tca-top`): a
     /// per-link utilization/stall table, per-engine occupancy gauges with
     /// time-series means when sampling is on, and exact-integer latency
-    /// percentiles per completed root-span kind. Byte-stable across runs.
-    pub fn health_report(&mut self) -> String {
+    /// percentiles per completed root-span kind.
+    pub fn health_report(&mut self) -> HealthData {
         let snapshot = self.metrics_snapshot();
-        collect_fabric_health(&self.fabric, self.nodes(), snapshot, self.config_fnv).render()
-    }
-
-    /// The health report as JSON (schema `tca-health/v1`), for machine
-    /// consumption and the CI schema gate. Byte-stable across runs.
-    pub fn health_report_json(&mut self) -> String {
-        let snapshot = self.metrics_snapshot();
-        collect_fabric_health(&self.fabric, self.nodes(), snapshot, self.config_fnv).to_json()
+        collect_fabric_health(&self.fabric, self.nodes(), snapshot, self.config_fnv)
     }
 }
 
@@ -430,8 +415,9 @@ struct EngineHealth {
     busy_pm: Option<u64>,
 }
 
-/// Everything [`TcaCluster::health_report`] shows.
-pub(crate) struct HealthData {
+/// Everything [`TcaCluster::health_report`] shows, as integers so both
+/// renderings are byte-stable across runs.
+pub struct HealthData {
     nodes: u32,
     config_fnv: u64,
     now: tca_sim::SimTime,
@@ -450,7 +436,8 @@ fn pct(pm: u64) -> String {
 }
 
 impl HealthData {
-    pub(crate) fn render(&self) -> String {
+    /// The aligned-text report (what `tca-bench --top` prints).
+    pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
         let _ = writeln!(
@@ -537,7 +524,9 @@ impl HealthData {
         out
     }
 
-    pub(crate) fn to_json(&self) -> String {
+    /// The report as `tca-health/v1` JSON, for machine consumption and
+    /// the CI schema gate.
+    pub fn to_json(&self) -> String {
         use tca_sim::JsonValue;
         let mut root = JsonValue::object();
         root.push("schema", JsonValue::from("tca-health/v1"));
@@ -677,7 +666,8 @@ mod tests {
                     4096,
                 );
             }
-            (c.health_report(), c.health_report_json())
+            let health = c.health_report();
+            (health.render(), health.to_json())
         };
         let (text, json) = run();
         assert!(text.contains("fabric health: 2 nodes"), "{text}");
@@ -700,7 +690,8 @@ mod tests {
         use crate::api::MemRef;
         use crate::comm::{CommWorld, MpiBackend, MpiGpuMode};
         let mut m = MpiBackend::new(2, MpiGpuMode::Staged);
-        m.enable_sampling(tca_sim::Dur::from_ns(100));
+        m.fabric
+            .observe(Instrument::default().sample(tca_sim::Dur::from_ns(100)));
         m.write(&MemRef::host(0, 0x4000_0000), &[9u8; 8192]);
         m.put(
             &MemRef::host(1, 0x4100_0000),
@@ -712,9 +703,10 @@ mod tests {
             snap.get("mpi.rndv_sends").is_some() || snap.get("mpi.eager_sends").is_some(),
             "protocol counters present"
         );
-        let text = m.health_report();
+        let health = m.health_report();
+        let text = health.render();
         assert!(text.contains("fabric health: 2 nodes"), "{text}");
-        let json = m.health_report_json();
+        let json = health.to_json();
         assert!(json.starts_with("{\"schema\":\"tca-health/v1\""), "{json}");
         assert!(json.contains("send_q_depth"), "HCA gauges present: {json}");
     }

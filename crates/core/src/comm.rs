@@ -297,46 +297,12 @@ impl MpiBackend {
         self.fabric.metrics_snapshot()
     }
 
-    /// Enables periodic gauge sampling, exactly as
-    /// [`TcaCluster::enable_sampling`] does for the TCA backend.
-    pub fn enable_sampling(&mut self, period: Dur) {
-        self.fabric.enable_sampling(period);
-    }
-
-    /// Arms the no-progress watchdog, exactly as
-    /// [`TcaCluster::arm_watchdog`] does for the TCA backend.
-    pub fn arm_watchdog(&mut self, window: Dur) {
-        self.fabric.arm_watchdog(window);
-    }
-
-    /// Enables the deterministic flight recorder, exactly as
-    /// [`TcaCluster::enable_flight`] does for the TCA backend.
-    pub fn enable_flight(&mut self, ring_capacity: usize, spill: bool) {
-        self.fabric.enable_flight(ring_capacity, spill);
-    }
-
-    /// The `tca-flight/v1` JSONL log (events plus span records), when
-    /// recording is enabled.
-    pub fn flight_jsonl(&self) -> Option<String> {
-        self.fabric.flight_jsonl()
-    }
-
     /// The continuous-health congestion report for the MPI/IB fabric, in
     /// the same format as [`TcaCluster::health_report`].
-    pub fn health_report(&mut self) -> String {
+    pub fn health_report(&mut self) -> crate::HealthData {
         let snapshot = self.fabric.metrics_snapshot();
         let nodes = self.world.nodes.len() as u32;
         crate::cluster::collect_fabric_health(&self.fabric, nodes, snapshot, self.config_fnv)
-            .render()
-    }
-
-    /// The health report as JSON (schema `tca-health/v1`), in the same
-    /// format as [`TcaCluster::health_report_json`].
-    pub fn health_report_json(&mut self) -> String {
-        let snapshot = self.fabric.metrics_snapshot();
-        let nodes = self.world.nodes.len() as u32;
-        crate::cluster::collect_fabric_health(&self.fabric, nodes, snapshot, self.config_fnv)
-            .to_json()
     }
 
     fn gpu_dev(&self, node: u32, gpu: usize) -> tca_pcie::DeviceId {

@@ -38,7 +38,7 @@ pub mod params;
 pub mod presets;
 
 pub use api::{GpuAlloc, MemRef, MemSpace, TcaEvent};
-pub use cluster::{TcaCluster, TcaClusterBuilder, Topology};
+pub use cluster::{HealthData, TcaCluster, TcaClusterBuilder, Topology};
 
 /// Applies the `TCA_FLIGHT_RING` environment opt-in: when the variable
 /// holds a positive event count, the fabric records its dispatch stream
@@ -61,7 +61,7 @@ pub fn apply_env_flight(fabric: &mut tca_pcie::Fabric) {
     };
     let cap = flight_ring_capacity(&v);
     if cap > 0 {
-        fabric.enable_flight(cap, false);
+        fabric.observe(tca_pcie::Instrument::default().flight(cap, false));
     }
 }
 

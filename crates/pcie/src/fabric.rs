@@ -264,17 +264,67 @@ pub struct LinkDirStats {
     pub credit_stall: Dur,
 }
 
+/// The observers a run turns on, handed to [`Fabric::observe`] as one
+/// value; the default names none. Every observer is a pure data sink fed
+/// from the dispatch loop: none schedules an event or reads a wall clock,
+/// so an observed run replays the exact event stream of a plain one.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Instrument {
+    spans: bool,
+    sample: Option<Dur>,
+    watchdog: Option<Dur>,
+    flight: Option<(usize, bool)>,
+}
+
+impl Instrument {
+    /// Turns causal span tracing on (see [`Fabric::set_span_tracing`]).
+    pub fn spans(mut self) -> Self {
+        self.spans = true;
+        self
+    }
+
+    /// Samples every gauge at `period` of simulated time, between events
+    /// (see [`Sampler`]).
+    pub fn sample(mut self, period: Dur) -> Self {
+        self.sample = Some(period);
+        self
+    }
+
+    /// Arms the progress watchdog: if no DRAM commit or interrupt is
+    /// delivered for `window` — or the queue drains with TLPs still
+    /// blocked on credits — it captures a [`StallReport`].
+    pub fn watchdog(mut self, window: Dur) -> Self {
+        self.watchdog = Some(window);
+        self
+    }
+
+    /// Records the dispatch stream into a flight ring of `capacity`
+    /// events; with `spill`, evicted events are kept as JSONL lines so the
+    /// full log survives (see [`FlightRecorder`]).
+    pub fn flight(mut self, capacity: usize, spill: bool) -> Self {
+        self.flight = Some((capacity, spill));
+        self
+    }
+}
+
+/// The observers [`Fabric::observe`] turned on. They sit behind one
+/// `Option` on the fabric, so each observer hook of an unobserved step
+/// finds `None` and returns.
+#[derive(Default)]
+struct Observers {
+    sampler: Option<Sampler>,
+    watchdog: Option<Watchdog>,
+    flight: Option<FlightRecorder>,
+}
+
 /// The simulated PCIe fabric.
 pub struct Fabric {
     devices: Vec<Box<dyn Device>>,
     /// Everything a handler may act on, lent to each [`Ctx`].
     net: Net,
-    /// Periodic gauge recorder; `None` unless sampling is enabled.
-    sampler: Option<Sampler>,
-    /// Progress watchdog; `None` unless armed.
-    watchdog: Option<Watchdog>,
-    /// Flight recorder; `None` unless enabled.
-    flight: Option<FlightRecorder>,
+    /// Gauge sampler, watchdog and flight recorder; `None` until
+    /// [`Fabric::observe`] turns one on.
+    obs: Option<Box<Observers>>,
 }
 
 /// A link-layer span segment (`wire_wait`, `wire`, `replay`, `stall`)
@@ -332,9 +382,7 @@ impl Fabric {
                 prof: FabricProf::default(),
                 link_segs: Vec::new(),
             },
-            sampler: None,
-            watchdog: None,
-            flight: None,
+            obs: None,
         }
     }
 
@@ -352,71 +400,56 @@ impl Fabric {
     pub fn chrome_trace_json(&self) -> String {
         let mut events = Vec::new();
         self.net.spans.chrome_trace_events(&mut events);
-        if let Some(s) = &self.sampler {
+        if let Some(s) = self.sampler() {
             s.chrome_counter_events(&mut events);
         }
         JsonValue::Array(events).to_json()
     }
 
-    /// Enables periodic gauge sampling at `period` of simulated time.
-    /// Sampling is driven by the event queue (captures happen between
-    /// events, never *as* events), so it cannot shift a single timestamp;
-    /// see [`Sampler`]. Re-enabling replaces any previous series.
-    pub fn enable_sampling(&mut self, period: Dur) {
-        self.sampler = Some(Sampler::new(period));
+    /// Turns on every observer `inst` names. One it names replaces the
+    /// observer already there (a new sampler starts a new series, a new
+    /// flight ring a new log); the others are left as they are.
+    pub fn observe(&mut self, inst: Instrument) {
+        if inst.spans {
+            self.set_span_tracing(true);
+        }
+        if inst.sample.is_none() && inst.watchdog.is_none() && inst.flight.is_none() {
+            return;
+        }
+        let obs = self.obs.get_or_insert_with(Box::default);
+        obs.sampler = inst.sample.map(Sampler::new).or(obs.sampler.take());
+        obs.watchdog = inst.watchdog.map(Watchdog::new).or(obs.watchdog.take());
+        let flight = inst
+            .flight
+            .map(|(cap, spill)| FlightRecorder::new(cap, spill));
+        obs.flight = flight.or(obs.flight.take());
     }
 
-    /// The gauge time-series recorder, when sampling is enabled.
+    /// The gauge time-series recorder, when sampling is on.
     pub fn sampler(&self) -> Option<&Sampler> {
-        self.sampler.as_ref()
-    }
-
-    /// Arms the progress watchdog: if no DRAM commit or interrupt is
-    /// delivered for `window` of simulated time — or the event queue drains
-    /// with TLPs still blocked on credits — the watchdog captures a
-    /// [`StallReport`] diagnosing the stalled links and engines. Pure
-    /// observation: arming it never schedules events.
-    pub fn arm_watchdog(&mut self, window: Dur) {
-        self.watchdog = Some(Watchdog::new(window));
+        self.obs.as_ref()?.sampler.as_ref()
     }
 
     /// The armed watchdog, if any.
     pub fn watchdog(&self) -> Option<&Watchdog> {
-        self.watchdog.as_ref()
+        self.obs.as_ref()?.watchdog.as_ref()
     }
 
     /// The stall report, when the armed watchdog has fired.
     pub fn stall_report(&self) -> Option<&StallReport> {
-        self.watchdog.as_ref().and_then(|w| w.report())
+        self.watchdog()?.report()
     }
 
-    /// Enables the deterministic flight recorder, keeping the most recent
-    /// `ring_capacity` dispatched events; with `spill`, events evicted
-    /// from the ring are retained as pre-serialized JSONL lines so the
-    /// full log survives. Like the sampler and watchdog, the recorder is
-    /// a pure data sink driven from the dispatch loop — it never schedules
-    /// events and never reads a wall clock, so a recorded run replays the
-    /// exact event stream of an unrecorded one (proven byte-for-byte by
-    /// `tests/determinism.rs`). Re-enabling replaces any previous log.
-    pub fn enable_flight(&mut self, ring_capacity: usize, spill: bool) {
-        self.flight = Some(if spill {
-            FlightRecorder::with_spill(ring_capacity)
-        } else {
-            FlightRecorder::new(ring_capacity)
-        });
-    }
-
-    /// The flight recorder, when enabled.
+    /// The flight recorder, when recording is on.
     pub fn flight(&self) -> Option<&FlightRecorder> {
-        self.flight.as_ref()
+        self.obs.as_ref()?.flight.as_ref()
     }
 
     /// The full flight log as `tca-flight/v1` JSONL — header, event lines,
     /// then the run's span records (so span trees can be bisected from the
     /// log alone) — or `None` when recording is off.
     pub fn flight_jsonl(&self) -> Option<String> {
-        let fl = self.flight.as_ref()?;
-        let mut out = fl.jsonl();
+        let mut out = self.flight()?.jsonl();
         out.push_str(&self.net.spans.jsonl());
         Some(out)
     }
@@ -724,7 +757,7 @@ impl Fabric {
     /// schedules events or touches link state, so recording cannot shift
     /// simulated time.
     fn record_flight(&mut self, ev: &Ev) {
-        let Some(fl) = &mut self.flight else {
+        let Some(fl) = self.obs.as_mut().and_then(|o| o.flight.as_mut()) else {
             return;
         };
         let at = self.net.queue.now();
@@ -786,51 +819,33 @@ impl Fabric {
     /// inside it is invisible to the simulation: no event is scheduled and
     /// `now` does not move (captures are timestamped on the sample grid).
     fn sample_pending(&mut self) {
-        let Some(mut sampler) = self.sampler.take() else {
+        let Fabric { devices, net, obs } = self;
+        let Some(sampler) = obs.as_mut().and_then(|o| o.sampler.as_mut()) else {
             return;
         };
-        if let Some(next_event) = self.net.peek_time() {
+        if let Some(next_event) = net.peek_time() {
             while sampler.due_before(next_event) {
                 let at = sampler.next_due();
-                self.refresh_live_gauges();
-                for dev in &mut self.devices {
-                    dev.publish_metrics(&mut self.net.metrics);
+                net.refresh_live_gauges();
+                for dev in devices.iter_mut() {
+                    dev.publish_metrics(&mut net.metrics);
                 }
-                sampler.capture(at, &self.net.metrics);
+                sampler.capture(at, &net.metrics);
             }
         }
-        self.sampler = Some(sampler);
     }
 
-    /// Re-publishes the gauges whose live value only the fabric knows:
-    /// queued-TLP depth and consumed header credits per link direction.
-    fn refresh_live_gauges(&mut self) {
-        for l in &self.net.links {
-            let advertised = CreditState::from_params(&l.params);
-            for d in &l.dirs {
-                self.net
-                    .metrics
-                    .gauge_set(d.m.queue_depth, (d.reqq.len() + d.cplq.len()) as i64);
-                let in_use = advertised.posted_hdr.saturating_sub(d.credits.posted_hdr)
-                    + advertised
-                        .nonposted_hdr
-                        .saturating_sub(d.credits.nonposted_hdr)
-                    + advertised
-                        .completion_hdr
-                        .saturating_sub(d.credits.completion_hdr);
-                self.net
-                    .metrics
-                    .gauge_set(d.m.credits_in_use, in_use as i64);
-            }
-        }
+    /// The armed watchdog, mutably.
+    fn watchdog_mut(&mut self) -> Option<&mut Watchdog> {
+        self.obs.as_mut()?.watchdog.as_mut()
     }
 
     /// Fires the watchdog when the no-progress window has elapsed.
     fn check_watchdog(&mut self) {
         let now = self.net.queue.now();
-        if matches!(&self.watchdog, Some(w) if w.expired(now)) {
+        if matches!(self.watchdog(), Some(w) if w.expired(now)) {
             let diagnosis = self.stall_diagnosis();
-            if let Some(w) = &mut self.watchdog {
+            if let Some(w) = self.watchdog_mut() {
                 w.fire(now, diagnosis);
             }
         }
@@ -838,7 +853,7 @@ impl Fabric {
 
     /// Fires the watchdog when the queue drained with TLPs still blocked.
     fn check_drained_stall(&mut self) {
-        let armed_quiet = matches!(&self.watchdog, Some(w) if w.report().is_none());
+        let armed_quiet = matches!(self.watchdog(), Some(w) if w.report().is_none());
         if !armed_quiet {
             return;
         }
@@ -850,7 +865,7 @@ impl Fabric {
         if stuck {
             let now = self.net.queue.now();
             let diagnosis = self.stall_diagnosis();
-            if let Some(w) = &mut self.watchdog {
+            if let Some(w) = self.watchdog_mut() {
                 w.fire(now, diagnosis);
             }
         }
@@ -930,8 +945,8 @@ impl Fabric {
         // `Ctx::note_progress` — a chip relaying a packet another hop is
         // NOT progress, or routing loops would keep the watchdog quiet
         // while packets circulate forever without ever landing in DRAM.
-        if let Some(w) = &mut self.watchdog {
-            if matches!(tlp.kind, TlpKind::Msi { .. }) {
+        if matches!(tlp.kind, TlpKind::Msi { .. }) {
+            if let Some(w) = self.watchdog_mut() {
                 w.progress(now);
             }
         }
@@ -952,8 +967,9 @@ impl Fabric {
 
     /// Feeds a handler's reported commit to the watchdog.
     fn note_progress(&mut self) {
-        if let Some(w) = &mut self.watchdog {
-            w.progress(self.net.queue.now());
+        let now = self.net.queue.now();
+        if let Some(w) = self.watchdog_mut() {
+            w.progress(now);
         }
     }
 
@@ -965,6 +981,26 @@ impl Fabric {
 }
 
 impl Net {
+    /// Re-publishes the gauges whose live value only the fabric knows:
+    /// queued-TLP depth and consumed header credits per link direction.
+    fn refresh_live_gauges(&mut self) {
+        for l in &self.links {
+            let advertised = CreditState::from_params(&l.params);
+            for d in &l.dirs {
+                self.metrics
+                    .gauge_set(d.m.queue_depth, (d.reqq.len() + d.cplq.len()) as i64);
+                let in_use = advertised.posted_hdr.saturating_sub(d.credits.posted_hdr)
+                    + advertised
+                        .nonposted_hdr
+                        .saturating_sub(d.credits.nonposted_hdr)
+                    + advertised
+                        .completion_hdr
+                        .saturating_sub(d.credits.completion_hdr);
+                self.metrics.gauge_set(d.m.credits_in_use, in_use as i64);
+            }
+        }
+    }
+
     /// Current simulation time.
     #[inline]
     pub(crate) fn now(&self) -> SimTime {
@@ -1779,7 +1815,7 @@ mod tests {
         let mut p = LinkParams::gen2_x8().with_latency(Dur::from_ns(10));
         p.posted_hdr_credits = 1;
         f.connect((req, PortIdx(0)), (sink, PortIdx(0)), p);
-        f.arm_watchdog(Dur::from_us(100));
+        f.observe(Instrument::default().watchdog(Dur::from_us(100)));
         f.drive::<Requester, _>(req, |_, ctx| {
             for i in 0..3u64 {
                 ctx.send(PortIdx(0), Tlp::write(i * 256, vec![1u8; 256]));
@@ -1824,7 +1860,7 @@ mod tests {
         p.posted_hdr_credits = 1;
         f.connect((req, PortIdx(0)), (sink, PortIdx(0)), p);
         f.set_span_tracing(true);
-        f.arm_watchdog(Dur::from_us(100));
+        f.observe(Instrument::default().watchdog(Dur::from_us(100)));
         f.spans_mut()
             .start_root("stuck_put", SimTime::ZERO, Some(0))
             .expect("tracing enabled");
@@ -1856,7 +1892,7 @@ mod tests {
     #[test]
     fn watchdog_stays_quiet_on_healthy_run() {
         let (mut f, req, _mem) = pair();
-        f.arm_watchdog(Dur::from_us(100));
+        f.observe(Instrument::default().watchdog(Dur::from_us(100)));
         f.drive::<Requester, _>(req, |_, ctx| {
             for i in 0..10u64 {
                 ctx.send(PortIdx(0), Tlp::write(i * 256, vec![0u8; 256]));
@@ -1884,7 +1920,7 @@ mod tests {
         }
         let mut f = Fabric::new();
         let s = f.add_device(|id| Spinner { id });
-        f.arm_watchdog(Dur::from_us(2));
+        f.observe(Instrument::default().watchdog(Dur::from_us(2)));
         f.schedule_timer(s, Dur::from_ns(50), 0);
         f.run_until(SimTime::from_ps(10_000_000)); // 10 µs of churn
         let report = f.stall_report().expect("no progress for 10 µs");
@@ -1908,8 +1944,9 @@ mod tests {
             p.posted_data_credits = 32;
             f.connect((req, PortIdx(0)), (mem, PortIdx(0)), p);
             if sample {
-                f.enable_sampling(Dur::from_ns(50));
-                f.arm_watchdog(Dur::from_ms(1));
+                // Observers add up: arming the watchdog keeps the sampler.
+                f.observe(Instrument::default().sample(Dur::from_ns(50)));
+                f.observe(Instrument::default().watchdog(Dur::from_ms(1)));
             }
             f.drive::<Requester, _>(req, |_, ctx| {
                 for i in 0..20u64 {
@@ -1920,7 +1957,7 @@ mod tests {
             (end, f.events_executed(), f)
         };
         let (t_plain, ev_plain, _) = run(false);
-        let (t_sampled, ev_sampled, f) = run(true);
+        let (t_sampled, ev_sampled, mut f) = run(true);
         assert_eq!(t_plain, t_sampled, "sampling must not move time");
         assert_eq!(ev_plain, ev_sampled, "sampling must not add events");
         assert!(f.stall_report().is_none());
@@ -1945,5 +1982,9 @@ mod tests {
             f.sampler().unwrap().to_json(),
             f2.sampler().unwrap().to_json()
         );
+        // Naming the sampler again starts a new series; the watchdog stays.
+        f.observe(Instrument::default().sample(Dur::from_ns(50)));
+        assert_eq!(f.sampler().expect("new sampler").captures(), 0);
+        assert!(f.watchdog().is_some() && f.flight().is_none());
     }
 }

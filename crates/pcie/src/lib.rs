@@ -50,7 +50,7 @@ pub mod tlp;
 pub use addr::{align_down, align_up, is_aligned, AddrRange};
 pub use bytes::Bytes;
 pub use device::{CreditHold, Ctx, Device};
-pub use fabric::{ConfigError, Fabric, FabricProf, LinkDirStats, LinkId, StepKind};
+pub use fabric::{ConfigError, Fabric, FabricProf, Instrument, LinkDirStats, LinkId, StepKind};
 pub use link::{LinkParams, PcieGen, WireState};
 pub use memory::{PageMemory, PAGE_SIZE};
 pub use prof::{tlp_counts, TlpCounts};

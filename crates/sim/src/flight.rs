@@ -161,27 +161,20 @@ pub struct FlightRecorder {
 }
 
 impl FlightRecorder {
-    /// A ring-only recorder keeping the most recent `capacity` events.
+    /// A recorder keeping the most recent `capacity` events in its ring.
+    /// With `spill`, evicted events are kept as JSONL so the full log is
+    /// retained regardless of ring size.
     ///
     /// # Panics
     /// Panics when `capacity` is zero.
-    pub fn new(capacity: usize) -> FlightRecorder {
+    pub fn new(capacity: usize, spill: bool) -> FlightRecorder {
         assert!(capacity > 0, "flight ring capacity must be non-zero");
         FlightRecorder {
             capacity,
             ring: VecDeque::with_capacity(capacity),
-            spill: None,
+            spill: spill.then(Vec::new),
             next_seq: 0,
             dropped: 0,
-        }
-    }
-
-    /// A recorder that spills evicted events to JSONL so the full log is
-    /// retained regardless of ring size.
-    pub fn with_spill(capacity: usize) -> FlightRecorder {
-        FlightRecorder {
-            spill: Some(Vec::new()),
-            ..FlightRecorder::new(capacity)
         }
     }
 
@@ -297,7 +290,7 @@ mod tests {
 
     #[test]
     fn ring_keeps_most_recent_and_counts_drops() {
-        let mut r = FlightRecorder::new(2);
+        let mut r = FlightRecorder::new(2, false);
         for n in 0..5 {
             ev(&mut r, n);
         }
@@ -309,7 +302,7 @@ mod tests {
 
     #[test]
     fn spill_retains_full_log_in_order() {
-        let mut r = FlightRecorder::with_spill(2);
+        let mut r = FlightRecorder::new(2, true);
         for n in 0..5 {
             ev(&mut r, n);
         }
@@ -325,7 +318,7 @@ mod tests {
 
     #[test]
     fn jsonl_lines_parse_and_round_trip_fields() {
-        let mut r = FlightRecorder::new(8);
+        let mut r = FlightRecorder::new(8, false);
         r.record(
             SimTime::from_ps(42),
             "timer",
@@ -354,7 +347,7 @@ mod tests {
     #[test]
     fn identical_inputs_serialize_byte_identically() {
         let build = || {
-            let mut r = FlightRecorder::with_spill(3);
+            let mut r = FlightRecorder::new(3, true);
             for n in 0..7 {
                 ev(&mut r, n);
             }
@@ -366,6 +359,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-zero")]
     fn zero_capacity_rejected() {
-        let _ = FlightRecorder::new(0);
+        let _ = FlightRecorder::new(0, false);
     }
 }

@@ -334,12 +334,17 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so boundaries
-                // are valid).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Consume the run up to the next quote or backslash. Both
+                // are ASCII, so the run ends on a char boundary of the
+                // input `&str`; taking it whole keeps the parse linear.
+                let run = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .unwrap_or(bytes.len() - *pos);
+                let text =
+                    std::str::from_utf8(&bytes[*pos..*pos + run]).map_err(|e| e.to_string())?;
+                out.push_str(text);
+                *pos += run;
             }
         }
     }
@@ -398,10 +403,10 @@ mod tests {
 
     #[test]
     fn parses_whitespace_and_escapes() {
-        let v = JsonValue::parse(" { \"k\" : [ 1 , \"a\\u0041\\n\" , { } ] } ").unwrap();
+        let v = JsonValue::parse(" { \"k\" : [ 1 , \"µa\\u0041\\nß\" , { } ] } ").unwrap();
         let items = v.get("k").and_then(JsonValue::as_array).unwrap();
         assert_eq!(items[0].as_u64(), Some(1));
-        assert_eq!(items[1].as_str(), Some("aA\n"));
+        assert_eq!(items[1].as_str(), Some("µaA\nß"));
         assert_eq!(items[2].as_object(), Some(&[][..]));
     }
 

@@ -26,17 +26,18 @@ if [[ "$one" != "$four" ]]; then
     exit 1
 fi
 
-# Fabric-health smoke: run the tca-top report with the stall watchdog
-# armed. A healthy ping-pong must never trip the watchdog, and the report
-# schema is pinned — drift here breaks downstream dashboard consumers.
+# Fabric-health smoke: run the tca-top report of the health scenario with
+# the stall watchdog armed. A healthy neighbour shift must never trip the
+# watchdog, and the report schema is pinned — drift here breaks downstream
+# dashboard consumers.
 top=$(cargo run -q --release --offline -p tca-bench --bin tca-bench -- \
-    --scenario pingpong --top --json)
+    --scenario health --top --json)
 if [[ "$top" != '{"schema":"tca-health/v1"'* ]]; then
     echo "tca-top smoke: health report schema drifted" >&2
     exit 1
 fi
 if [[ "$top" != *'"watchdog_armed":true'* || "$top" == *'"watchdog_fired":true'* ]]; then
-    echo "tca-top smoke: stall watchdog fired on a healthy ping-pong" >&2
+    echo "tca-top smoke: stall watchdog fired on a healthy neighbour shift" >&2
     exit 1
 fi
 if [[ "$top" != *'"links":{'* || "$top" != *'"latency":{'* ]]; then
@@ -121,9 +122,9 @@ fi
 profdir=$(mktemp -d)
 trap 'rm -rf "$profdir"' EXIT
 top_plain=$(cargo run -q --release --offline -p tca-bench --bin tca-bench -- \
-    --scenario pingpong --top --json --telemetry-dir "$profdir/plain" 2> /dev/null)
+    --scenario health --top --json --telemetry-dir "$profdir/plain" 2> /dev/null)
 top_prof=$(cargo run -q --release --offline -p tca-bench --bin tca-bench -- \
-    --scenario pingpong --top --json --telemetry-dir "$profdir/prof" \
+    --scenario health --top --json --telemetry-dir "$profdir/prof" \
     --profile --profile-dir "$profdir/out" 2> /dev/null)
 if [[ "$top_plain" != "$top_prof" ]]; then
     echo "tca-prof smoke: --profile changed the tca-top stdout" >&2
@@ -133,14 +134,14 @@ if ! diff -r "$profdir/plain" "$profdir/prof" > /dev/null; then
     echo "tca-prof smoke: --profile changed the trace/health artifacts" >&2
     exit 1
 fi
-if [[ ! -s "$profdir/out/PROF_pingpong.json" || ! -s "$profdir/out/PROF_pingpong.folded" ]]; then
+if [[ ! -s "$profdir/out/PROF_health-tca.json" || ! -s "$profdir/out/PROF_health-tca.folded" ]]; then
     echo "tca-prof smoke: --profile did not write the PROF artifacts" >&2
     exit 1
 fi
 # The profile times the sweep's own points: one entry per point, by label.
-prof_json=$(cat "$profdir/out/PROF_pingpong.json")
-if [[ "$prof_json" != '{"schema":"tca-prof/v2"'* || "$prof_json" != *'"label":"half-rtt"'* ]]; then
-    echo "tca-prof smoke: PROF_pingpong.json is not a tca-prof/v2 report of the half-rtt point" >&2
+prof_json=$(cat "$profdir/out/PROF_health-tca.json")
+if [[ "$prof_json" != '{"schema":"tca-prof/v2"'* || "$prof_json" != *'"label":"8 nodes"'* ]]; then
+    echo "tca-prof smoke: PROF_health-tca.json is not a tca-prof/v2 report of the 8 nodes point" >&2
     exit 1
 fi
 sweep_plain=$(cargo run -q --release --offline -p tca-bench --bin tca-bench -- \
@@ -151,23 +152,23 @@ if [[ "$sweep_plain" != "$sweep_prof" ]]; then
     echo "tca-prof smoke: --profile changed the sweep JSON" >&2
     exit 1
 fi
-if [[ "$(wc -l < "$profdir/out/PROF_put-latency.folded")" -ne 4 ]]; then
-    echo "tca-prof smoke: PROF_put-latency.folded needs one line per put-latency point (4)" >&2
+if [[ "$(wc -l < "$profdir/out/PROF_put-latency-tca.folded")" -ne 4 ]]; then
+    echo "tca-prof smoke: PROF_put-latency-tca.folded needs one line per put-latency point (4)" >&2
     exit 1
 fi
 
-# Flight-recorder smoke (tca-flight): recording the 8-node ring twice must
+# Flight-recorder smoke (tca-flight): recording the health run twice must
 # produce byte-identical logs that the divergence engine confirms as zero
 # findings, and a single corrupted byte must be caught with a TCA-X code
 # and a non-zero exit.
 flightdir="$profdir/flight"
 top_fl=$(cargo run -q --release --offline -p tca-bench --bin tca-bench -- \
-    --scenario ring-hops --top --json --telemetry-dir "$profdir/tel_fl" \
+    --scenario health --top --json --telemetry-dir "$profdir/tel_fl" \
     --flight-dir "$flightdir/a" 2> /dev/null)
 cargo run -q --release --offline -p tca-bench --bin tca-bench -- \
-    --scenario ring-hops --top --flight-dir "$flightdir/b" > /dev/null 2>&1
-log_a="$flightdir/a/FLIGHT_ring-hops-tca.jsonl"
-log_b="$flightdir/b/FLIGHT_ring-hops-tca.jsonl"
+    --scenario health --top --flight-dir "$flightdir/b" > /dev/null 2>&1
+log_a="$flightdir/a/FLIGHT_health-tca.jsonl"
+log_b="$flightdir/b/FLIGHT_health-tca.jsonl"
 if ! cmp -s "$log_a" "$log_b"; then
     echo "tca-flight smoke: two identical runs recorded different logs" >&2
     exit 1
@@ -178,13 +179,13 @@ if ! cargo run -q --release --offline -p tca-bench --bin tca-flight -- \
     exit 1
 fi
 # Engine-equivalence gate: the timing-wheel rewrite must not move a single
-# event. The ring-hops flight log just recorded is held against the
-# pre-rewrite golden checked in at configs/flight/ring-hops.golden.jsonl —
+# event. The health flight log just recorded is held against the
+# pre-rewrite golden checked in at configs/flight/health.golden.jsonl —
 # first byte-for-byte, then through the divergence engine so any drift is
 # reported with a TCA-X code and the first divergent record.
-golden=configs/flight/ring-hops.golden.jsonl
+golden=configs/flight/health.golden.jsonl
 if ! cmp -s "$golden" "$log_a"; then
-    echo "engine equivalence: ring-hops flight log drifted from the golden" >&2
+    echo "engine equivalence: health flight log drifted from the golden" >&2
     cargo run -q --release --offline -p tca-bench --bin tca-flight -- \
         diff "$golden" "$log_a" >&2 || true
     exit 1
@@ -211,7 +212,7 @@ fi
 # stdout and the on-disk health/series/trace artifacts of the same
 # instrumented run must be byte-identical with and without --flight-dir.
 top_nofl=$(cargo run -q --release --offline -p tca-bench --bin tca-bench -- \
-    --scenario ring-hops --top --json --telemetry-dir "$profdir/tel_nofl" 2> /dev/null)
+    --scenario health --top --json --telemetry-dir "$profdir/tel_nofl" 2> /dev/null)
 if [[ "$top_fl" != "$top_nofl" ]]; then
     echo "tca-flight smoke: --flight-dir changed the tca-top stdout" >&2
     exit 1
@@ -223,10 +224,10 @@ fi
 # Telemetry-equivalence gate: the flight log pins event order and span
 # records, and trace.json further pins every segment id and flow arrow.
 # The health, series, trace and metrics artifacts of that run must match the
-# digests checked in at configs/flight/ring-hops.telemetry.sha256.
+# digests checked in at configs/flight/health.telemetry.sha256.
 if ! (cd "$profdir/tel_nofl" &&
-    sha256sum -c --quiet "$OLDPWD/configs/flight/ring-hops.telemetry.sha256"); then
-    echo "telemetry equivalence: ring-hops --top artifacts drifted from their digests" >&2
+    sha256sum -c --quiet "$OLDPWD/configs/flight/health.telemetry.sha256"); then
+    echo "telemetry equivalence: health --top artifacts drifted from their digests" >&2
     exit 1
 fi
 
@@ -314,7 +315,7 @@ fi
 # small-ring sweep twice must produce byte-identical artifacts that match the
 # digests checked in at configs/whatif/ring-hops.sha256; the report JSON is
 # pinned to the tca-whatif/v1 schema; and --whatif-dir riding along on a
-# --top run must change neither the stdout nor the checked-in
+# sweep must change neither the stdout nor the checked-in
 # BENCH_fabric.json.
 wadir="$profdir/whatif"
 for run in a b; do
@@ -341,12 +342,12 @@ if [[ "$wa_json" != *'"config_fnv":"'* || "$wa_json" != *'"interaction":'* ]]; t
     exit 1
 fi
 cp results/BENCH_fabric.json "$profdir/fabric_pre_whatif.json"
-top_nowa=$(cargo run -q --release --offline -p tca-bench --bin tca-bench -- \
-    --scenario ring-hops --top --json 2> /dev/null)
-top_wa=$(cargo run -q --release --offline -p tca-bench --bin tca-bench -- \
-    --scenario ring-hops --top --json --whatif-dir "$wadir/neutral" 2> /dev/null)
-if [[ "$top_nowa" != "$top_wa" ]]; then
-    echo "tca-whatif smoke: --whatif-dir changed the tca-top stdout" >&2
+sweep_nowa=$(cargo run -q --release --offline -p tca-bench --bin tca-bench -- \
+    --scenario ring-hops --json 2> /dev/null)
+sweep_wa=$(cargo run -q --release --offline -p tca-bench --bin tca-bench -- \
+    --scenario ring-hops --json --whatif-dir "$wadir/neutral" 2> /dev/null)
+if [[ "$sweep_nowa" != "$sweep_wa" ]]; then
+    echo "tca-whatif smoke: --whatif-dir changed the ring-hops sweep stdout" >&2
     exit 1
 fi
 if [[ ! -s "$wadir/neutral/WHATIF_ring-hops.json" ]]; then
@@ -359,7 +360,7 @@ if ! cmp -s results/BENCH_fabric.json "$profdir/fabric_pre_whatif.json"; then
 fi
 # The health report must carry the config fingerprint of the parameter
 # registry the whatif sweep introspects (tca-health/v1 second key).
-if [[ "$top_nowa" != '{"schema":"tca-health/v1","config_fnv":"'* ]]; then
+if [[ "$top" != '{"schema":"tca-health/v1","config_fnv":"'* ]]; then
     echo "tca-whatif smoke: health report lost its config_fnv stamp" >&2
     exit 1
 fi

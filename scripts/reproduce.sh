@@ -24,7 +24,7 @@ sweep() {
 scenarios=(tables peaks fig7 fig8 fig9 fig12 latency pingpong ring-hops scaling \
            contention comparison ablation-dmac ablation-qpi ablation-pearl \
            hierarchy latency-attrib put-latency cg stencil stencil2d nbody \
-           topo-registry params)
+           topo-registry params health)
 for s in "${scenarios[@]}"; do
     echo "== $s =="
     sweep "$s" tca "$s"
@@ -32,18 +32,18 @@ done
 
 # Backend comparison: the application kernels again, over the MPI/IB
 # baseline paths (same numerics, different clock — the paper's §I claim).
-for s in put-latency cg stencil stencil2d nbody; do
+for s in put-latency cg stencil stencil2d nbody health; do
     for backend in mpi mpi-gpudirect; do
         echo "== $s ($backend) =="
         sweep "$s" "$backend" "$s-$backend"
     done
 done
 
-# Telemetry artifacts of the instrumented ping-pong run: health report,
-# gauge series, Chrome trace (spans + counters) and metrics snapshot.
+# Telemetry artifacts of the health scenario's run: health report, gauge
+# series, Chrome trace (spans + counters) and metrics snapshot.
 echo "== telemetry =="
 cargo run -q --release -p tca-bench --bin tca-bench -- \
-    --scenario pingpong --top --telemetry-dir "$out/telemetry" | tee "$out/telemetry.txt"
+    --scenario health --top --telemetry-dir "$out/telemetry" | tee "$out/telemetry.txt"
 echo
 
 # Schema-stable perf-regression report (byte-identical across runs), with

@@ -2,6 +2,7 @@
 //! bit-identical timing and event counts — the property every measurement
 //! in `EXPERIMENTS.md` relies on.
 
+use tca::pcie::Instrument;
 use tca::prelude::*;
 
 /// Every test in this binary runs under the tca-prof counting allocator —
@@ -13,61 +14,61 @@ use tca::prelude::*;
 #[global_allocator]
 static ALLOC: tca::sim::prof::CountingAllocator = tca::sim::prof::CountingAllocator;
 
-fn run_workload() -> (u64, Vec<u64>) {
-    let (events, times, ..) = run_workload_telemetry(false);
-    (events, times)
-}
-
-/// The same workload, optionally with full telemetry: causal span tracing,
-/// continuous gauge sampling, an armed stall watchdog, plus a metrics
-/// snapshot taken *between* operations (mid-run) and another at the end.
-/// Returns the final snapshot JSON and the span-tree JSON when
-/// instrumented.
-fn run_workload_telemetry(instrument: bool) -> (u64, Vec<u64>, String, String) {
+/// The determinism workload on a 4-node cluster under the observers
+/// `inst` names (none for the plain run); an observed run also takes a
+/// metrics snapshot *between* operations, which must not perturb the
+/// sim either. Returns the events executed, the timings, the events the
+/// driver init in `build()` executed before the observers were on, and
+/// the cluster.
+fn run_observed(inst: Instrument) -> (u64, Vec<u64>, u64, TcaCluster) {
     let mut c = TcaClusterBuilder::new(4).build();
-    if instrument {
-        c.set_span_tracing(true);
-        c.enable_sampling(Dur::from_ns(100));
-        c.arm_watchdog(Dur::from_ms(1));
-    }
+    let observed = inst != Instrument::default();
+    c.fabric.observe(inst);
+    let base = c.fabric.events_executed();
     let mut times = Vec::new();
     let a = c.alloc_gpu(0, 0, 64 * 1024);
     let b = c.alloc_gpu(2, 1, 64 * 1024);
     c.write(&a.at(0), &vec![7u8; 64 * 1024]);
     for len in [64u64, 4096, 65536] {
-        let d = c.memcpy_peer(&b.at(0), &a.at(0), len);
-        times.push(d.as_ps());
-        if instrument {
-            // Mid-run snapshot: publication must not perturb the sim.
+        times.push(c.memcpy_peer(&b.at(0), &a.at(0), len).as_ps());
+        if observed {
             let _ = c.metrics_snapshot();
         }
     }
     let p = c.pio_put(1, &MemRef::host(3, 0x4000_0000), &[1, 2, 3, 4]);
     times.push(p.as_ps());
     times.push(c.now().as_ps());
-    let (snapshot, spans) = if instrument {
-        (c.metrics_snapshot().to_json(), c.fabric.spans().to_json())
-    } else {
-        (String::new(), String::new())
-    };
-    (c.fabric.events_executed(), times, snapshot, spans)
+    (c.fabric.events_executed(), times, base, c)
+}
+
+/// The workload with full telemetry: causal span tracing, continuous
+/// gauge sampling and an armed stall watchdog. Returns the final metrics
+/// snapshot JSON and the span-tree JSON beside the events and timings.
+fn run_workload_telemetry() -> (u64, Vec<u64>, String, String) {
+    let inst = Instrument::default()
+        .spans()
+        .sample(Dur::from_ns(100))
+        .watchdog(Dur::from_ms(1));
+    let (events, times, _, mut c) = run_observed(inst);
+    let snapshot = c.metrics_snapshot().to_json();
+    (events, times, snapshot, c.fabric.spans().to_json())
 }
 
 #[test]
 fn identical_runs_replay_bit_identically() {
-    let (ev1, t1) = run_workload();
-    let (ev2, t2) = run_workload();
+    let (ev1, t1, ..) = run_observed(Instrument::default());
+    let (ev2, t2, ..) = run_observed(Instrument::default());
     assert_eq!(ev1, ev2, "event counts diverged");
     assert_eq!(t1, t2, "timings diverged");
 }
 
 #[test]
 fn telemetry_never_touches_simulated_time() {
-    // `instrument = true` turns on packet tracing, metrics snapshots,
-    // causal span tracing, periodic gauge sampling AND the stall watchdog
-    // — none may shift a single simulated timestamp.
-    let (ev_off, t_off, ..) = run_workload_telemetry(false);
-    let (ev_on, t_on, snap, _) = run_workload_telemetry(true);
+    // Full telemetry turns on metrics snapshots, causal span tracing,
+    // periodic gauge sampling AND the stall watchdog — none may shift a
+    // single simulated timestamp.
+    let (ev_off, t_off, ..) = run_observed(Instrument::default());
+    let (ev_on, t_on, snap, _) = run_workload_telemetry();
     assert_eq!(ev_off, ev_on, "tracing/snapshots changed the event count");
     assert_eq!(t_off, t_on, "tracing/snapshots changed the timing");
     assert!(!snap.is_empty());
@@ -75,16 +76,16 @@ fn telemetry_never_touches_simulated_time() {
 
 #[test]
 fn instrumented_runs_snapshot_bit_identically() {
-    let (_, _, a, _) = run_workload_telemetry(true);
-    let (_, _, b, _) = run_workload_telemetry(true);
+    let (_, _, a, _) = run_workload_telemetry();
+    let (_, _, b, _) = run_workload_telemetry();
     assert!(!a.is_empty());
     assert_eq!(a, b, "metrics snapshots diverged between identical runs");
 }
 
 #[test]
 fn span_trees_replay_byte_identically() {
-    let (_, _, _, s1) = run_workload_telemetry(true);
-    let (_, _, _, s2) = run_workload_telemetry(true);
+    let (_, _, _, s1) = run_workload_telemetry();
+    let (_, _, _, s2) = run_workload_telemetry();
     assert!(s1.len() > 2, "workload recorded spans: {s1}");
     if s1 != s2 {
         // Don't dump two multi-kilobyte JSON arrays: bisect the span trees
@@ -97,35 +98,20 @@ fn span_trees_replay_byte_identically() {
     }
 }
 
-/// The telemetry workload with the flight recorder on (full-log spill),
-/// returning the recorded `tca-flight/v1` JSONL alongside the timings.
+/// The workload with span tracing and the flight recorder on (full-log
+/// spill), returning the recorded `tca-flight/v1` JSONL and the events
+/// executed before recording began beside the events and timings.
 fn run_workload_flight() -> (u64, Vec<u64>, String, u64) {
-    let mut c = TcaClusterBuilder::new(4).build();
-    c.set_span_tracing(true);
-    c.enable_flight(65536, true);
-    // Driver init during `build()` already executed events; the recorder
-    // only sees what dispatches after it is enabled.
-    let base = c.fabric.events_executed();
-    let mut times = Vec::new();
-    let a = c.alloc_gpu(0, 0, 64 * 1024);
-    let b = c.alloc_gpu(2, 1, 64 * 1024);
-    c.write(&a.at(0), &vec![7u8; 64 * 1024]);
-    for len in [64u64, 4096, 65536] {
-        times.push(c.memcpy_peer(&b.at(0), &a.at(0), len).as_ps());
-    }
-    times.push(
-        c.pio_put(1, &MemRef::host(3, 0x4000_0000), &[1, 2, 3, 4])
-            .as_ps(),
-    );
-    times.push(c.now().as_ps());
-    let log = c.flight_jsonl().expect("recording enabled");
-    (c.fabric.events_executed(), times, log, base)
+    let inst = Instrument::default().spans().flight(65536, true);
+    let (events, times, base, c) = run_observed(inst);
+    let log = c.fabric.flight_jsonl().expect("recording enabled");
+    (events, times, log, base)
 }
 
 #[test]
 fn flight_recording_is_time_neutral_and_replays_byte_identically() {
     // Recording must not shift a single simulated timestamp…
-    let (ev_off, t_off) = run_workload();
+    let (ev_off, t_off, ..) = run_observed(Instrument::default());
     let (ev_on, t_on, log1, base) = run_workload_flight();
     assert_eq!(ev_off, ev_on, "flight recording changed the event count");
     assert_eq!(t_off, t_on, "flight recording changed the timing");
@@ -150,13 +136,13 @@ fn flight_recording_is_time_neutral_and_replays_byte_identically() {
 
 #[test]
 fn flight_diff_names_first_divergent_stage_across_backends() {
-    // The ISSUE's acceptance scenario: record the pingpong rig on the TCA
-    // backend and on MPI, then ask the diff where they part ways. The
+    // Record the health run on the TCA backend and on MPI, then ask the
+    // diff where they part ways. The
     // engine must point at the first divergent event and name the earliest
     // span stage whose attribution differs — backends are different
     // machines, so the very first dispatch already disagrees.
     use tca_bench::scenario::BackendKind;
-    let flight_log = |backend| tca_bench::top_report("pingpong", backend, true).1;
+    let flight_log = |backend| tca_bench::health_run(backend, true).flight;
     let a = flight_log(BackendKind::Tca).expect("tca flight log");
     let b = flight_log(BackendKind::MpiStaged).expect("mpi flight log");
     let rep = tca::verify::diff_flight_texts(&a, &b);
@@ -209,12 +195,13 @@ fn sweep_runner_output_is_independent_of_job_count() {
     // The scenario runner farms points out to worker threads; every point
     // builds its own simulation and lands in its own slot, so the rendered
     // table and the sweep JSON must be byte-identical at any --jobs.
-    // latency-attrib adds rows whose columns differ by point kind.
-    use tca_bench::scenario::{find, run_sweep, BackendKind, TelemetryMode};
-    for name in ["ring-hops", "latency-attrib"] {
+    // latency-attrib adds rows whose columns differ by point kind, and
+    // health is the run `--top` observes.
+    use tca_bench::scenario::{find, run_sweep, BackendKind};
+    for name in ["ring-hops", "latency-attrib", "health"] {
         let sc = find(name).expect("registered scenario");
-        let serial = run_sweep(&sc, BackendKind::Tca, 1, TelemetryMode::Off);
-        let parallel = run_sweep(&sc, BackendKind::Tca, 8, TelemetryMode::Off);
+        let serial = run_sweep(&sc, BackendKind::Tca, 1);
+        let parallel = run_sweep(&sc, BackendKind::Tca, 8);
         assert_eq!(
             serial.to_json(),
             parallel.to_json(),
@@ -228,10 +215,10 @@ fn sweep_runner_output_is_independent_of_job_count() {
 fn backend_sweeps_are_reproducible() {
     // The MPI/IB backend must replay exactly like the TCA one: two runs of
     // the same backend-aware scenario serialize to identical bytes.
-    use tca_bench::scenario::{find, run_sweep, BackendKind, TelemetryMode};
+    use tca_bench::scenario::{find, run_sweep, BackendKind};
     let sc = find("put-latency").expect("registered scenario");
-    let a = run_sweep(&sc, BackendKind::MpiStaged, 2, TelemetryMode::Off);
-    let b = run_sweep(&sc, BackendKind::MpiStaged, 2, TelemetryMode::Off);
+    let a = run_sweep(&sc, BackendKind::MpiStaged, 2);
+    let b = run_sweep(&sc, BackendKind::MpiStaged, 2);
     assert_eq!(a.to_json(), b.to_json(), "MPI sweep diverged between runs");
 }
 
@@ -284,7 +271,7 @@ fn health_artifacts_replay_byte_identically() {
     // The tca-top pipeline end to end: instrumented cluster, sampled
     // series, health report, Chrome trace with counter events. Two
     // identical runs must produce byte-identical artifacts.
-    let run = || tca_bench::top_report("pingpong", tca_bench::scenario::BackendKind::Tca, false).0;
+    let run = || tca_bench::health_run(tca_bench::scenario::BackendKind::Tca, false);
     let (a, b) = (run(), run());
     assert!(a.text.contains("fabric health:"), "{}", a.text);
     assert!(
@@ -310,18 +297,28 @@ fn health_artifacts_replay_byte_identically() {
 
 #[test]
 fn telemetry_summaries_are_independent_of_job_count() {
-    // The --json telemetry summaries ride inside sweep rows; they must be
-    // as job-count-invariant as the measurements themselves.
-    use tca_bench::scenario::{find, run_sweep, BackendKind, TelemetryMode};
+    // The telemetry summaries ride inside sweep rows; they must be as
+    // job-count-invariant as the measurements themselves, in the JSON and
+    // in the table that leaves them out.
+    use tca_bench::scenario::{find, run_sweep, BackendKind};
     let sc = find("put-latency").expect("registered scenario");
-    let serial = run_sweep(&sc, BackendKind::Tca, 1, TelemetryMode::Summary);
-    let parallel = run_sweep(&sc, BackendKind::Tca, 8, TelemetryMode::Summary);
+    let serial = run_sweep(&sc, BackendKind::Tca, 1);
+    let parallel = run_sweep(&sc, BackendKind::Tca, 8);
+    let json = serial.to_json();
     assert_eq!(
-        serial.to_json(),
+        json,
         parallel.to_json(),
         "telemetry-bearing sweep JSON diverged between --jobs 1 and --jobs 8"
     );
-    assert!(serial.to_json().contains("\"telemetry\":{"));
+    assert_eq!(serial.render(), parallel.render());
+    assert!(
+        json.starts_with("{\"schema\":\"tca-bench-sweep/v1\""),
+        "{json}"
+    );
+    let points = tca::sim::JsonValue::parse(&json).expect("valid JSON");
+    let points = points.get("points").and_then(|v| v.as_array());
+    assert_eq!(points.map(<[_]>::len), Some(4), "one per put-latency point");
+    assert!(json.contains("\"telemetry\":{"));
 }
 
 #[test]
@@ -330,13 +327,13 @@ fn counting_allocator_is_live_and_byte_neutral() {
     // process's allocations…
     assert!(tca::sim::prof::alloc_tracking_compiled());
     let before = tca::sim::alloc_snapshot();
-    let (ev1, t1, snap1, spans1) = run_workload_telemetry(true);
+    let (ev1, t1, snap1, spans1) = run_workload_telemetry();
     let delta = tca::sim::alloc_snapshot().since(&before);
     assert!(delta.allocs > 0, "allocator is not counting: {delta:?}");
     assert!(delta.bytes_allocated > 0);
     // …and counting must leave the event stream, timings, metrics
     // snapshot, and span trace byte-identical across replays.
-    let (ev2, t2, snap2, spans2) = run_workload_telemetry(true);
+    let (ev2, t2, snap2, spans2) = run_workload_telemetry();
     assert_eq!(ev1, ev2, "event counts diverged under the allocator");
     assert_eq!(t1, t2, "timings diverged under the allocator");
     assert_eq!(snap1, snap2, "snapshots diverged under the allocator");
