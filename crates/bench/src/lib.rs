@@ -6,9 +6,8 @@
 //! one sweep point inside a fresh simulation and returns that point's JSON
 //! row. The [`scenario`] registry behind `tca-bench` is the only caller
 //! that turns them into sweeps — printed as aligned tables or
-//! `tca-bench-sweep/v1` JSON, read back by [`fabric_regression`], and
-//! timed by `--profile` — and `EXPERIMENTS.md` records paper-vs-measured
-//! values.
+//! `tca-bench-sweep/v1` JSON and timed by `--profile` — and
+//! `EXPERIMENTS.md` records paper-vs-measured values.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,10 +41,7 @@ pub mod scenario;
 pub mod topo_fabric;
 pub mod whatif;
 
-pub use prof::{
-    engine_bench, engine_bench_with, queue_race, EngineBench, EngineProfile, EngineWorkload,
-    QueueRace,
-};
+pub use prof::{queue_race, QueueRace};
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -59,12 +55,7 @@ use tca_peach2::{
     build_loopback, build_ring, Descriptor, EngineKind, Peach2, Peach2Driver, Peach2Params,
     SubCluster,
 };
-use tca_sim::{Dur, JsonValue};
-
-// Percentile math lives in `tca_sim::stats` — the single source for both
-// the log₂ and the HDR (16-sub-buckets-per-octave) histograms. Re-exported
-// so bench consumers never grow a private copy.
-pub use tca_sim::{HdrHistogram, LatencyHistogram};
+use tca_sim::{Dur, HdrHistogram, JsonValue};
 
 /// Default data-size sweep of Figs. 7/8/12 (64 B – 1 MiB, doubling).
 pub fn default_sizes() -> Vec<u64> {
@@ -780,9 +771,10 @@ fn health_instrument() -> Instrument {
 
 /// Runs the `health` scenario's one point on `backend` and returns its
 /// row: the run's [`telemetry_summary`]. The 8-node world runs under
-/// [`health_instrument`], driven by the all-to-all neighbour shift of the
-/// EXPERIMENTS.md worked example; [`health_run`] runs the same world and
-/// also renders the report and its artifacts, which this row skips.
+/// span tracing, a 250 ns gauge sampler and a 200 µs stall watchdog,
+/// driven by the all-to-all neighbour shift of the EXPERIMENTS.md worked
+/// example; [`health_run`] runs the same world and also renders the
+/// report and its artifacts, which this row skips.
 pub fn health_summary(backend: scenario::BackendKind) -> JsonValue {
     use scenario::BackendKind;
     use tca_core::prelude::*;
@@ -851,8 +843,8 @@ impl TopReport {
 /// Runs the canonical payload+flag neighbour put of the benchmarks under
 /// span tracing and feeds the recorded commit log to the `tca-verify`
 /// RDMA-hazard detector. The benchmark workloads all use this idiom, so a
-/// non-clean report means the harness itself would publish racy numbers;
-/// `bench_regression` gates on it alongside the perf bounds.
+/// non-clean report means the harness itself would publish racy numbers,
+/// so a tier-1 test gates on it beside the paper-anchored bounds.
 pub fn hazard_check() -> tca_verify::Report {
     use tca_core::prelude::*;
     let mut c = TcaClusterBuilder::new(4).build();
@@ -961,7 +953,7 @@ pub fn latency_attribution(hops: u32) -> [JsonValue; 2] {
 }
 
 // ---------------------------------------------------------------------------
-// Fabric perf-regression harness (`BENCH_fabric.json`).
+// The §IV-B1 ping-pong.
 // ---------------------------------------------------------------------------
 
 /// Modeled software turnaround of the §IV-B1 PIO ping-pong: everything the
@@ -1057,64 +1049,6 @@ pub fn pingpong_row() -> JsonValue {
     o
 }
 
-/// The schema-stable fabric regression report behind `BENCH_fabric.json`:
-/// ping-pong latency, per-hop latency delta, and the Fig. 7/8/9 bandwidth
-/// anchors, each read from the registry sweep point that measures it.
-#[derive(Clone, Debug)]
-pub struct FabricBench {
-    /// PIO ping-pong half round trip, µs. Paper: 2.3 µs.
-    pub pio_us: f64,
-    /// Chained-DMA ping-pong half round trip, µs. Paper: 2.0 µs.
-    pub dma_us: f64,
-    /// Measured forward PIO hardware leg (store issue → remote commit), ns.
-    pub pio_leg_ns: f64,
-    /// Measured forward DMA hardware leg (doorbell → remote data commit), ns.
-    pub dma_leg_ns: f64,
-    /// PIO one-way latency at ring distance 1..=4 (8-node ring), ns.
-    pub hop_pio_ns: Vec<f64>,
-    /// Mean latency added per additional ring hop, ns.
-    pub per_hop_delta_ns: f64,
-    /// Largest relative deviation of any single hop increment from the
-    /// mean — 0 when latency grows perfectly linearly with distance.
-    pub per_hop_linearity_err: f64,
-    /// Fig. 7 anchor: 4 KiB × 255-chained DMA write to CPU memory, bytes/s.
-    pub fig7_cpu_write_4k: f64,
-    /// Fig. 8 anchor: 4 KiB single DMA write to CPU memory, bytes/s.
-    pub fig8_cpu_write_4k: f64,
-    /// Fig. 9 anchor: 4-deep over 255-deep chain bandwidth ratio at 4 KiB.
-    pub fig9_ratio_4_vs_255: f64,
-}
-
-/// Runs the full fabric regression suite through the registry points:
-/// `pingpong` `half-rtt`, `ring-hops` `1 hop`…`4 hop`, `fig7` and `fig8`
-/// `4KB`, and `fig9` `4 reqs` and `255 reqs`.
-pub fn fabric_regression() -> FabricBench {
-    use scenario::point_row;
-    let pp = point_row("pingpong", "half-rtt");
-    let cpu_write = |sc: &str, label: &str| num(&point_row(sc, label), "cpu_write_bps");
-    let hop_pio_ns: Vec<f64> = (1..=4)
-        .map(|h| num(&point_row("ring-hops", &format!("{h} hop")), "pio_ns"))
-        .collect();
-    let deltas: Vec<f64> = hop_pio_ns.windows(2).map(|w| w[1] - w[0]).collect();
-    let per_hop_delta_ns = deltas.iter().sum::<f64>() / deltas.len() as f64;
-    let per_hop_linearity_err = deltas
-        .iter()
-        .map(|d| (d - per_hop_delta_ns).abs() / per_hop_delta_ns)
-        .fold(0.0f64, f64::max);
-    FabricBench {
-        pio_us: num(&pp, "pio_us"),
-        dma_us: num(&pp, "dma_us"),
-        pio_leg_ns: num(&pp, "pio_leg_ns"),
-        dma_leg_ns: num(&pp, "dma_leg_ns"),
-        hop_pio_ns,
-        per_hop_delta_ns,
-        per_hop_linearity_err,
-        fig7_cpu_write_4k: cpu_write("fig7", "4KB"),
-        fig8_cpu_write_4k: cpu_write("fig8", "4KB"),
-        fig9_ratio_4_vs_255: cpu_write("fig9", "4 reqs") / cpu_write("fig9", "255 reqs"),
-    }
-}
-
 /// The number `key` of sweep row `row`; panics naming the key when the
 /// row has no such number.
 pub fn num(row: &JsonValue, key: &str) -> f64 {
@@ -1123,100 +1057,165 @@ pub fn num(row: &JsonValue, key: &str) -> f64 {
         .unwrap_or_else(|| panic!("row has no number '{key}': {}", row.to_json()))
 }
 
-impl FabricBench {
-    /// Serializes the report as schema-stable JSON (`tca-bench-fabric/v1`):
-    /// fixed key order, deterministic number formatting — two identical runs
-    /// produce byte-identical text.
-    pub fn to_json(&self) -> String {
-        let mut pp = JsonValue::object();
-        pp.push("pio_us", JsonValue::from(self.pio_us));
-        pp.push("dma_us", JsonValue::from(self.dma_us));
-        pp.push("pio_leg_ns", JsonValue::from(self.pio_leg_ns));
-        pp.push("dma_leg_ns", JsonValue::from(self.dma_leg_ns));
-        pp.push(
-            "pio_sw_turnaround_ns",
-            JsonValue::from(PIO_PINGPONG_SW_TURNAROUND.as_ns_f64()),
-        );
-        pp.push(
-            "dma_sw_turnaround_ns",
-            JsonValue::from(DMA_PINGPONG_SW_TURNAROUND.as_ns_f64()),
-        );
-        let mut hops = JsonValue::object();
-        hops.push(
-            "pio_oneway_ns",
-            JsonValue::Array(
-                self.hop_pio_ns
-                    .iter()
-                    .map(|&v| JsonValue::from(v))
-                    .collect(),
-            ),
-        );
-        hops.push("per_hop_delta_ns", JsonValue::from(self.per_hop_delta_ns));
-        hops.push("linearity_err", JsonValue::from(self.per_hop_linearity_err));
-        let mut bw = JsonValue::object();
-        bw.push(
-            "fig7_cpu_write_4k_bps",
-            JsonValue::from(self.fig7_cpu_write_4k),
-        );
-        bw.push(
-            "fig8_cpu_write_4k_bps",
-            JsonValue::from(self.fig8_cpu_write_4k),
-        );
-        bw.push(
-            "fig9_ratio_4_vs_255",
-            JsonValue::from(self.fig9_ratio_4_vs_255),
-        );
-        let mut root = JsonValue::object();
-        root.push("schema", JsonValue::from("tca-bench-fabric/v1"));
-        root.push("pingpong", pp);
-        root.push("hops", hops);
-        root.push("bandwidth", bw);
-        root.to_json()
-    }
+// ---------------------------------------------------------------------------
+// The simulator's own workload (`engine`): simulated counters only, so
+// `--profile` times it and the rows stay byte-identical.
+// ---------------------------------------------------------------------------
 
-    /// Validates every metric against its paper-anchored bound and returns
-    /// the list of violations (empty = healthy). Bounds: ping-pong PIO
-    /// 2.3 µs ± 10 %, DMA 2.0 µs ± 10 %; per-hop growth linear; Fig. 7
-    /// 4 KiB CPU write in the paper's 3.1–3.6 GB/s regime; Fig. 8 clearly
-    /// below Fig. 7 (chaining matters); Fig. 9 ratio 0.6–0.8.
-    pub fn validate(&self) -> Vec<String> {
-        fn check(v: &mut Vec<String>, name: &str, val: f64, lo: f64, hi: f64) {
-            if !(lo..=hi).contains(&val) {
-                v.push(format!("{name} = {val:.4} outside [{lo}, {hi}]"));
-            }
-        }
-        let mut v = Vec::new();
-        check(&mut v, "pingpong.pio_us", self.pio_us, 2.07, 2.53);
-        check(&mut v, "pingpong.dma_us", self.dma_us, 1.80, 2.20);
-        check(
-            &mut v,
-            "hops.linearity_err",
-            self.per_hop_linearity_err,
-            0.0,
-            0.05,
-        );
-        check(
-            &mut v,
-            "bandwidth.fig7_cpu_write_4k (GB/s)",
-            self.fig7_cpu_write_4k / 1e9,
-            3.1,
-            3.6,
-        );
-        check(
-            &mut v,
-            "bandwidth.fig9_ratio_4_vs_255",
-            self.fig9_ratio_4_vs_255,
-            0.6,
-            0.8,
-        );
-        if self.fig8_cpu_write_4k >= 0.5 * self.fig7_cpu_write_4k {
-            v.push(format!(
-                "bandwidth.fig8_cpu_write_4k = {:.4e} not well below fig7 = {:.4e}",
-                self.fig8_cpu_write_4k, self.fig7_cpu_write_4k
-            ));
-        }
-        v
+/// Source buffer of every neighbour-shift put.
+const SHIFT_SRC: u64 = 0x2000_0000;
+
+/// Builds an `n`-node TCA ring whose nodes each hold `len` bytes at the
+/// source buffer of [`shift_round`].
+pub fn shift_cluster(n: u32, len: u64) -> tca_core::TcaCluster {
+    use tca_core::prelude::*;
+    let mut c = TcaClusterBuilder::new(n).build();
+    for node in 0..n {
+        c.write(&MemRef::host(node, SHIFT_SRC), &vec![0xa5u8; len as usize]);
     }
+    c
+}
+
+/// One neighbour-shift round: each of nodes `0..n` puts `len` bytes to
+/// node `(node + 1) % n`, all asynchronously, then the fabric drains.
+pub fn shift_round(c: &mut tca_core::TcaCluster, n: u32, len: u64) {
+    use tca_core::prelude::*;
+    let events: Vec<TcaEvent> = (0..n)
+        .map(|node| {
+            let dst = MemRef::host((node + 1) % n, 0x1000_0000);
+            c.memcpy_peer_async(&dst, &MemRef::host(node, SHIFT_SRC), len)
+        })
+        .collect();
+    c.fabric.run_until_idle();
+    for ev in events {
+        // Already complete after the drain; asserts the completion
+        // interrupt really arrived.
+        let _ = c.wait(ev);
+    }
+}
+
+/// The TLP counters this thread added since `since`, as row fields.
+fn tlp_fields(since: &tca_pcie::TlpCounts) -> [(&'static str, JsonValue); 3] {
+    let t = tca_pcie::tlp_counts().since(since);
+    [
+        ("tlp_constructed", JsonValue::from(t.constructed)),
+        ("tlp_cloned", JsonValue::from(t.cloned)),
+        ("tlp_relay_hops", JsonValue::from(t.relay_hops)),
+    ]
+}
+
+/// The `engine` scenario's steady-state point: an `nodes`-node ring runs
+/// `warmup_rounds` and then `rounds` [`shift_round`]s of `put_len`-byte
+/// puts. The row holds the events of each phase (`build`, `warmup`,
+/// `steady`) and of the whole run, the fabric's lifetime queue and
+/// dispatch counters, and the TLPs this run built. The queue's
+/// `cascades` are left out: they count how the timing wheel re-files
+/// entries, which depends on its layout, not on the simulation.
+pub fn engine_shift_row(nodes: u32, warmup_rounds: u32, rounds: u32, put_len: u64) -> JsonValue {
+    let tlp0 = tca_pcie::tlp_counts();
+    let mut c = shift_cluster(nodes, put_len);
+    let build = c.fabric.events_executed();
+    for _ in 0..warmup_rounds {
+        shift_round(&mut c, nodes, put_len);
+    }
+    let warmup = c.fabric.events_executed() - build;
+    for _ in 0..rounds {
+        shift_round(&mut c, nodes, put_len);
+    }
+    let events = c.fabric.events_executed();
+    let (q, d) = (c.fabric.queue_prof(), c.fabric.prof());
+    let mut o = row(vec![
+        ("nodes", JsonValue::from(nodes)),
+        ("build_events", JsonValue::from(build)),
+        ("warmup_events", JsonValue::from(warmup)),
+        ("steady_events", JsonValue::from(events - build - warmup)),
+        ("events", JsonValue::from(events)),
+        ("pushes", JsonValue::from(q.pushes)),
+        ("pops", JsonValue::from(q.pops)),
+        ("cancels", JsonValue::from(q.cancels)),
+        ("peak_pending", JsonValue::from(q.peak_pending)),
+        ("deliver_events", JsonValue::from(d.deliver_events)),
+        ("timer_events", JsonValue::from(d.timer_events)),
+        (
+            "credit_return_events",
+            JsonValue::from(d.credit_return_events),
+        ),
+        ("tlp_transmits", JsonValue::from(d.tlp_transmits)),
+    ]);
+    for (k, v) in tlp_fields(&tlp0) {
+        o.push(k, v);
+    }
+    o
+}
+
+/// The `engine` scenario's ring-size point: a fresh ring of each size in
+/// `rings` carries `puts_per_ring` neighbour-shift puts of `put_len`
+/// bytes, in rounds of at most one put per node. The row holds the total
+/// puts, the events of all the rings' lifetimes and the TLPs they built.
+pub fn engine_rings_row(rings: &[u32], puts_per_ring: u32, put_len: u64) -> JsonValue {
+    let tlp0 = tca_pcie::tlp_counts();
+    let mut events = 0u64;
+    for &ring in rings {
+        let mut c = shift_cluster(ring, put_len);
+        let mut put = 0;
+        while put < puts_per_ring {
+            let batch = ring.min(puts_per_ring - put);
+            shift_round(&mut c, batch, put_len);
+            put += batch;
+        }
+        events += c.fabric.events_executed();
+    }
+    let puts = rings.len() as u64 * u64::from(puts_per_ring);
+    let mut o = row(vec![
+        ("puts", JsonValue::from(puts)),
+        ("events", JsonValue::from(events)),
+    ]);
+    for (k, v) in tlp_fields(&tlp0) {
+        o.push(k, v);
+    }
+    o
+}
+
+/// The `engine` scenario's queue point: the timing wheel and the
+/// pre-rewrite reference heap each replay the race workload of
+/// `total_events` schedules once. The row holds the events popped and
+/// the FNV-1a checksum of the pop stream, which both queues must share;
+/// [`queue_race`] times the same replays.
+///
+/// # Panics
+/// Panics if the two queues pop different streams.
+pub fn race_row(total_events: u64) -> JsonValue {
+    use refqueue::{replay_race_workload, RefQueue};
+    let mut wheel = tca_sim::EventQueue::<u64>::new();
+    let mut heap = RefQueue::<u64>::new();
+    let checksum = replay_race_workload(&mut wheel, total_events);
+    let heap_checksum = replay_race_workload(&mut heap, total_events);
+    assert_eq!(
+        (wheel.events_executed(), checksum),
+        (heap.events_executed(), heap_checksum),
+        "wheel and reference heap popped different streams"
+    );
+    row(vec![
+        ("events", JsonValue::from(wheel.events_executed())),
+        ("checksum", JsonValue::from(format!("{checksum:016x}"))),
+    ])
+}
+
+/// The `engine` scenario's scale point: every node of registry topology
+/// `topo` sends one probe to every other node (`topo_fabric::all_to_all`).
+/// The row holds the node count, messages, relay hops, events and the
+/// simulated completion time.
+pub fn torus_row(topo: &str) -> JsonValue {
+    let spec = tca_core::presets::build_topology(topo)
+        .unwrap_or_else(|| panic!("unknown topology {topo}"));
+    let r = topo_fabric::all_to_all(&spec);
+    row(vec![
+        ("nodes", JsonValue::from(r.nodes)),
+        ("messages", JsonValue::from(r.messages)),
+        ("relay_hops", JsonValue::from(r.relay_hops)),
+        ("events", JsonValue::from(r.events)),
+        ("sim_ps", JsonValue::from(r.sim_ps)),
+    ])
 }
 
 #[cfg(test)]
@@ -1332,10 +1331,10 @@ mod tests {
     }
 
     #[test]
-    fn fig7_anchor_points() {
+    fn fig7_curves_keep_their_order_at_4k() {
+        // The 4 KiB CPU-write bound itself is `tests/gates.rs`'s.
         let r = local_dma_row(4096, 255);
         let cpu_write = num(&r, "cpu_write_bps");
-        assert!((3.1e9..3.6e9).contains(&cpu_write), "{r:?}");
         assert!(
             num(&r, "gpu_write_bps") > 0.9 * cpu_write,
             "GPU write ≈ CPU write"
@@ -1345,19 +1344,6 @@ mod tests {
             "830 MB/s ceiling"
         );
         assert!(num(&r, "cpu_read_bps") < cpu_write);
-    }
-
-    #[test]
-    fn fig8_is_much_slower_at_4k() {
-        let f7 = local_dma_row(4096, 255);
-        let f8 = local_dma_row(4096, 1);
-        assert!(num(&f8, "cpu_write_bps") < 0.5 * num(&f7, "cpu_write_bps"));
-    }
-
-    #[test]
-    fn fig9_seventy_percent_at_four() {
-        let ratio = num(&fig9_row(4), "cpu_write_bps") / num(&fig9_row(255), "cpu_write_bps");
-        assert!((0.6..0.8).contains(&ratio), "ratio={ratio}");
     }
 
     #[test]
@@ -1548,37 +1534,12 @@ mod tests {
     }
 
     #[test]
-    fn benchmark_traffic_is_hazard_free() {
-        let rep = hazard_check();
-        assert!(rep.is_clean(), "{}", rep.render());
-    }
-
-    #[test]
-    fn pingpong_matches_paper_within_tolerance() {
-        let pp = pingpong_row();
-        // §IV-B1: PIO 2.3 µs, chained DMA 2.0 µs, each ±10 %.
-        assert!((2.07..=2.53).contains(&num(&pp, "pio_us")), "{pp:?}");
-        assert!((1.80..=2.20).contains(&num(&pp, "dma_us")), "{pp:?}");
-        // The hardware legs alone sit well below the software-inclusive
+    fn pingpong_hardware_legs_are_the_minority() {
+        // The §IV-B1 half-round-trip bounds are `tests/gates.rs`'s. The
+        // hardware legs alone sit well below the software-inclusive
         // figure — the fabric is the minority of the ping-pong budget.
+        let pp = pingpong_row();
         assert!(num(&pp, "pio_leg_ns") < 1000.0, "{pp:?}");
         assert!(num(&pp, "dma_leg_ns") < 2000.0, "{pp:?}");
-    }
-
-    #[test]
-    fn fabric_regression_in_bounds_and_schema_stable() {
-        let a = fabric_regression();
-        assert!(a.validate().is_empty(), "violations: {:?}", a.validate());
-        let ja = a.to_json();
-        let jb = fabric_regression().to_json();
-        assert_eq!(ja, jb, "byte-identical across runs");
-        let parsed = tca_sim::JsonValue::parse(&ja).expect("valid JSON");
-        assert_eq!(
-            parsed.get("schema").and_then(|v| v.as_str()),
-            Some("tca-bench-fabric/v1")
-        );
-        for key in ["pingpong", "hops", "bandwidth"] {
-            assert!(parsed.get(key).is_some(), "{key} section present");
-        }
     }
 }

@@ -1,13 +1,16 @@
 //! The pre-timing-wheel event queue, preserved verbatim as a *reference
 //! model*: a `BinaryHeap` ordered by `(time, seq)` with lazy-cancellation
-//! tombstones and `HashSet` live-membership tracking.
+//! tombstones and `HashSet` live-membership tracking, plus the race
+//! workload both queues replay.
 //!
 //! `tca-sim`'s engine replaced this implementation with a hierarchical
 //! timing wheel; this copy exists so the replacement stays honest forever:
 //!
-//! * the engine-throughput gate (`BENCH_engine.json` `queue_race`) replays
-//!   one deterministic workload through both queues, checks the pop
-//!   streams are identical, and requires the wheel to be ≥ 2× faster;
+//! * the `engine` scenario's `queue race` point replays one deterministic
+//!   workload (`replay_race_workload`) through both queues and pins the
+//!   event count and checksum of the pop stream they must share;
+//! * [`crate::prof::queue_race`] times the same replays and the
+//!   release-only speed-floor test requires the wheel to be ≥ 2× faster;
 //! * the ignored-by-default `engine_stress` test does the same at
 //!   1M events.
 //!
@@ -16,7 +19,7 @@
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
-use tca_sim::{Dur, SimTime};
+use tca_sim::{Dur, EventQueue, Fnv64, SimRng, SimTime};
 
 /// Identifier of an event scheduled on the [`RefQueue`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -147,6 +150,104 @@ impl<E> RefQueue<E> {
         }
         None
     }
+}
+
+/// Adapter over the two queue implementations the race compares, so one
+/// deterministic workload replays through both.
+pub(crate) trait RaceQueue {
+    /// Implementation-specific pending-event handle.
+    type Id: Copy;
+    fn schedule_at(&mut self, at: SimTime, payload: u64) -> Self::Id;
+    fn cancel(&mut self, id: Self::Id) -> bool;
+    fn pop(&mut self) -> Option<(SimTime, u64)>;
+    fn now(&self) -> SimTime;
+    fn executed(&self) -> u64;
+}
+
+impl RaceQueue for EventQueue<u64> {
+    type Id = tca_sim::EventId;
+    fn schedule_at(&mut self, at: SimTime, payload: u64) -> Self::Id {
+        EventQueue::schedule_at(self, at, payload)
+    }
+    fn cancel(&mut self, id: Self::Id) -> bool {
+        EventQueue::cancel(self, id)
+    }
+    fn pop(&mut self) -> Option<(SimTime, u64)> {
+        EventQueue::pop(self)
+    }
+    fn now(&self) -> SimTime {
+        EventQueue::now(self)
+    }
+    fn executed(&self) -> u64 {
+        EventQueue::events_executed(self)
+    }
+}
+
+impl RaceQueue for RefQueue<u64> {
+    type Id = RefEventId;
+    fn schedule_at(&mut self, at: SimTime, payload: u64) -> Self::Id {
+        RefQueue::schedule_at(self, at, payload)
+    }
+    fn cancel(&mut self, id: Self::Id) -> bool {
+        RefQueue::cancel(self, id)
+    }
+    fn pop(&mut self) -> Option<(SimTime, u64)> {
+        RefQueue::pop(self)
+    }
+    fn now(&self) -> SimTime {
+        RefQueue::now(self)
+    }
+    fn executed(&self) -> u64 {
+        RefQueue::events_executed(self)
+    }
+}
+
+/// Replays the deterministic race workload through one queue and returns
+/// the FNV-1a checksum of the popped `(time, payload)` stream.
+///
+/// The shape mirrors the fabric's steady state: ~400 events primed up
+/// front (the ring rig's typical pending depth), then each pop schedules
+/// follow-ons — mostly single near-future events (wire/credit chains),
+/// sometimes a same-instant burst of four (batched deliveries), sometimes
+/// a schedule-then-cancel pair (timer re-arms). Both queues pop the
+/// identical stream, so the seeded RNG stays in lockstep and the checksum
+/// proves it.
+pub(crate) fn replay_race_workload<Q: RaceQueue>(q: &mut Q, total_events: u64) -> u64 {
+    let mut rng = SimRng::seed_from_u64(0x7ca_ace);
+    let mut h = Fnv64::new();
+    let mut scheduled = 0u64;
+    let mut pending_cancel: Option<Q::Id> = None;
+    while scheduled < total_events.min(400) {
+        let at = SimTime::from_ps(1 + rng.gen_range(1_000_000));
+        q.schedule_at(at, scheduled);
+        scheduled += 1;
+    }
+    while let Some((at, payload)) = q.pop() {
+        h.write_u64(at.as_ps()).write_u64(payload);
+        let roll = rng.gen_range(10);
+        if scheduled >= total_events {
+            continue;
+        }
+        if roll == 0 {
+            let at = q.now() + Dur::from_ps(1_000 + rng.gen_range(100_000));
+            for _ in 0..(total_events - scheduled).min(4) {
+                q.schedule_at(at, scheduled);
+                scheduled += 1;
+            }
+        } else if roll <= 2 {
+            let at = q.now() + Dur::from_ps(1 + rng.gen_range(500_000));
+            let id = q.schedule_at(at, scheduled);
+            scheduled += 1;
+            if let Some(old) = pending_cancel.replace(id) {
+                q.cancel(old);
+            }
+        } else {
+            let at = q.now() + Dur::from_ps(1 + rng.gen_range(1_000_000));
+            q.schedule_at(at, scheduled);
+            scheduled += 1;
+        }
+    }
+    h.finish()
 }
 
 #[cfg(test)]

@@ -606,7 +606,7 @@ pub fn scenarios() -> Vec<Scenario> {
         Scenario {
             name: "topo-registry",
             description: "static CDG + route metrics over every registry topology, \
-                          plus the host cost of driving strided traffic over it",
+                          plus the events of driving strided traffic over it",
             figure: "§III-D scaling",
             backends: TCA_ONLY,
             points: |_| {
@@ -622,10 +622,9 @@ pub fn scenarios() -> Vec<Scenario> {
                             // a cheap strided run (8 destinations per
                             // node) through the real event engine, so
                             // the sweep reports what each topology costs
-                            // to *simulate*, not just its graph shape.
-                            // Wall-clock columns vary run to run; every
-                            // other column is byte-reproducible.
-                            let (traffic, wall_ns, eps) = crate::prof::timed_topo_run(&spec, 8);
+                            // to *simulate*, not just its graph shape
+                            // (`--profile` times it).
+                            let traffic = crate::topo_fabric::strided(&spec, 8);
                             row(vec![
                                 ("nodes", JsonValue::from(u64::from(m.nodes))),
                                 ("cables", JsonValue::from(m.cables as u64)),
@@ -641,8 +640,6 @@ pub fn scenarios() -> Vec<Scenario> {
                                 ("warnings", JsonValue::from(rep.warning_count() as u64)),
                                 ("traffic_msgs", JsonValue::from(traffic.messages)),
                                 ("traffic_events", JsonValue::from(traffic.events)),
-                                ("host_wall_ms", jf(wall_ns as f64 / 1e6)),
-                                ("events_per_sec", jf(eps)),
                             ])
                         })
                     })
@@ -777,6 +774,25 @@ pub fn scenarios() -> Vec<Scenario> {
             figure: "§III-A / §III-E",
             backends: ALL_BACKENDS,
             points: |kind| vec![Point::new("8 nodes", move || crate::health_summary(kind))],
+        },
+        Scenario {
+            name: "engine",
+            description: "the simulator's own workload: ring shift, ring sizes, \
+                          queue race, 256-node all-to-all (time it with --profile)",
+            figure: "simulator",
+            backends: TCA_ONLY,
+            points: |_| {
+                vec![
+                    Point::new("ring-8 shift", || {
+                        crate::engine_shift_row(8, 2, 24, 64 * 1024)
+                    }),
+                    Point::new("rings 2-16", || {
+                        crate::engine_rings_row(&[2, 4, 8, 16], 16, 64 * 1024)
+                    }),
+                    Point::new("queue race", || crate::race_row(200_000)),
+                    Point::new("torus2d-16x16", || crate::torus_row("torus2d-16x16")),
+                ]
+            },
         },
     ]
 }

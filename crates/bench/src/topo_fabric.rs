@@ -7,16 +7,16 @@
 //! *runs* them, which is what turns a topology entry into an engine
 //! workload. Two consumers:
 //!
-//! * the `torus2d-16x16` all-to-all point in `BENCH_engine.json`
+//! * the `engine` scenario's `torus2d-16x16` all-to-all point
 //!   (256 nodes, 65 280 source→destination pairs, ≈ 1M events) — the
 //!   scale test of the timing-wheel scheduler, where the event
 //!   population is three orders of magnitude wider than the 8-node ring;
-//! * the `topo-registry` scenario's host-cost columns, which run a cheap
-//!   strided pattern per entry so the sweep reports engine wall time and
-//!   events/sec alongside the static metrics.
+//! * the `topo-registry` scenario's traffic columns, which run a cheap
+//!   strided pattern per entry so the sweep reports the messages and
+//!   events of driving each topology alongside the static metrics.
 //!
-//! Pure simulated-time code — wall-clock timing of these runs lives in
-//! [`crate::prof`], the one module the determinism lint allowlists.
+//! Pure simulated-time code — `tca-bench --profile` times these runs
+//! through [`crate::prof::timed`], like every other sweep point.
 
 use tca_pcie::{Ctx, Device, DeviceId, Fabric, LinkParams, PortIdx, Tlp, TlpKind};
 use tca_peach2::TopoSpec;

@@ -45,10 +45,10 @@ pub use cluster::{HealthData, TcaCluster, TcaClusterBuilder, Topology};
 /// into a flight ring of that capacity (no spill). Both backend
 /// constructors ([`TcaClusterBuilder::build`] and [`MpiBackend::new`]) and
 /// the `tca-bench` rigs that build fabrics directly call this, which gives
-/// CI one switch to re-run *any* existing harness — `bench_regression`,
-/// `bench_engine`, the scenario sweeps — with recording on and diff the
-/// artifacts against a plain run, proving the recorder is byte-neutral end
-/// to end. Reading the environment here (host configuration, fixed for the
+/// CI one switch to re-run any scenario sweep — `engine`, `pingpong`,
+/// `ring-hops`, `fig9` in `scripts/ci.sh` — with recording on and check
+/// its rows against the same golden as a plain run, proving the recorder
+/// is byte-neutral end to end. Reading the environment here (host configuration, fixed for the
 /// process, like a CLI flag) keeps the simulation crates themselves
 /// entirely host-state-free.
 ///

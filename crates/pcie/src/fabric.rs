@@ -153,9 +153,9 @@ fn lane_take<T>(heap: &mut BinaryHeap<LaneKey>, fifo: &mut LaneFifo<T>, lane: u3
 }
 
 /// The kind of event one [`Fabric::step_kind`] call dispatched. Public
-/// mirror of the private event enum, so the `tca-bench` profiler can
-/// bucket host time per event kind without the fabric ever touching a
-/// wall clock itself.
+/// mirror of the private event enum, so a harness (the traced split of
+/// `benchmark/run.sh --trace`) can bucket host time per event kind
+/// without the fabric ever touching a wall clock itself.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum StepKind {
     /// A TLP arrived at a device.

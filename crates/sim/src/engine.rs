@@ -17,15 +17,15 @@
 //!   `(at, seq)`, so the next event is its last element and a pop is a
 //!   `Vec::pop`. A schedule before `bound` is a binary-search insert: its
 //!   seq is the largest yet, so it goes after every entry at or before its
-//!   time. The tier holds at most [`NEAR_CAP`] entries. When an insert
+//!   time. The tier holds at most `NEAR_CAP` (256) entries. When an insert
 //!   overflows it, the whole latest-timestamp group moves to the wheel in
 //!   seq order and `bound` drops to that time, so a same-time run is never
 //!   split between the tiers. When a pop finds the tier empty, the queue
 //!   is either deeper than the cap, and the pop is served straight from
 //!   the wheel, or the whole wheel fits: it moves into the tier and
 //!   `bound` goes back to +∞. Cancelling a near entry is a linear scan and
-//!   a `Vec::remove`, O([`NEAR_CAP`]).
-//! * The wheel has [`LEVELS`] levels of [`SLOTS`] slots, each level
+//!   a `Vec::remove`, O(`NEAR_CAP`).
+//! * The wheel has `LEVELS` (8) levels of `SLOTS` (256) slots, each level
 //!   covering a 256× longer horizon than the one below, over integer
 //!   picoseconds. Eight 8-bit levels cover all of `u64`, so there is no
 //!   far-future tier. An event is filed relative to the wheel `base` at
@@ -35,14 +35,14 @@
 //!   hold coarser buckets. Schedule and cancel are O(1) list operations.
 //!   The earliest bucket is the lowest set bit of a 32-bit occupancy
 //!   summary (one bit per 64-slot bitmap word), then of that word. A
-//!   coarse bucket of at most [`SCAN_MAX`] entries gives up its earliest
+//!   coarse bucket of at most `SCAN_MAX` (4) entries gives up its earliest
 //!   `(at, seq)` in place; a denser one is *cascaded*: `base` jumps to its
 //!   smallest time and the bucket is re-filed, which lands that minimum in
 //!   level 0 in one step.
 //!
 //! The shallow queues of DMA traffic (a few dozen events, ns to µs apart)
 //! therefore never leave the near tier, while a queue deeper than the cap
-//! (the `bench_engine` queue race, a 256-node all-to-all) runs on the
+//! (the `engine` scenario's queue race, a 256-node all-to-all) runs on the
 //! wheel alone, as it did before the near tier existed, until it drains
 //! back below the cap. Refilling the tier a cap's worth of groups at a
 //! time instead was measured and dropped: on deep queues every event then
@@ -309,7 +309,7 @@ impl<E> EventQueue<E> {
     /// Cancels a previously scheduled event: the entry is removed at once
     /// — no tombstone is parked and nothing is drained later. A wheel
     /// entry is unlinked from its slot in O(1); a near-tier entry is found
-    /// and removed in O([`NEAR_CAP`]). Returns `true` only if the event was
+    /// and removed in O(`NEAR_CAP`). Returns `true` only if the event was
     /// still pending; an event that already fired, was already cancelled,
     /// or was never scheduled returns `false` (the slab generation check
     /// makes this exact).

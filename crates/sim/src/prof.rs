@@ -5,17 +5,17 @@
 //! observationally neutral to the simulation: counters are plain integers
 //! bumped on the engine's existing control paths, they never schedule
 //! events, never consult wall-clock time, and never branch on anything the
-//! event stream could see. The *timer* half (wall-clock phase spans,
-//! folded-stack rendering, `BENCH_engine.json`) lives in `tca-bench`,
-//! because the determinism lint in `scripts/ci.sh` bans wall-clock use in
-//! the simulation crates — see DESIGN.md's counters-in-sim /
-//! timers-in-bench split.
+//! event stream could see. The *timer* half (per-point wall time of
+//! `tca-bench --profile`, folded-stack rendering, the queue race) lives in
+//! `tca-bench`, because the determinism lint in `scripts/ci.sh` bans
+//! wall-clock use in the simulation crates — see DESIGN.md's
+//! counters-in-sim / timers-in-bench split.
 //!
 //! `tests/determinism.rs` proves the neutrality claim: the byte-identity
-//! tests for the event stream, the health report, and `BENCH_fabric.json`
-//! run with these counters compiled in (and, in the `host-prof` builds,
-//! with the counting allocator installed) and still reproduce the same
-//! paper-anchored absolute values as the uninstrumented binaries.
+//! tests for the event stream, the health report and the sweeps run with
+//! these counters compiled in (and, in the `host-prof` builds, with the
+//! counting allocator installed), and the sweep goldens pin the same
+//! paper-anchored absolute values the uninstrumented binaries produce.
 
 use crate::json::JsonValue;
 

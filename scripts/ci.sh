@@ -11,6 +11,12 @@ cargo build --release --offline
 # Every crate's tests, not only the root package's: the per-crate unit
 # tests (payload views in pcie/vendor, device models, the chip) gate too.
 cargo test -q --offline --workspace
+# Speed floors of the simulator itself (the `engine` scenario's points
+# timed by the sweep runner, and the wheel-vs-heap queue race): release
+# builds only, so the test is ignored in the debug run above.
+cargo test -q --release --offline --test gates engine_speed_floors
+# API docs build without a warning (broken or private intra-doc links).
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps --offline
 
 # Scenario-runner smoke: the registry lists, a TCA-only sweep and a
 # backend-aware sweep both run, and the parallel runner emits the same
@@ -233,8 +239,7 @@ fi
 
 # Sweep-equivalence gate: every scenario/backend sweep with a golden under
 # benchmark/golden must reproduce it row for row. `benchmark/run.sh check`
-# strips the host-clock columns (topo-registry's host_wall_ms and
-# events_per_sec) and fails on a missing, extra or changed row.
+# fails on a missing, extra or changed row.
 sweepdir="$profdir/sweeps"
 mkdir -p "$sweepdir"
 for golden_file in benchmark/golden/*.jsonl; do
@@ -257,66 +262,40 @@ for golden_file in benchmark/golden/*.jsonl; do
     fi
 done
 
-# Perf-regression gate: rerun the fabric kernels (ping-pong, hop sweep,
-# Fig. 7/8/9 bandwidth), write the schema-stable results/BENCH_fabric.json,
-# and fail the build if any metric drifts outside its paper-anchored bound.
-cargo run -q --release --offline -p tca-bench --bin bench_regression
+# Engine-counter gate: the simulated counters of the `engine` scenario (the
+# 8-node ring shift, the ring-size puts, the queue race and the 256-node
+# all-to-all) must equal configs/engine/engine-tca.jsonl. Lane events count
+# as queue pushes and pops, so a change that drops, merges or adds an event
+# fails here.
+cargo run -q --release --offline -p tca-bench --bin tca-bench -- \
+    --scenario engine --json --jobs 1 > "$sweepdir/engine-tca.json"
+if ! bash benchmark/run.sh check engine-tca "$sweepdir/engine-tca.json" --golden configs/engine; then
+    echo "engine counters: the engine sweep drifted from configs/engine/engine-tca.jsonl" >&2
+    exit 1
+fi
 
-# Engine-throughput gate: drive the fixed 8-node-ring steady-state workload
-# plus the ring-size sweep under the counting allocator, race the timing
-# wheel against the pre-rewrite reference heap (>= 2x speedup required,
-# identical pop-stream checksums), run the 256-node torus2d-16x16
-# all-to-all point (~1M events), write the schema-stable
-# results/BENCH_engine.json, and fail the build if host events/sec,
-# ns/event, allocs/event, or peak pending drifts outside its bound — same
-# contract as BENCH_fabric.json, but for simulator speed.
-cargo run -q --release --offline -p tca-bench --bin bench_engine
-
-# BENCH-artifact neutrality under flight recording: re-run both gates with
-# the TCA_FLIGHT_RING env gate enabling a 4096-slot recorder inside every
-# backend rig. BENCH_fabric.json is fully deterministic, so it must come
-# back byte-identical; BENCH_engine.json mixes wall-clock fields that vary
-# run-to-run with sim-side counters, so only the deterministic fields are
-# compared (events, heap depth, queue/dispatch/TLP counters).
-cp results/BENCH_fabric.json "$profdir/fabric_plain.json"
-cp results/BENCH_engine.json "$profdir/engine_plain.json"
-TCA_FLIGHT_RING=4096 cargo run -q --release --offline -p tca-bench --bin bench_regression
-TCA_FLIGHT_RING=4096 cargo run -q --release --offline -p tca-bench --bin bench_engine
-if ! diff results/BENCH_fabric.json "$profdir/fabric_plain.json" > /dev/null; then
-    echo "tca-flight smoke: recording changed BENCH_fabric.json" >&2
-    exit 1
-fi
-sim_fields() {
-    grep -oE '"(events|peak_pending|pushes|pops|cancels|cascades|deliver_events|timer_events|credit_return_events|tlp_transmits|constructed|cloned|relay_hops|nodes|messages|sim_ps)":[0-9]+' "$1"
-    grep -oE '"checksum":"[0-9a-f]+"' "$1"
-}
-if [[ "$(sim_fields results/BENCH_engine.json)" != "$(sim_fields "$profdir/engine_plain.json")" ]]; then
-    echo "tca-flight smoke: recording changed BENCH_engine.json sim-side counters" >&2
-    exit 1
-fi
-# Restore the unrecorded artifacts so the checked-in results/ stay canonical.
-cp "$profdir/fabric_plain.json" results/BENCH_fabric.json
-cp "$profdir/engine_plain.json" results/BENCH_engine.json
-# Engine-counter gate: the simulated-side counters of the plain bench_engine
-# run must equal configs/engine/sim-counters.golden, generated before the
-# fabric's deliveries and credit returns moved from the event queue into
-# per-link lanes. Lane events count as queue pushes and pops, so a change
-# that drops, merges or adds an event fails here. Cascades are left out:
-# they count how the timing wheel re-files its entries, which depends on
-# the queue's internal layout, not on the events the simulation makes.
-if ! diff -u configs/engine/sim-counters.golden \
-    <(sim_fields results/BENCH_engine.json | grep -v '^"cascades":'); then
-    echo "engine counters: BENCH_engine.json sim-side counters drifted from the golden" >&2
-    exit 1
-fi
+# Flight-recorder neutrality: the TCA_FLIGHT_RING env gate turns on a
+# 4096-slot recorder inside every backend rig. The engine counters and the
+# sweeps behind the paper anchors must still match their goldens.
+for key in engine-tca pingpong-tca ring-hops-tca fig9-tca; do
+    case "$key" in
+        engine-tca) golden_dir=configs/engine ;;
+        *) golden_dir=benchmark/golden ;;
+    esac
+    TCA_FLIGHT_RING=4096 cargo run -q --release --offline -p tca-bench --bin tca-bench -- \
+        --scenario "${key%-tca}" --json --jobs 1 > "$sweepdir/$key.flight.json"
+    if ! bash benchmark/run.sh check "$key" "$sweepdir/$key.flight.json" --golden "$golden_dir"; then
+        echo "tca-flight smoke: recording changed the $key sweep" >&2
+        exit 1
+    fi
+done
 
 # What-if smoke (tca-bench --whatif): the causal profiler must be
 # deterministic, schema-stable, and observationally neutral. Running the
 # small-ring sweep twice must produce byte-identical artifacts that match the
 # digests checked in at configs/whatif/ring-hops.sha256; the report JSON is
 # pinned to the tca-whatif/v1 schema; and --whatif-dir riding along on a
-# sweep must change neither the stdout nor the checked-in
-# BENCH_fabric.json.
+# sweep must not change its stdout.
 wadir="$profdir/whatif"
 for run in a b; do
     cargo run -q --release --offline -p tca-bench --bin tca-bench -- \
@@ -341,7 +320,6 @@ if [[ "$wa_json" != *'"config_fnv":"'* || "$wa_json" != *'"interaction":'* ]]; t
     echo "tca-whatif smoke: report is missing config_fnv or interaction probe" >&2
     exit 1
 fi
-cp results/BENCH_fabric.json "$profdir/fabric_pre_whatif.json"
 sweep_nowa=$(cargo run -q --release --offline -p tca-bench --bin tca-bench -- \
     --scenario ring-hops --json 2> /dev/null)
 sweep_wa=$(cargo run -q --release --offline -p tca-bench --bin tca-bench -- \
@@ -352,10 +330,6 @@ if [[ "$sweep_nowa" != "$sweep_wa" ]]; then
 fi
 if [[ ! -s "$wadir/neutral/WHATIF_ring-hops.json" ]]; then
     echo "tca-whatif smoke: --whatif-dir did not write the WHATIF artifacts" >&2
-    exit 1
-fi
-if ! cmp -s results/BENCH_fabric.json "$profdir/fabric_pre_whatif.json"; then
-    echo "tca-whatif smoke: the whatif sweep perturbed BENCH_fabric.json" >&2
     exit 1
 fi
 # The health report must carry the config fingerprint of the parameter

@@ -45,9 +45,4 @@ echo "== telemetry =="
 cargo run -q --release -p tca-bench --bin tca-bench -- \
     --scenario health --top --telemetry-dir "$out/telemetry" | tee "$out/telemetry.txt"
 echo
-
-# Schema-stable perf-regression report (byte-identical across runs), with
-# every metric validated against its paper-anchored bound.
-echo "== bench_regression =="
-cargo run -q --release -p tca-bench --bin bench_regression "$out/BENCH_fabric.json"
 echo "all outputs under $out/"

@@ -175,11 +175,19 @@ fn main() -> ExitCode {
             "--json" => json = true,
             "--cdg-dot" => dot = true,
             "--preset" => {
-                only_preset = args.get(i + 1).cloned();
+                let Some(name) = args.get(i + 1).cloned() else {
+                    eprintln!("tca-verify: --preset needs a preset name (try --help)");
+                    return ExitCode::FAILURE;
+                };
+                only_preset = Some(name);
                 i += 1;
             }
             "--topo" => {
-                only_topo = args.get(i + 1).cloned();
+                let Some(name) = args.get(i + 1).cloned() else {
+                    eprintln!("tca-verify: --topo needs a topology name (try --help)");
+                    return ExitCode::FAILURE;
+                };
+                only_topo = Some(name);
                 i += 1;
             }
             "--topo-file" => {

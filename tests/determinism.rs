@@ -6,11 +6,9 @@ use tca::pcie::Instrument;
 use tca::prelude::*;
 
 /// Every test in this binary runs under the tca-prof counting allocator —
-/// the same opt-in `bench_engine` and `tca-bench --profile` make. The
-/// byte-identity assertions below therefore double as the proof that
-/// allocation accounting never perturbs a simulated timestamp, and
-/// `bench_fabric_report_is_byte_identical`'s `validate()` pins the exact
-/// paper-anchored values uninstrumented binaries produce.
+/// the same opt-in `tca-bench` makes for `--profile`. The byte-identity
+/// assertions below therefore double as the proof that allocation
+/// accounting never perturbs a simulated timestamp.
 #[global_allocator]
 static ALLOC: tca::sim::prof::CountingAllocator = tca::sim::prof::CountingAllocator;
 
@@ -168,18 +166,6 @@ fn flight_diff_names_first_divergent_stage_across_backends() {
 }
 
 #[test]
-fn bench_fabric_report_is_byte_identical() {
-    let a = tca_bench::fabric_regression();
-    let b = tca_bench::fabric_regression();
-    assert_eq!(
-        a.to_json(),
-        b.to_json(),
-        "BENCH_fabric.json diverged between identical runs"
-    );
-    assert!(a.validate().is_empty(), "violations: {:?}", a.validate());
-}
-
-#[test]
 fn figure_sweeps_are_reproducible() {
     use tca_bench::{fig9_row, num};
     for count in [1, 4, 255] {
@@ -195,10 +181,11 @@ fn sweep_runner_output_is_independent_of_job_count() {
     // The scenario runner farms points out to worker threads; every point
     // builds its own simulation and lands in its own slot, so the rendered
     // table and the sweep JSON must be byte-identical at any --jobs.
-    // latency-attrib adds rows whose columns differ by point kind, and
-    // health is the run `--top` observes.
+    // latency-attrib adds rows whose columns differ by point kind, health
+    // is the run `--top` observes, and topo-registry drives the event
+    // engine over every registry topology.
     use tca_bench::scenario::{find, run_sweep, BackendKind};
-    for name in ["ring-hops", "latency-attrib", "health"] {
+    for name in ["ring-hops", "latency-attrib", "health", "topo-registry"] {
         let sc = find(name).expect("registered scenario");
         let serial = run_sweep(&sc, BackendKind::Tca, 1);
         let parallel = run_sweep(&sc, BackendKind::Tca, 8);
@@ -381,28 +368,34 @@ fn prof_counters_replay_exactly_and_balance() {
 }
 
 #[test]
-fn engine_bench_is_reproducible_and_schema_stable() {
-    // BENCH_engine.json mixes wall-clock metrics (vary run to run) with
-    // simulated-side counters (must not). Two smoke-workload runs agree on
-    // every simulated-side field, and the schema headers are pinned.
-    use tca_bench::EngineWorkload;
-    let a = tca_bench::engine_bench_with(EngineWorkload::smoke());
-    let b = tca_bench::engine_bench_with(EngineWorkload::smoke());
-    assert_eq!(a.steady_events, b.steady_events);
-    assert!(a.steady_events > 0);
-    assert_eq!(a.peak_pending, b.peak_pending);
-    assert_eq!(a.profile.queue, b.profile.queue);
-    assert_eq!(a.profile.dispatch, b.profile.dispatch);
-    assert_eq!(a.race.checksum, b.race.checksum, "race replay diverged");
-    assert_eq!(a.torus.report, b.torus.report, "torus run diverged");
-    assert!(a.alloc_counted, "this binary installs the allocator");
-    assert!(a
-        .to_json()
-        .starts_with("{\"schema\":\"tca-bench-engine/v2\""));
-    assert!(a
-        .profile
-        .to_json()
-        .starts_with("{\"schema\":\"tca-prof/v1\""));
+fn engine_rows_replay_identically() {
+    // The four `engine` points at small sizes: every field is a simulated
+    // counter, so two runs agree byte for byte.
+    let rows = || {
+        [
+            tca_bench::engine_shift_row(4, 1, 2, 4 * 1024),
+            tca_bench::engine_rings_row(&[2, 4], 2, 4 * 1024),
+            tca_bench::race_row(10_000),
+            tca_bench::torus_row("torus2d-4x4"),
+        ]
+        .map(|r| r.to_json())
+    };
+    let (a, b) = (rows(), rows());
+    assert_eq!(a, b, "engine rows diverged between identical runs");
+    let shift = tca::sim::JsonValue::parse(&a[0]).expect("row parses");
+    let n = |k: &str| tca_bench::num(&shift, k);
+    assert!(n("steady_events") > 0.0, "{shift:?}");
+    assert_eq!(
+        n("build_events") + n("warmup_events") + n("steady_events"),
+        n("events")
+    );
+    assert_eq!(n("events"), n("pops"), "every event is one pop: {shift:?}");
+    assert_eq!(
+        n("deliver_events") + n("timer_events") + n("credit_return_events"),
+        n("pops"),
+        "every pop dispatches exactly one event kind"
+    );
+    assert!(n("tlp_constructed") > 0.0, "this thread built the TLPs");
 }
 
 #[test]

@@ -245,3 +245,23 @@ proptest! {
         );
     }
 }
+
+/// `tca-verify --preset` or `--topo` without a name is an error naming
+/// the flag, not a silent verification of every preset and topology.
+#[test]
+fn verify_cli_rejects_a_selection_flag_without_a_value() {
+    for flag in ["--preset", "--topo"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_tca-verify"))
+            .arg(flag)
+            .output()
+            .expect("tca-verify runs");
+        assert!(!out.status.success(), "{flag} alone exited 0");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(flag), "{flag}: {stderr}");
+        assert!(
+            out.stdout.is_empty(),
+            "{flag} alone still verified: {}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+    }
+}
