@@ -5,6 +5,7 @@
 //! tca-bench --scenario <name> [--backend tca|mpi|mpi-gpudirect] [--json] [--jobs N]
 //!           [--profile] [--profile-dir <dir>]
 //! tca-bench --scenario health [--top] [--telemetry-dir <dir>] [--flight-dir <dir>] ...
+//! tca-bench --topo <name|file.topo> [--json | --cdg-dot | --emit-topo]
 //! ```
 //!
 //! Each sweep point builds its own independent simulation, so `--jobs N`
@@ -51,8 +52,16 @@
 //! `--flight-dir`, which `scripts/ci.sh` asserts. `--scenario params`
 //! lists the ids `--set` accepts.
 //!
+//! `--topo <NAME|FILE>` statically proves one declarative topology (a
+//! registry or generator name such as `torus2d-3x3`, else a `.topo` file)
+//! deadlock-free and route-complete; `--json`, `--cdg-dot` or
+//! `--emit-topo` picks what it prints, and it exits 1 on any error or
+//! warning or an unreadable file (see `tca_bench::verify::topo_mode`);
+//! `--emit-topo` runs no proof and exits 0 on any spec that parses.
+//!
 //! A flag the chosen mode would ignore is an error (exit 2): `--list`
-//! takes only `--json`; `--whatif` takes none of `--top`,
+//! takes only `--json`; `--topo` takes only one of `--json`, `--cdg-dot`
+//! and `--emit-topo`, which need it; `--whatif` takes none of `--top`,
 //! `--telemetry-dir`, `--flight-dir`, `--profile`, `--profile-dir` or
 //! `--jobs`; `--top` takes no `--jobs`; `--profile-dir` needs `--profile`;
 //! `--top`, `--telemetry-dir` and `--flight-dir` need `--scenario health`.
@@ -61,6 +70,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 use tca_bench::scenario::{find, list_json, run_sweep, scenarios, BackendKind, Sweep};
+use tca_bench::verify::{topo_mode, TopoOutput};
 use tca_bench::write_artifact;
 
 /// Counts this process's heap allocations so `--profile` reports live
@@ -72,7 +82,8 @@ const USAGE: &str = "usage: tca-bench --list [--json]
        tca-bench --scenario <name> [--backend tca|mpi|mpi-gpudirect] [--json] [--jobs N]
                  [--top] [--telemetry-dir <dir>] [--flight-dir <dir>]  (health only)
                  [--profile] [--profile-dir <dir>]
-                 [--whatif] [--whatif-dir <dir>] [--set id=value]...";
+                 [--whatif] [--whatif-dir <dir>] [--set id=value]...
+       tca-bench --topo <name|file.topo> [--json | --cdg-dot | --emit-topo]";
 
 fn list() {
     println!(
@@ -127,6 +138,8 @@ fn main() -> ExitCode {
     let mut whatif = false;
     let mut whatif_dir: Option<PathBuf> = None;
     let mut overrides = tca_sim::ParamSet::new();
+    let mut topo: Option<String> = None;
+    let mut topo_out: Option<TopoOutput> = None;
     // Every flag as given, for the mode checks after parsing.
     let mut given: Vec<String> = Vec::new();
 
@@ -137,6 +150,12 @@ fn main() -> ExitCode {
             "--json" => json = true,
             "--top" => top = true,
             "--whatif" => whatif = true,
+            "--topo" => match args.next() {
+                Some(arg) => topo = Some(arg),
+                None => return fail("--topo needs a topology name or a .topo file"),
+            },
+            "--cdg-dot" => topo_out = Some(TopoOutput::CdgDot),
+            "--emit-topo" => topo_out = Some(TopoOutput::Topo),
             "--whatif-dir" => match args.next() {
                 Some(dir) => whatif_dir = Some(PathBuf::from(dir)),
                 None => return fail("--whatif-dir needs a directory"),
@@ -192,6 +211,21 @@ fn main() -> ExitCode {
             return fail(&format!("--list accepts only --json, not {f}"));
         }
     }
+    let outputs = ["--json", "--cdg-dot", "--emit-topo"];
+    if topo.is_some() {
+        let (picked, ignored): (Vec<_>, Vec<_>) = given
+            .iter()
+            .filter(|f| f.as_str() != "--topo")
+            .partition(|f| outputs.contains(&f.as_str()));
+        if let Some(f) = ignored.first() {
+            return fail(&format!("{f} does not apply to --topo"));
+        }
+        if picked.len() > 1 {
+            return fail("--topo takes one of --json, --cdg-dot and --emit-topo");
+        }
+    } else if let Some(f) = first_of(&["--cdg-dot", "--emit-topo"]) {
+        return fail(&format!("{f} requires --topo"));
+    }
     if whatif {
         let ignored = [
             "--top",
@@ -221,6 +255,23 @@ fn main() -> ExitCode {
         }
     }
 
+    if let Some(arg) = topo {
+        let out = match (topo_out, json) {
+            (Some(out), _) => out,
+            (None, true) => TopoOutput::Json,
+            (None, false) => TopoOutput::Text,
+        };
+        return match topo_mode(&arg, out) {
+            Ok((text, clean)) => {
+                print!("{text}");
+                ExitCode::from(u8::from(!clean))
+            }
+            Err(e) => {
+                eprintln!("tca-bench: {e}");
+                ExitCode::FAILURE
+            }
+        };
+    }
     if do_list {
         if json {
             println!("{}", list_json());

@@ -39,22 +39,20 @@ pub mod prof;
 pub mod refqueue;
 pub mod scenario;
 pub mod topo_fabric;
+pub mod verify;
 pub mod whatif;
 
 pub use prof::{queue_race, QueueRace};
 
 use std::io;
 use std::path::{Path, PathBuf};
-use tca_core::{MpiBackend, MpiGpuMode};
+use tca_core::{MpiBackend, MpiGpuMode, TcaCluster, TcaClusterBuilder};
 use tca_device::map::TcaBlock;
 use tca_device::node::{build_dual_socket_node, NodeConfig};
 use tca_device::{Gpu, HostBridge, QpiParams};
 use tca_net::{IbParams, Protocol};
 use tca_pcie::{AddrRange, Fabric, Instrument};
-use tca_peach2::{
-    build_loopback, build_ring, Descriptor, EngineKind, Peach2, Peach2Driver, Peach2Params,
-    SubCluster,
-};
+use tca_peach2::{build_loopback, Descriptor, EngineKind, Peach2, Peach2Params};
 use tca_sim::{Dur, HdrHistogram, JsonValue};
 
 /// Default data-size sweep of Figs. 7/8/12 (64 B – 1 MiB, doubling).
@@ -65,42 +63,6 @@ pub fn default_sizes() -> Vec<u64> {
 /// Default request-count sweep of Fig. 9.
 pub fn default_counts() -> Vec<u64> {
     vec![1, 2, 4, 8, 16, 32, 64, 128, 255]
-}
-
-/// One measurement rig: an `n`-node ring of Table II nodes with drivers.
-pub struct Rig {
-    /// The simulation.
-    pub fabric: Fabric,
-    /// The sub-cluster.
-    pub sc: SubCluster,
-    /// Per-node drivers.
-    pub drivers: Vec<Peach2Driver>,
-}
-
-/// Builds a fresh ring rig of `n` nodes from the default (Table II)
-/// parameter bundle.
-pub fn rig(n: u32) -> Rig {
-    rig_with(n, &tca_core::FabricParams::default())
-}
-
-/// Builds a ring rig of `n` nodes from an explicit parameter bundle —
-/// the entry point the `--whatif` causal profiler re-runs with one knob
-/// virtually scaled.
-pub fn rig_with(n: u32, fp: &tca_core::FabricParams) -> Rig {
-    let mut fabric = Fabric::new();
-    tca_core::apply_env_flight(&mut fabric);
-    let sc = build_ring(&mut fabric, n, &fp.node, fp.peach2);
-    let drivers: Vec<Peach2Driver> = (0..n as usize)
-        .map(|i| Peach2Driver::new(sc.map, i as u32, sc.nodes[i].host, sc.chips[i]))
-        .collect();
-    for d in &drivers {
-        d.init(&mut fabric);
-    }
-    Rig {
-        fabric,
-        sc,
-        drivers,
-    }
 }
 
 /// What a DMA sweep targets.
@@ -130,16 +92,22 @@ pub enum Direction {
 /// Measures one chained-DMA point: `count` descriptors of `size` bytes in
 /// the given direction against the given target. Returns bytes/second over
 /// the doorbell→interrupt window, the §IV-A methodology.
-pub fn dma_bandwidth(r: &mut Rig, target: Target, dir: Direction, count: u64, size: u64) -> f64 {
-    let d = &r.drivers[0];
+pub fn dma_bandwidth(
+    c: &mut TcaCluster,
+    target: Target,
+    dir: Direction,
+    count: u64,
+    size: u64,
+) -> f64 {
+    let d = &c.drivers[0];
     // Resolve the non-SRAM endpoint address (all descriptors reuse the
     // same buffers: this is a bandwidth rig, not a dataset).
     let other = match target {
         Target::LocalCpu => d.dma_buf,
-        Target::RemoteCpu => r.sc.map.global_addr(1, TcaBlock::Host, 0x4000_0000),
+        Target::RemoteCpu => c.sub.map.global_addr(1, TcaBlock::Host, 0x4000_0000),
         Target::LocalGpu | Target::RemoteGpu => {
             let node = if target == Target::LocalGpu { 0 } else { 1 };
-            let gpu = r.fabric.device_mut::<Gpu>(r.sc.nodes[node].gpus[0]);
+            let gpu = c.fabric.device_mut::<Gpu>(c.sub.nodes[node].gpus[0]);
             let a = gpu.alloc(size);
             let t = gpu.p2p_token(a, size);
             let bar = gpu.pin(a, size, t);
@@ -147,7 +115,7 @@ pub fn dma_bandwidth(r: &mut Rig, target: Target, dir: Direction, count: u64, si
                 bar
             } else {
                 // Remote GPU: address it through the TCA window.
-                r.sc.map.global_addr(1, TcaBlock::Gpu0, a)
+                c.sub.map.global_addr(1, TcaBlock::Gpu0, a)
             }
         }
     };
@@ -158,8 +126,8 @@ pub fn dma_bandwidth(r: &mut Rig, target: Target, dir: Direction, count: u64, si
     );
     let sram = d.sram_addr(0);
     if dir == Direction::Write {
-        r.fabric
-            .device_mut::<Peach2>(r.sc.chips[0])
+        c.fabric
+            .device_mut::<Peach2>(c.sub.chips[0])
             .sram_mut()
             .fill_pattern(0, size, 0x3c);
     }
@@ -169,13 +137,14 @@ pub fn dma_bandwidth(r: &mut Rig, target: Target, dir: Direction, count: u64, si
             Direction::Read => Descriptor::new(other, sram, size),
         })
         .collect();
-    let m = d.run_dma(&mut r.fabric, &descs, EngineKind::Legacy);
+    let m = d.run_dma(&mut c.fabric, &descs, EngineKind::Legacy);
     m.bandwidth()
 }
 
 /// [`dma_bandwidth`] on a fresh 2-node rig, as a JSON number.
 fn dma_point(target: Target, dir: Direction, count: u64, size: u64) -> JsonValue {
-    jf(dma_bandwidth(&mut rig(2), target, dir, count, size))
+    let mut c = TcaClusterBuilder::new(2).build();
+    jf(dma_bandwidth(&mut c, target, dir, count, size))
 }
 
 /// Builds a sweep row: a JSON object with `fields` in the given order.
@@ -329,19 +298,19 @@ pub fn latency_row() -> JsonValue {
 /// put through the shipping two-phase legacy procedure and through the
 /// pipelined "new DMAC", bytes/s.
 pub fn dmac_row(size: u64) -> JsonValue {
-    let mut r = rig(2);
-    let dst = r.sc.map.global_addr(1, TcaBlock::Host, 0x4000_0000);
-    let buf = r.drivers[0].dma_buf;
-    r.fabric
-        .device_mut::<HostBridge>(r.sc.nodes[0].host)
+    let mut c = TcaClusterBuilder::new(2).build();
+    let dst = c.sub.map.global_addr(1, TcaBlock::Host, 0x4000_0000);
+    let buf = c.drivers[0].dma_buf;
+    c.fabric
+        .device_mut::<HostBridge>(c.sub.nodes[0].host)
         .core_mut()
         .mem()
         .fill_pattern(buf, size, 0x11);
-    let legacy = r.drivers[0]
-        .legacy_remote_put(&mut r.fabric, buf, dst, size)
+    let legacy = c.drivers[0]
+        .legacy_remote_put(&mut c.fabric, buf, dst, size)
         .bandwidth();
-    let piped = r.drivers[0]
-        .pipelined_remote_put(&mut r.fabric, buf, dst, size)
+    let piped = c.drivers[0]
+        .pipelined_remote_put(&mut c.fabric, buf, dst, size)
         .bandwidth();
     row(vec![
         ("size", JsonValue::from(size)),
@@ -395,33 +364,33 @@ pub fn qpi_row() -> JsonValue {
 pub fn comparison_row(size: u64) -> JsonValue {
     // --- TCA side: 2-node ring, GPU0@n0 → GPU0@n1, pipelined DMAC.
     let (tca_dma_us, tca_pio_us) = {
-        let mut r = rig(2);
+        let mut c = TcaClusterBuilder::new(2).build();
         let src_bar = {
-            let g = r.fabric.device_mut::<Gpu>(r.sc.nodes[0].gpus[0]);
+            let g = c.fabric.device_mut::<Gpu>(c.sub.nodes[0].gpus[0]);
             let a = g.alloc(size);
             g.gddr().fill_pattern(a, size, 1);
             let t = g.p2p_token(a, size);
             g.pin(a, size, t)
         };
         {
-            let g = r.fabric.device_mut::<Gpu>(r.sc.nodes[1].gpus[0]);
+            let g = c.fabric.device_mut::<Gpu>(c.sub.nodes[1].gpus[0]);
             let a = g.alloc(size);
             let t = g.p2p_token(a, size);
             g.pin(a, size, t);
         }
-        let dst = r.sc.map.global_addr(1, TcaBlock::Gpu0, 0);
-        let dma = r.drivers[0]
-            .pipelined_remote_put(&mut r.fabric, src_bar, dst, size)
+        let dst = c.sub.map.global_addr(1, TcaBlock::Gpu0, 0);
+        let dma = c.drivers[0]
+            .pipelined_remote_put(&mut c.fabric, src_bar, dst, size)
             .window
             .as_us_f64();
         let pio = if size <= 8192 {
-            let t0 = r.fabric.now();
+            let t0 = c.fabric.now();
             let data = vec![0u8; size as usize];
-            let host = r.sc.nodes[0].host;
-            r.fabric.drive::<HostBridge, _>(host, |h, ctx| {
+            let host = c.sub.nodes[0].host;
+            c.fabric.drive::<HostBridge, _>(host, |h, ctx| {
                 h.core_mut().cpu_store_wc(dst, &data, ctx);
             });
-            let end = r.fabric.run_until_idle();
+            let end = c.fabric.run_until_idle();
             end.since(t0).as_us_f64()
         } else {
             0.0
@@ -470,32 +439,32 @@ pub fn comparison_row(size: u64) -> JsonValue {
 /// the PIO one-way latency (ns) and the 4 KiB pipelined-DMA put window
 /// (µs) to the node `hops` eastward neighbours away.
 pub fn ring_hop_row(hops: u32) -> JsonValue {
-    let mut r = rig(8);
+    let mut c = TcaClusterBuilder::new(8).build();
     let dstn = hops; // eastward neighbours
     let poll = 0x4800_0000u64;
-    let watch = r
+    let watch = c
         .fabric
-        .device_mut::<HostBridge>(r.sc.nodes[dstn as usize].host)
+        .device_mut::<HostBridge>(c.sub.nodes[dstn as usize].host)
         .core_mut()
         .add_watch(AddrRange::new(poll, 4));
-    let dst = r.sc.map.global_addr(dstn, TcaBlock::Host, poll);
-    let t0 = r.fabric.now();
-    let host0 = r.sc.nodes[0].host;
-    r.fabric.drive::<HostBridge, _>(host0, |h, ctx| {
+    let dst = c.sub.map.global_addr(dstn, TcaBlock::Host, poll);
+    let t0 = c.fabric.now();
+    let host0 = c.sub.nodes[0].host;
+    c.fabric.drive::<HostBridge, _>(host0, |h, ctx| {
         h.core_mut().cpu_store(dst, &1u32.to_le_bytes(), ctx);
     });
-    r.fabric.run_until_idle();
-    let pio_ns = r
+    c.fabric.run_until_idle();
+    let pio_ns = c
         .fabric
-        .device::<HostBridge>(r.sc.nodes[dstn as usize].host)
+        .device::<HostBridge>(c.sub.nodes[dstn as usize].host)
         .core()
         .watch_hits(watch)[0]
         .since(t0)
         .as_ns_f64();
-    let dma_dst = r.sc.map.global_addr(dstn, TcaBlock::Host, 0x4000_0000);
-    let buf = r.drivers[0].dma_buf;
-    let dma_4k_us = r.drivers[0]
-        .pipelined_remote_put(&mut r.fabric, buf, dma_dst, 4096)
+    let dma_dst = c.sub.map.global_addr(dstn, TcaBlock::Host, 0x4000_0000);
+    let buf = c.drivers[0].dma_buf;
+    let dma_4k_us = c.drivers[0]
+        .pipelined_remote_put(&mut c.fabric, buf, dma_dst, 4096)
         .window
         .as_us_f64();
     row(vec![
@@ -510,37 +479,35 @@ pub fn ring_hop_row(hops: u32) -> JsonValue {
 /// corrupts `ppm` parts per million of TLPs. Data integrity is asserted —
 /// PEARL is a *reliable* link (§III-A), so errors cost time, never bytes.
 pub fn pearl_row(ppm: u32) -> JsonValue {
-    let mut fabric = Fabric::new();
     let mut params = Peach2Params::default();
     params.cable_link = params.cable_link.with_error_rate_ppm(ppm);
-    let sc = build_ring(&mut fabric, 2, &NodeConfig::default(), params);
-    let d = Peach2Driver::new(sc.map, 0, sc.nodes[0].host, sc.chips[0]);
-    d.init(&mut fabric);
-    fabric
-        .device_mut::<Peach2>(sc.chips[0])
+    let mut c = TcaClusterBuilder::new(2).peach2_params(params).build();
+    let d = c.drivers[0];
+    c.fabric
+        .device_mut::<Peach2>(c.sub.chips[0])
         .sram_mut()
         .fill_pattern(0, 4096, 0x42);
-    let dst = sc.map.global_addr(1, TcaBlock::Host, 0x4000_0000);
+    let dst = c.sub.map.global_addr(1, TcaBlock::Host, 0x4000_0000);
     let descs: Vec<Descriptor> = (0..255)
         .map(|_| Descriptor::new(d.sram_addr(0), dst, 4096))
         .collect();
-    let t0 = fabric.now();
-    let m = d.run_dma(&mut fabric, &descs, EngineKind::Legacy);
+    let t0 = c.fabric.now();
+    let m = d.run_dma(&mut c.fabric, &descs, EngineKind::Legacy);
     // A lossy cable stalls *behind* the engine's pacing, so measure to
     // full drain (run_dma leaves the fabric idle) rather than the
     // doorbell→interrupt window.
-    let drained = fabric.now().since(t0);
+    let drained = c.fabric.now().since(t0);
     // Integrity: the destination holds the exact pattern.
-    let host1 = fabric.device::<HostBridge>(sc.nodes[1].host).core();
+    let host1 = c.fabric.device::<HostBridge>(c.sub.nodes[1].host).core();
     let mut chk = tca_pcie::PageMemory::new();
     chk.write(0, &host1.mem_ref().read(0x4000_0000, 4096));
     assert!(chk.verify_pattern(0, 4096, 0x42).is_ok(), "data corrupted");
-    let replays: u64 = (0..fabric.link_count() as u32)
+    let replays: u64 = (0..c.fabric.link_count() as u32)
         .map(|l| {
-            fabric
+            c.fabric
                 .link_stats(tca_pcie::LinkId(l), tca_pcie::Dir::Fwd)
                 .replays
-                + fabric
+                + c.fabric
                     .link_stats(tca_pcie::LinkId(l), tca_pcie::Dir::Rev)
                     .replays
         })
@@ -840,31 +807,6 @@ impl TopReport {
     }
 }
 
-/// Runs the canonical payload+flag neighbour put of the benchmarks under
-/// span tracing and feeds the recorded commit log to the `tca-verify`
-/// RDMA-hazard detector. The benchmark workloads all use this idiom, so a
-/// non-clean report means the harness itself would publish racy numbers,
-/// so a tier-1 test gates on it beside the paper-anchored bounds.
-pub fn hazard_check() -> tca_verify::Report {
-    use tca_core::prelude::*;
-    let mut c = TcaClusterBuilder::new(4).build();
-    c.set_span_tracing(true);
-    let len = 64 * 1024u64;
-    c.write(&MemRef::host(0, 0x4000_0000), &vec![0x5au8; len as usize]);
-    c.write(&MemRef::host(0, 0x4800_0000), &1u64.to_le_bytes());
-    c.memcpy_peer(
-        &MemRef::host(1, 0x5000_0000),
-        &MemRef::host(0, 0x4000_0000),
-        len,
-    );
-    c.memcpy_peer(
-        &MemRef::host(1, 0x5800_0000),
-        &MemRef::host(0, 0x4800_0000),
-        8,
-    );
-    c.detect_hazards(&[AddrRange::new(0x5800_0000, 8)])
-}
-
 /// Writes `body` to `path`, creating its missing parent directories first,
 /// and returns the path written — the one file writer every artifact of
 /// this crate goes through. The error names the path that could not be
@@ -933,23 +875,23 @@ fn root_attribution(f: &Fabric, kind: &'static str, hops: u32) -> JsonValue {
 /// Returns the `[pio, dma]` rows.
 pub fn latency_attribution(hops: u32) -> [JsonValue; 2] {
     assert!((1..=8).contains(&hops), "16-node ring: 1..=8 hops");
-    let mut r = rig(16);
-    r.fabric.set_span_tracing(true);
+    let mut c = TcaClusterBuilder::new(16).build();
+    c.fabric.set_span_tracing(true);
     // --- PIO: 4 B store, root span ends at the remote DRAM commit.
-    let dst = r.sc.map.global_addr(hops, TcaBlock::Host, 0x6000);
-    let host0 = r.sc.nodes[0].host;
-    r.fabric.drive::<HostBridge, _>(host0, |h, ctx| {
+    let dst = c.sub.map.global_addr(hops, TcaBlock::Host, 0x6000);
+    let host0 = c.sub.nodes[0].host;
+    c.fabric.drive::<HostBridge, _>(host0, |h, ctx| {
         h.core_mut().cpu_store(dst, &1u32.to_le_bytes(), ctx);
     });
-    r.fabric.run_until_idle();
-    let pio = root_attribution(&r.fabric, "pio", hops);
+    c.fabric.run_until_idle();
+    let pio = root_attribution(&c.fabric, "pio", hops);
     // --- DMA: 4 KiB pipelined put, root span opens at the doorbell and
     // closes at the completion-interrupt handler (or the last causal
     // remote commit, whichever is later).
-    let dma_dst = r.sc.map.global_addr(hops, TcaBlock::Host, 0x4000_0000);
-    let buf = r.drivers[0].dma_buf;
-    r.drivers[0].pipelined_remote_put(&mut r.fabric, buf, dma_dst, 4096);
-    [pio, root_attribution(&r.fabric, "dma", hops)]
+    let dma_dst = c.sub.map.global_addr(hops, TcaBlock::Host, 0x4000_0000);
+    let buf = c.drivers[0].dma_buf;
+    c.drivers[0].pipelined_remote_put(&mut c.fabric, buf, dma_dst, 4096);
+    [pio, root_attribution(&c.fabric, "dma", hops)]
 }
 
 // ---------------------------------------------------------------------------
@@ -969,44 +911,44 @@ pub const PIO_PINGPONG_SW_TURNAROUND: Dur = Dur::from_ns(3036);
 /// Calibrated to the paper's 2.0 µs chained-DMA ping-pong figure.
 pub const DMA_PINGPONG_SW_TURNAROUND: Dur = Dur::from_ns(1150);
 
-fn pio_leg(r: &mut Rig, src: u32, dst: u32, poll: u64) -> Dur {
-    let watch = r
+fn pio_leg(c: &mut TcaCluster, src: u32, dst: u32, poll: u64) -> Dur {
+    let watch = c
         .fabric
-        .device_mut::<HostBridge>(r.sc.nodes[dst as usize].host)
+        .device_mut::<HostBridge>(c.sub.nodes[dst as usize].host)
         .core_mut()
         .add_watch(AddrRange::new(poll, 8));
-    let gdst = r.sc.map.global_addr(dst, TcaBlock::Host, poll);
-    let t0 = r.fabric.now();
-    let host = r.sc.nodes[src as usize].host;
-    r.fabric.drive::<HostBridge, _>(host, |h, ctx| {
+    let gdst = c.sub.map.global_addr(dst, TcaBlock::Host, poll);
+    let t0 = c.fabric.now();
+    let host = c.sub.nodes[src as usize].host;
+    c.fabric.drive::<HostBridge, _>(host, |h, ctx| {
         h.core_mut().cpu_store(gdst, &1u64.to_le_bytes(), ctx);
     });
-    r.fabric.run_until_idle();
-    r.fabric
-        .device::<HostBridge>(r.sc.nodes[dst as usize].host)
+    c.fabric.run_until_idle();
+    c.fabric
+        .device::<HostBridge>(c.sub.nodes[dst as usize].host)
         .core()
         .watch_hits(watch)[0]
         .since(t0)
 }
 
-fn dma_leg(r: &mut Rig, src: u32, dst: u32, addr: u64) -> Dur {
-    let watch = r
+fn dma_leg(c: &mut TcaCluster, src: u32, dst: u32, addr: u64) -> Dur {
+    let watch = c
         .fabric
-        .device_mut::<HostBridge>(r.sc.nodes[dst as usize].host)
+        .device_mut::<HostBridge>(c.sub.nodes[dst as usize].host)
         .core_mut()
         .add_watch(AddrRange::new(addr, 8));
-    let gdst = r.sc.map.global_addr(dst, TcaBlock::Host, addr);
+    let gdst = c.sub.map.global_addr(dst, TcaBlock::Host, addr);
     // Ping-pong methodology: the 8 B ball sits staged in board SRAM and its
     // descriptor is pre-posted, so the hardware leg is doorbell → remote
     // data commit (watch-timestamped at the receiver).
-    let d = &r.drivers[src as usize];
+    let d = &c.drivers[src as usize];
     let descs = [Descriptor::new(d.sram_addr(0), gdst, 8)];
-    d.write_descriptors(&mut r.fabric, &descs);
-    d.program_dma(&mut r.fabric, 1, EngineKind::Legacy);
-    let t0 = d.ring_doorbell(&mut r.fabric);
-    r.fabric.run_until_idle();
-    r.fabric
-        .device::<HostBridge>(r.sc.nodes[dst as usize].host)
+    d.write_descriptors(&mut c.fabric, &descs);
+    d.program_dma(&mut c.fabric, 1, EngineKind::Legacy);
+    let t0 = d.ring_doorbell(&mut c.fabric);
+    c.fabric.run_until_idle();
+    c.fabric
+        .device::<HostBridge>(c.sub.nodes[dst as usize].host)
         .core()
         .watch_hits(watch)[0]
         .since(t0)
@@ -1026,13 +968,13 @@ fn dma_leg(r: &mut Rig, src: u32, dst: u32, addr: u64) -> Dur {
 /// [`telemetry_summary`] the row carries as a `telemetry` field. Both
 /// observers are time-neutral, so they move no measured field.
 pub fn pingpong_row() -> JsonValue {
-    let mut r = rig(2);
-    r.fabric
+    let mut c = TcaClusterBuilder::new(2).build();
+    c.fabric
         .observe(Instrument::default().spans().sample(Dur::from_ns(100)));
-    let pio_fwd = pio_leg(&mut r, 0, 1, 0x6100);
-    let pio_back = pio_leg(&mut r, 1, 0, 0x6200);
-    let dma_fwd = dma_leg(&mut r, 0, 1, 0x4100_0000);
-    let dma_back = dma_leg(&mut r, 1, 0, 0x4200_0000);
+    let pio_fwd = pio_leg(&mut c, 0, 1, 0x6100);
+    let pio_back = pio_leg(&mut c, 1, 0, 0x6200);
+    let dma_fwd = dma_leg(&mut c, 0, 1, 0x4100_0000);
+    let dma_back = dma_leg(&mut c, 1, 0, 0x4200_0000);
     let mut o = row(vec![
         (
             "pio_us",
@@ -1045,7 +987,7 @@ pub fn pingpong_row() -> JsonValue {
         ("pio_leg_ns", jf(pio_fwd.as_ns_f64())),
         ("dma_leg_ns", jf(dma_fwd.as_ns_f64())),
     ]);
-    o.push("telemetry", telemetry_summary(&mut r.fabric));
+    o.push("telemetry", telemetry_summary(&mut c.fabric));
     o
 }
 

@@ -647,6 +647,23 @@ pub fn scenarios() -> Vec<Scenario> {
             },
         },
         Scenario {
+            name: "verify",
+            description: "static lint, hazard check of a payload+flag put, chain lint \
+                          and runtime pass over every shipped cluster preset",
+            figure: "§III-E",
+            backends: TCA_ONLY,
+            points: |_| {
+                crate::verify::PRESETS
+                    .into_iter()
+                    .map(|(name, build)| {
+                        Point::new(name, move || {
+                            crate::verify::report_row(&crate::verify::preset_report(build))
+                        })
+                    })
+                    .collect()
+            },
+        },
+        Scenario {
             name: "tables",
             description: "the base-cluster and test-environment specification tables",
             figure: "Tables I / II",
@@ -851,7 +868,7 @@ mod tests {
         let r = &s.rows[0].1;
         // Time-neutrality: an unobserved rig driven through the same four
         // legs measures every field of the observed sweep point.
-        let mut plain = crate::rig(2);
+        let mut plain = TcaClusterBuilder::new(2).build();
         let pio_fwd = crate::pio_leg(&mut plain, 0, 1, 0x6100);
         let pio_back = crate::pio_leg(&mut plain, 1, 0, 0x6200);
         let dma_fwd = crate::dma_leg(&mut plain, 0, 1, 0x4100_0000);

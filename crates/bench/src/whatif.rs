@@ -19,8 +19,7 @@
 //! two sweeps), a ranked text table, and a folded-flamegraph *diff*
 //! between the baseline and best-case runs.
 
-use crate::{rig_with, Rig};
-use tca_core::FabricParams;
+use tca_core::{FabricParams, TcaCluster, TcaClusterBuilder};
 use tca_device::map::TcaBlock;
 use tca_peach2::{Descriptor, EngineKind, Peach2};
 use tca_sim::{fingerprint_hex, Dur, JsonValue, ParamSet, ParamUnit, Parameterized};
@@ -62,20 +61,20 @@ pub fn run_workload(scenario: &str, fp: &FabricParams) -> Result<Outcome, String
             ))
         }
     };
-    let mut r = rig_with(nodes, fp);
-    r.fabric.set_span_tracing(true);
-    let d = &r.drivers[0];
+    let mut c = TcaClusterBuilder::new(nodes).fabric_params(*fp).build();
+    c.fabric.set_span_tracing(true);
+    let d = &c.drivers[0];
     let sram = d.sram_addr(0);
-    let dst = r.sc.map.global_addr(1, TcaBlock::Host, 0x4000_0000);
-    r.fabric
-        .device_mut::<Peach2>(r.sc.chips[0])
+    let dst = c.sub.map.global_addr(1, TcaBlock::Host, 0x4000_0000);
+    c.fabric
+        .device_mut::<Peach2>(c.sub.chips[0])
         .sram_mut()
         .fill_pattern(0, size, 0x3c);
     let descs: Vec<Descriptor> = (0..count)
         .map(|_| Descriptor::new(sram, dst, size))
         .collect();
-    let m = d.run_dma(&mut r.fabric, &descs, EngineKind::Legacy);
-    let (e2e, stages) = dma_root_stages(&r);
+    let m = d.run_dma(&mut c.fabric, &descs, EngineKind::Legacy);
+    let (e2e, stages) = dma_root_stages(&c);
     Ok(Outcome {
         e2e,
         bytes: m.bytes,
@@ -84,8 +83,8 @@ pub fn run_workload(scenario: &str, fp: &FabricParams) -> Result<Outcome, String
 }
 
 /// Extracts the last completed "dma" root span's exact stage partition.
-fn dma_root_stages(r: &Rig) -> (Dur, Vec<(String, Dur)>) {
-    let spans = r.fabric.spans();
+fn dma_root_stages(c: &TcaCluster) -> (Dur, Vec<(String, Dur)>) {
+    let spans = c.fabric.spans();
     let root = spans
         .roots()
         .into_iter()

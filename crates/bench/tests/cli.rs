@@ -1,7 +1,8 @@
 //! `tca-bench` rejects flags its chosen mode would ignore: each rejected
 //! combination exits 2, names the offending flag, and starts no run, so no
 //! artifact directory appears. An artifact it cannot write exits 1 with
-//! the path named, never with a panic.
+//! the path named, never with a panic. The `--topo` prover mode prints
+//! the pinned fixture reports and exits 1 on a finding or a bad file.
 
 use std::process::Command;
 
@@ -65,6 +66,12 @@ fn ignored_flags_are_rejected_before_any_run() {
         ("--scenario fig7 --telemetry-dir T", "--telemetry-dir"),
         ("--scenario fig7 --flight-dir F", "--flight-dir"),
         ("--top", "--top"),
+        ("--scenario fig7 --cdg-dot", "--cdg-dot"),
+        ("--emit-topo", "--emit-topo"),
+        ("--topo ring-8 --scenario fig7", "--scenario"),
+        ("--topo ring-8 --jobs 2", "--jobs"),
+        ("--topo ring-8 --profile", "--profile"),
+        ("--topo ring-8 --json --cdg-dot", "--topo"),
     ];
     for (i, (args, flag)) in cases.into_iter().enumerate() {
         let (code, stderr, left) = run(&format!("reject{i}"), args);
@@ -165,4 +172,55 @@ fn unwritable_artifact_exits_1_without_a_panic() {
         );
         assert!(left.is_empty(), "`{args}` created {left:?}");
     }
+}
+
+/// Runs `tca-bench <args>` from the repository root, where the `.topo`
+/// fixtures live, and returns the exit code, stdout and stderr.
+fn topo(args: &[&str]) -> (Option<i32>, String, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_tca-bench"))
+        .args(args)
+        .current_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
+        .output()
+        .expect("spawn tca-bench");
+    let text = |b: Vec<u8>| String::from_utf8(b).expect("utf-8 output");
+    (out.status.code(), text(out.stdout), text(out.stderr))
+}
+
+#[test]
+fn topo_prints_the_pinned_report_and_parseable_topo_text() {
+    let golden = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../configs/topologies/cycle-injected.golden.json"
+    ))
+    .expect("golden present");
+    let json = topo(&["--topo", "configs/topologies/cycle-injected.topo", "--json"]);
+    assert_eq!(json, (Some(1), golden, String::new()));
+
+    let (code, text, stderr) = topo(&["--topo", "ring-8", "--emit-topo"]);
+    assert_eq!(code, Some(0), "{stderr}");
+    let spec = tca_peach2::TopoSpec::parse(&text).expect("emitted text parses");
+    assert_eq!(Some(spec), tca_core::presets::build_topology("ring-8"));
+}
+
+#[test]
+fn topo_rejects_a_missing_value_a_missing_file_and_a_malformed_one() {
+    let (code, stdout, stderr) = topo(&["--topo"]);
+    assert_eq!((code, stdout.as_str()), (Some(2), ""), "{stderr}");
+    assert!(
+        stderr.lines().next().unwrap_or("").contains("--topo"),
+        "{stderr}"
+    );
+
+    let (code, stdout, stderr) = topo(&["--topo", "no/such/file.topo"]);
+    assert_eq!((code, stdout.as_str()), (Some(1), ""), "{stderr}");
+    assert!(stderr.contains("no/such/file.topo"), "{stderr}");
+
+    let path = std::env::temp_dir().join(format!("tca-bench-cli-{}-bad.topo", std::process::id()));
+    std::fs::write(&path, "topology t\nports E W\nnodes 2\nnodes 2\n").expect("write file");
+    let path_arg = path.to_str().expect("utf-8 temp path");
+    let (code, stdout, stderr) = topo(&["--topo", path_arg]);
+    std::fs::remove_file(&path).expect("remove file");
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stdout.contains("TCA-T001"), "{stdout}");
+    assert!(stdout.contains(&format!("{path_arg}:4")), "{stdout}");
 }

@@ -760,12 +760,10 @@ mod tests {
         }
     }
 
+    /// The plain-ring and dual-ring presets are rows of the bench
+    /// `verify` scenario; a dual ring with InfiniBand attached is not.
     #[test]
     fn verify_accepts_shipped_clusters() {
-        let c = TcaClusterBuilder::new(4).build();
-        let rep = c.verify();
-        assert!(rep.is_clean(), "{}", rep.render());
-        assert_eq!(c.verify().to_json(), rep.to_json(), "deterministic");
         let d = TcaClusterBuilder::new(8)
             .topology(Topology::DualRing)
             .with_infiniband(IbParams::default())

@@ -43,14 +43,14 @@ pub use cluster::{HealthData, TcaCluster, TcaClusterBuilder, Topology};
 /// Applies the `TCA_FLIGHT_RING` environment opt-in: when the variable
 /// holds a positive event count, the fabric records its dispatch stream
 /// into a flight ring of that capacity (no spill). Both backend
-/// constructors ([`TcaClusterBuilder::build`] and [`MpiBackend::new`]) and
-/// the `tca-bench` rigs that build fabrics directly call this, which gives
-/// CI one switch to re-run any scenario sweep — `engine`, `pingpong`,
-/// `ring-hops`, `fig9` in `scripts/ci.sh` — with recording on and check
-/// its rows against the same golden as a plain run, proving the recorder
-/// is byte-neutral end to end. Reading the environment here (host configuration, fixed for the
-/// process, like a CLI flag) keeps the simulation crates themselves
-/// entirely host-state-free.
+/// constructors ([`TcaClusterBuilder::build`] and [`MpiBackend::new`])
+/// call this, and every `tca-bench` ring rig is built by one of them,
+/// which gives CI one switch to re-run any scenario sweep — `engine`,
+/// `pingpong`, `ring-hops`, `fig9` in `scripts/ci.sh` — with recording on
+/// and check its rows against the same golden as a plain run, proving the
+/// recorder is byte-neutral end to end. Reading the environment here (host
+/// configuration, fixed for the process, like a CLI flag) keeps the
+/// simulation crates themselves entirely host-state-free.
 ///
 /// # Panics
 ///

@@ -7,6 +7,7 @@
 use std::fmt;
 use tca_device::{GpuParams, HostParams, NodeConfig};
 use tca_net::{IbParams, IbSpeed};
+use tca_peach2::topology::MAX_TOPO_NODES;
 use tca_peach2::{Peach2Params, TopoSpec};
 
 /// One row of a specification table.
@@ -184,100 +185,50 @@ pub fn table_i_ib_params() -> IbParams {
 /// ships, built on demand (specs up to 256 nodes are cheap but not free).
 #[derive(Clone, Copy)]
 pub struct TopoEntry {
-    /// Registry key (`tca-verify --topo <name>`).
+    /// Registry key (`tca-bench --topo <name>`).
     pub name: &'static str,
-    /// One-line description for listings.
-    pub description: &'static str,
-    /// Node count, for listings without building the spec.
-    pub nodes: u32,
     /// Builds the spec.
     pub build: fn() -> TopoSpec,
 }
 
 /// Every declarative topology that ships: the paper's rings, the §III-D
 /// S-coupled configurations scaled out, and the APEnet+-style 2D/3D tori
-/// at 64–256 nodes. `tca-verify --all-presets` proves each one
-/// deadlock-free and route-complete in CI; `tca-bench --scenario
-/// topo-registry` sweeps their structural metrics.
+/// at 64–256 nodes. A tier-1 test proves each one deadlock-free and
+/// route-complete; `tca-bench --scenario topo-registry` sweeps their
+/// structural metrics along with the prover's error and warning counts.
 pub fn topology_registry() -> Vec<TopoEntry> {
+    let entry = |name, build| TopoEntry { name, build };
     vec![
-        TopoEntry {
-            name: "ring-8",
-            description: "paper's 8-node single ring",
-            nodes: 8,
-            build: || TopoSpec::ring(8),
-        },
-        TopoEntry {
-            name: "ring-16",
-            description: "16-node single ring (HA-PACS/TCA sub-cluster)",
-            nodes: 16,
-            build: || TopoSpec::ring(16),
-        },
-        TopoEntry {
-            name: "ring-64",
-            description: "64-node single ring (scaling stress)",
-            nodes: 64,
-            build: || TopoSpec::ring(64),
-        },
-        TopoEntry {
-            name: "dual-ring-16",
-            description: "two 8-node rings coupled pairwise through port S",
-            nodes: 16,
-            build: || TopoSpec::dual_ring(16),
-        },
-        TopoEntry {
-            name: "dual-ring-64",
-            description: "two 32-node rings coupled pairwise through port S",
-            nodes: 64,
-            build: || TopoSpec::dual_ring(64),
-        },
-        TopoEntry {
-            name: "multi-ring-s-4x16",
-            description: "four 16-node rings chained by parity S coupling",
-            nodes: 64,
-            build: || TopoSpec::multi_ring_s(4, 16),
-        },
-        TopoEntry {
-            name: "torus2d-8x8",
-            description: "8x8 2D torus, dimension-order routing",
-            nodes: 64,
-            build: || TopoSpec::torus2d(8, 8),
-        },
-        TopoEntry {
-            name: "torus2d-16x16",
-            description: "16x16 2D torus, dimension-order routing",
-            nodes: 256,
-            build: || TopoSpec::torus2d(16, 16),
-        },
-        TopoEntry {
-            name: "torus3d-4x4x4",
-            description: "4x4x4 3D torus (APEnet+ network shape)",
-            nodes: 64,
-            build: || TopoSpec::torus3d(4, 4, 4),
-        },
-        TopoEntry {
-            name: "torus3d-8x8x4",
-            description: "8x8x4 3D torus at 256 nodes",
-            nodes: 256,
-            build: || TopoSpec::torus3d(8, 8, 4),
-        },
+        entry("ring-8", || TopoSpec::ring(8)),
+        entry("ring-16", || TopoSpec::ring(16)),
+        entry("ring-64", || TopoSpec::ring(64)),
+        entry("dual-ring-16", || TopoSpec::dual_ring(16)),
+        entry("dual-ring-64", || TopoSpec::dual_ring(64)),
+        entry("multi-ring-s-4x16", || TopoSpec::multi_ring_s(4, 16)),
+        entry("torus2d-8x8", || TopoSpec::torus2d(8, 8)),
+        entry("torus2d-16x16", || TopoSpec::torus2d(16, 16)),
+        entry("torus3d-4x4x4", || TopoSpec::torus3d(4, 4, 4)),
+        entry("torus3d-8x8x4", || TopoSpec::torus3d(8, 8, 4)),
     ]
-}
-
-/// Looks a registry topology up by name.
-pub fn find_topology(name: &str) -> Option<TopoEntry> {
-    topology_registry().into_iter().find(|t| t.name == name)
 }
 
 /// Builds a topology by name: registry entries first, then the parametric
 /// generator grammar the registry names follow — `ring-N`, `dual-ring-N`,
 /// `multi-ring-s-RxP`, `torus2d-WxH`, `torus3d-WxHxD` — so ad-hoc sizes
-/// (`tca-verify --topo torus2d-3x3`) work without a registry entry.
+/// (`tca-bench --topo torus2d-3x3`) work without a registry entry. A
+/// generator name of more than [`MAX_TOPO_NODES`] nodes resolves to
+/// nothing, as a `.topo` file of that size fails to parse: the route
+/// table is `nodes²` entries.
 pub fn build_topology(name: &str) -> Option<TopoSpec> {
-    if let Some(entry) = find_topology(name) {
+    if let Some(entry) = topology_registry().into_iter().find(|t| t.name == name) {
         return Some((entry.build)());
     }
-    let dims = |s: &str| -> Option<Vec<u32>> { s.split('x').map(|p| p.parse().ok()).collect() };
+    let dims = |s: &str| -> Option<Vec<u32>> {
+        let d: Option<Vec<u32>> = s.split('x').map(|p| p.parse().ok()).collect();
+        let d = d?;
+        let nodes = d.iter().try_fold(1u32, |n, &v| n.checked_mul(v))?;
+        (nodes <= MAX_TOPO_NODES).then_some(d)
+    };
     if let Some(rest) = name.strip_prefix("torus2d-") {
         let d = dims(rest)?;
         if d.len() == 2 && d.iter().all(|&v| v >= 2) {
@@ -294,14 +245,16 @@ pub fn build_topology(name: &str) -> Option<TopoSpec> {
             return Some(TopoSpec::multi_ring_s(d[0], d[1]));
         }
     } else if let Some(rest) = name.strip_prefix("dual-ring-") {
-        let n: u32 = rest.parse().ok()?;
-        if n >= 4 && n.is_multiple_of(2) {
-            return Some(TopoSpec::dual_ring(n));
+        if let &[n] = dims(rest)?.as_slice() {
+            if n >= 4 && n.is_multiple_of(2) {
+                return Some(TopoSpec::dual_ring(n));
+            }
         }
     } else if let Some(rest) = name.strip_prefix("ring-") {
-        let n: u32 = rest.parse().ok()?;
-        if n >= 2 {
-            return Some(TopoSpec::ring(n));
+        if let &[n] = dims(rest)?.as_slice() {
+            if n >= 2 {
+                return Some(TopoSpec::ring(n));
+            }
         }
     }
     None
@@ -320,11 +273,22 @@ mod tests {
         assert_eq!(names.len(), reg.len(), "duplicate registry names");
         for entry in &reg {
             let spec = (entry.build)();
-            assert_eq!(spec.nodes, entry.nodes, "{}", entry.name);
             spec.validate().expect(entry.name);
-            assert!(find_topology(entry.name).is_some());
+            assert_eq!(build_topology(entry.name), Some(spec));
         }
-        assert!(find_topology("no-such-topo").is_none());
+        assert!(build_topology("no-such-topo").is_none());
+    }
+
+    #[test]
+    fn generator_names_resolve_up_to_the_node_cap() {
+        assert_eq!(build_topology("ring-5"), Some(TopoSpec::ring(5)));
+        assert_eq!(build_topology("torus2d-3x3"), Some(TopoSpec::torus2d(3, 3)));
+        assert_eq!(build_topology("ring-2x3"), None);
+        assert_eq!(build_topology("dual-ring-4x4"), None);
+        let n = MAX_TOPO_NODES;
+        assert_eq!(build_topology(&format!("ring-{}", n + 1)), None);
+        assert_eq!(build_topology(&format!("torus2d-2x{}", n / 2 + 1)), None);
+        assert_eq!(build_topology("torus3d-65536x65536x2"), None); // u32 overflow
     }
 
     #[test]

@@ -699,7 +699,9 @@ impl TopoSpec {
     }
 
     /// Parses the `.topo` text format, reporting the first problem with
-    /// its 1-based line number:
+    /// its 1-based line number. `topology` and `ports` each come once,
+    /// before the one `nodes` line, which comes before any `cable` or
+    /// `route`; no port is named twice:
     ///
     /// ```text
     /// # a 2-node ring
@@ -730,6 +732,9 @@ impl TopoSpec {
                     if rest.len() != 1 {
                         return Err(err(lno, "expected: topology <name>".into()));
                     }
+                    if name.is_some() {
+                        return Err(err(lno, "duplicate `topology` line".into()));
+                    }
                     name = Some(rest[0].to_string());
                 }
                 "ports" => {
@@ -745,9 +750,22 @@ impl TopoSpec {
                             ),
                         ));
                     }
+                    if ports.is_some() {
+                        return Err(err(lno, "duplicate `ports` line".into()));
+                    }
+                    if let Some(p) = rest
+                        .iter()
+                        .enumerate()
+                        .find_map(|(i, p)| rest[..i].contains(p).then_some(p))
+                    {
+                        return Err(err(lno, format!("port {p:?} declared twice")));
+                    }
                     ports = Some(rest.iter().map(|p| p.to_string()).collect());
                 }
                 "nodes" => {
+                    if spec.is_some() {
+                        return Err(err(lno, "duplicate `nodes` line".into()));
+                    }
                     let n: u32 = rest
                         .first()
                         .and_then(|w| w.parse().ok())
@@ -946,6 +964,41 @@ mod spec_tests {
             TopoSpec::parse("topology t\nports E W\nnodes 2\ncable n0:E n1:W\ncable n0:E n1:W\n")
                 .expect_err("dup cable");
         assert!(e.message.contains("already cabled"), "{e}");
+    }
+
+    /// A 2-node ring whose header lines the tests below repeat or break.
+    const TINY: &str = "topology x\nports E W\nnodes 2\ncable n0:E n1:W\n\
+                        cable n1:E n0:W dateline\nroute n0 n1 E\nroute n1 n0 E\n";
+
+    /// The `(line, message)` of the error `parse` reports for `text`.
+    fn parse_err(text: &str) -> (usize, String) {
+        let e = TopoSpec::parse(text).expect_err(text);
+        (e.line, e.message)
+    }
+
+    #[test]
+    fn a_repeated_nodes_line_is_an_error_not_a_reset() {
+        assert_eq!(TopoSpec::parse(TINY).expect("tiny ring").cables.len(), 2);
+        let e = parse_err(&format!("{TINY}nodes 2"));
+        assert_eq!(e, (8, "duplicate `nodes` line".into()));
+    }
+
+    #[test]
+    fn a_repeated_topology_line_is_an_error() {
+        let e = parse_err(&format!("{TINY}topology y"));
+        assert_eq!(e, (8, "duplicate `topology` line".into()));
+    }
+
+    #[test]
+    fn a_repeated_ports_line_is_an_error() {
+        let e = parse_err(&TINY.replace("nodes 2", "ports E W\nnodes 2"));
+        assert_eq!(e, (3, "duplicate `ports` line".into()));
+    }
+
+    #[test]
+    fn a_port_named_twice_is_an_error() {
+        let e = parse_err(&TINY.replace("ports E W", "ports E E"));
+        assert_eq!(e, (2, "port \"E\" declared twice".into()));
     }
 
     #[test]

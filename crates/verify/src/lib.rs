@@ -12,9 +12,10 @@
 //!
 //! Findings are [`Diagnostic`]s with stable codes (`TCA-W001` …
 //! `TCA-H002`), rustc-style rendering, and byte-deterministic JSON; see
-//! `EXPERIMENTS.md` § "Verifying a configuration" for the code table. The
-//! `tca-verify` binary (in the root crate) lints every shipped preset and
-//! is wired into `scripts/ci.sh` with warnings denied.
+//! `EXPERIMENTS.md` § "Verifying a configuration" for the code table.
+//! `tca-bench --scenario verify` lints every shipped preset, and a tier-1
+//! test holds each of its rows at zero errors and zero warnings;
+//! `tca-bench --topo` runs the prover below on one topology.
 //!
 //! ```
 //! use tca_device::node::NodeConfig;

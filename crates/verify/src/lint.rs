@@ -386,6 +386,21 @@ pub struct ChainContext {
     pub engine: EngineKind,
 }
 
+impl ChainContext {
+    /// The context of the chip on `node` of a built sub-cluster: its
+    /// SRAM size, with the node's host DRAM as the local range.
+    pub fn of_node(fabric: &Fabric, sub: &SubCluster, node: u32, engine: EngineKind) -> Self {
+        let i = node as usize;
+        ChainContext {
+            map: sub.map,
+            node,
+            sram_size: fabric.device::<Peach2>(sub.chips[i]).params().sram_size,
+            local: vec![fabric.device::<HostBridge>(sub.nodes[i].host).core().dram()],
+            engine,
+        }
+    }
+}
+
 /// Chained-DMA descriptor validation (`TCA-D00x`). Pass the chain through
 /// [`collect_chain`] first if it lives in host memory as linked tables.
 pub fn lint_chain(cx: &ChainContext, descs: &[Descriptor]) -> Vec<Diagnostic> {
@@ -793,20 +808,10 @@ mod tests {
         assert_eq!(c2[0].severity, Severity::Warning);
     }
 
-    fn chain_cx(sub: &SubCluster, engine: EngineKind) -> ChainContext {
-        ChainContext {
-            map: sub.map,
-            node: 0,
-            sram_size: Peach2Params::default().sram_size,
-            local: vec![AddrRange::new(0, 1 << 30)], // 1 GiB of host DRAM
-            engine,
-        }
-    }
-
     #[test]
     fn descriptor_chain_diagnostics() {
-        let (_, sub) = ring(4);
-        let cx = chain_cx(&sub, EngineKind::Pipelined);
+        let (f, sub) = ring(4);
+        let cx = ChainContext::of_node(&f, &sub, 0, EngineKind::Pipelined);
         let own_sram = sub.map.block(0, TcaBlock::Internal).base() + SRAM_OFFSET;
         let remote_host = sub.map.block(2, TcaBlock::Host).base();
 
@@ -838,7 +843,7 @@ mod tests {
         assert!(get[0].message.contains("put-only"), "{}", get[0].message);
 
         // D004: legacy engine without internal staging.
-        let legacy = chain_cx(&sub, EngineKind::Legacy);
+        let legacy = ChainContext::of_node(&f, &sub, 0, EngineKind::Legacy);
         let two_phase = lint_chain(&legacy, &[Descriptor::new(0x1000, remote_host, 64)]);
         assert!(codes(&two_phase).contains(&"TCA-D004"), "{two_phase:?}");
         // ...while staging through own internal memory is fine.

@@ -51,46 +51,11 @@ if [[ "$top" != *'"links":{'* || "$top" != *'"latency":{'* ]]; then
     exit 1
 fi
 
-# Configuration-verifier gate: statically lint every shipped preset
-# (address windows, routing cycles, credit sufficiency, descriptor chains),
-# hazard-check a traced reference workload on each, and prove every
-# registry topology deadlock-free (CDG acyclicity) and route-complete.
-# Deny-by-default: even a warning fails the build.
-cargo run -q --release --offline --bin tca-verify -- --all-presets --deny warnings
-
-# Topology-file gates: the checked-in clean fixture must prove out, and the
-# intentionally cycle-injected fixture must fail with the CDG cycle code —
-# if it ever passes, the prover has lost its teeth.
-cargo run -q --release --offline --bin tca-verify -- \
-    --topo-file configs/topologies/torus2d-3x3.topo --deny warnings
-if broken=$(cargo run -q --release --offline --bin tca-verify -- \
-    --topo-file configs/topologies/cycle-injected.topo 2>&1); then
-    echo "tca-verify gate: cycle-injected fixture passed the prover" >&2
-    exit 1
-fi
-if [[ "$broken" != *"TCA-R002"* ]]; then
-    echo "tca-verify gate: cycle-injected fixture failed without TCA-R002" >&2
-    echo "$broken" >&2
-    exit 1
-fi
-# Prover-output goldens: the exact --json report of every fixture, and the
-# --cdg-dot export of the cycle-injected one, as the BTree prover printed
-# them before the dense rewrite. looping.topo covers R001, R002, R003 and
-# C003 at once. Any drift in a message, its order, or a count fails here.
-for fixture in torus2d-3x3 cycle-injected looping; do
-    if ! diff -u "configs/topologies/$fixture.golden.json" \
-        <(cargo run -q --release --offline --bin tca-verify -- \
-            --json --topo-file "configs/topologies/$fixture.topo"); then
-        echo "tca-verify gate: $fixture.topo report drifted from its golden" >&2
-        exit 1
-    fi
-done
-if ! diff -u configs/topologies/cycle-injected.golden.dot \
-    <(cargo run -q --release --offline --bin tca-verify -- \
-        --cdg-dot --topo-file configs/topologies/cycle-injected.topo); then
-    echo "tca-verify gate: cycle-injected.topo CDG export drifted from its golden" >&2
-    exit 1
-fi
+# The configuration-verifier gates (every shipped preset clean with
+# warnings denied, the topology-fixture exit codes, and the prover's --json
+# and --cdg-dot goldens under configs/topologies/) are tier-1 tests run by
+# `cargo test` above: tests/gates.rs, tests/topo_soundness.rs and
+# crates/bench/tests/cli.rs.
 
 # The full-reproduction script is too slow for CI; at least parse it.
 bash -n scripts/reproduce.sh

@@ -24,7 +24,7 @@ sweep() {
 scenarios=(tables peaks fig7 fig8 fig9 fig12 latency pingpong ring-hops scaling \
            contention comparison ablation-dmac ablation-qpi ablation-pearl \
            hierarchy latency-attrib put-latency cg stencil stencil2d nbody \
-           topo-registry params health)
+           topo-registry verify params health)
 for s in "${scenarios[@]}"; do
     echo "== $s =="
     sweep "$s" tca "$s"

@@ -182,10 +182,16 @@ fn sweep_runner_output_is_independent_of_job_count() {
     // builds its own simulation and lands in its own slot, so the rendered
     // table and the sweep JSON must be byte-identical at any --jobs.
     // latency-attrib adds rows whose columns differ by point kind, health
-    // is the run `--top` observes, and topo-registry drives the event
-    // engine over every registry topology.
+    // is the run `--top` observes, topo-registry drives the event engine
+    // over every registry topology, and verify traces a put per preset.
     use tca_bench::scenario::{find, run_sweep, BackendKind};
-    for name in ["ring-hops", "latency-attrib", "health", "topo-registry"] {
+    for name in [
+        "ring-hops",
+        "latency-attrib",
+        "health",
+        "topo-registry",
+        "verify",
+    ] {
         let sc = find(name).expect("registered scenario");
         let serial = run_sweep(&sc, BackendKind::Tca, 1);
         let parallel = run_sweep(&sc, BackendKind::Tca, 8);

@@ -1,9 +1,10 @@
 //! The reproduction's gates, each in one place: the §IV paper anchors
-//! every build must hold, the RDMA-hazard check of the benchmark traffic,
-//! and the simulator's release-build speed floors.
+//! every build must hold, the verifier over every shipped preset (lint,
+//! RDMA-hazard check of the benchmark traffic, chain lint), and the
+//! simulator's release-build speed floors.
 
 use tca_bench::scenario::{find, point_row, run_sweep, BackendKind};
-use tca_bench::{hazard_check, num, queue_race};
+use tca_bench::{num, queue_race};
 
 /// The paper-anchored bounds, each read from the registry point that
 /// measures it: the §IV-B1 ping-pong (PIO 2.3 µs and chained DMA 2.0 µs,
@@ -37,18 +38,28 @@ fn paper_anchors_hold_their_bounds() {
     assert!((0.6..=0.8).contains(&ratio), "fig9 ratio {ratio}");
 }
 
-/// The payload+flag neighbour put every benchmark workload uses must be
-/// free of RDMA hazards, or the harness would publish racy numbers.
+/// Every shipped preset verifies with no error and no warning: the
+/// static lint, the payload+flag neighbour put every benchmark workload
+/// uses (RDMA hazards there would mean the harness publishes racy
+/// numbers), the lint of its descriptor chains and the runtime pass —
+/// the rows of `tca-bench --scenario verify`.
 #[test]
 fn benchmark_traffic_is_hazard_free() {
-    let rep = hazard_check();
-    assert!(rep.is_clean(), "{}", rep.render());
+    let sweep = run_sweep(&find("verify").expect("registered"), BackendKind::Tca, 2);
+    assert_eq!(sweep.rows.len(), 8, "one row per shipped preset");
+    for (label, row) in &sweep.rows {
+        assert_eq!(num(row, "errors"), 0.0, "{label}: {}", row.to_json());
+        assert_eq!(num(row, "warnings"), 0.0, "{label}: {}", row.to_json());
+    }
 }
 
 /// Host-speed floors of the `engine` scenario, timed by the sweep runner
-/// (`Sweep::costs`): the whole `ring-8 shift` point and the 256-node
-/// all-to-all each clear 100 k events per host second, and the timing
-/// wheel beats the reference heap at least 2× on the race workload.
+/// (`Sweep::costs`): the whole `ring-8 shift` point clears 3.2 M events
+/// per host second and the 256-node all-to-all 1.98 M, and the timing
+/// wheel beats the reference heap at least 2× on the race workload. Each
+/// floor is half the slowest of ten release runs of this whole test
+/// binary on a 2-core x86-64 VM (6.40–9.98 M and 3.97–5.78 M events/s):
+/// the VM drifts 5–50 % run to run, so no tighter floor stays unflaky.
 /// Debug builds are an order of magnitude slower, so only release runs
 /// gate: `cargo test --release --test gates`.
 #[test]
@@ -64,9 +75,12 @@ fn engine_speed_floors() {
         let wall_s = sweep.costs[i].wall_ns as f64 / 1e9;
         num(&sweep.rows[i].1, "events") / wall_s.max(1e-12)
     };
-    for label in ["ring-8 shift", "torus2d-16x16"] {
+    for (label, floor) in [
+        ("ring-8 shift", 3_200_000.0),
+        ("torus2d-16x16", 1_980_000.0),
+    ] {
         let eps = events_per_sec(label);
-        assert!(eps >= 100_000.0, "{label}: {eps:.0} events/s below 100k");
+        assert!(eps >= floor, "{label}: {eps:.0} events/s below {floor:.0}");
     }
     let race = queue_race(200_000);
     assert!(

@@ -265,25 +265,6 @@ proptest! {
     }
 }
 
-/// Chain-lint context for node 0's driver on cluster `c`.
-fn chain_cx(c: &TcaCluster, engine: EngineKind) -> ChainContext {
-    ChainContext {
-        map: c.sub.map,
-        node: 0,
-        sram_size: c
-            .fabric
-            .device::<tca::peach2::Peach2>(c.sub.chips[0])
-            .params()
-            .sram_size,
-        local: vec![c
-            .fabric
-            .device::<tca_device::HostBridge>(c.drivers[0].host)
-            .core()
-            .dram()],
-        engine,
-    }
-}
-
 /// Runs `f` with panics caught and the panic message suppressed (the
 /// rejected-chain property *expects* the simulator to trap).
 fn quiet_catch<F: FnOnce() + std::panic::UnwindSafe>(f: F) -> bool {
@@ -311,7 +292,7 @@ proptest! {
     ) {
         let mut c = TcaClusterBuilder::new(2).build();
         let drv = c.drivers[0];
-        let cx = chain_cx(&c, EngineKind::Pipelined);
+        let cx = ChainContext::of_node(&c.fabric, &c.sub, 0, EngineKind::Pipelined);
         let mut descs = Vec::new();
         let mut expect = Vec::new();
         for (i, &len) in lens.iter().enumerate().take(count) {
@@ -345,7 +326,7 @@ proptest! {
     ) {
         let mut c = TcaClusterBuilder::new(2).build();
         let drv = c.drivers[0];
-        let cx = chain_cx(&c, EngineKind::Pipelined);
+        let cx = ChainContext::of_node(&c.fabric, &c.sub, 0, EngineKind::Pipelined);
         let src = drv.dma_buf;
         let dst_off = 0x5000_0000u64;
         let dst = c.sub.map.global_addr(1, TcaBlock::Host, dst_off);

@@ -16,8 +16,10 @@ use tca::peach2::{RouteRule, TopoSpec};
 use tca::prelude::*;
 use tca::verify::{extract_topo, lint_cluster, lint_topo};
 
-fn repo_path(rel: &str) -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(rel)
+/// The text of `configs/topologies/<name>`.
+fn topo_file(name: &str) -> String {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("configs/topologies");
+    std::fs::read_to_string(path.join(name)).expect(name)
 }
 
 fn codes(rep: &tca::verify::Report) -> Vec<&'static str> {
@@ -90,17 +92,13 @@ fn injected_s_loop_renders_its_full_channel_chain() {
 fn fixtures_match_their_generators() {
     // The clean torus fixture is exactly what the generator emits (plus
     // its comment header, which the parser strips).
-    let text = std::fs::read_to_string(repo_path("configs/topologies/torus2d-3x3.topo"))
-        .expect("clean fixture present");
-    let spec = TopoSpec::parse(&text).expect("clean fixture parses");
+    let spec = TopoSpec::parse(&topo_file("torus2d-3x3.topo")).expect("clean fixture parses");
     assert_eq!(spec, build_topology("torus2d-3x3").unwrap());
     assert!(lint_topo(&spec).is_clean());
 
     // The cycle-injected fixture is ring-4 minus its dateline: same
     // cables and routes, guaranteed R002 + C003.
-    let text = std::fs::read_to_string(repo_path("configs/topologies/cycle-injected.topo"))
-        .expect("broken fixture present");
-    let spec = TopoSpec::parse(&text).expect("broken fixture parses");
+    let spec = TopoSpec::parse(&topo_file("cycle-injected.topo")).expect("broken fixture parses");
     let mut reference = TopoSpec::ring(4);
     for c in &mut reference.cables {
         c.dateline = false;
@@ -246,22 +244,109 @@ proptest! {
     }
 }
 
-/// `tca-verify --preset` or `--topo` without a name is an error naming
-/// the flag, not a silent verification of every preset and topology.
+/// What `tca-bench --topo <fixture> --json` prints is the fixture's
+/// pinned report, byte for byte, and the prover passes the clean torus
+/// and fails the two broken fixtures; `--cdg-dot` on the cycle-injected
+/// fixture prints its pinned Graphviz export. The label is the path as
+/// given, relative to the repository root.
 #[test]
-fn verify_cli_rejects_a_selection_flag_without_a_value() {
-    for flag in ["--preset", "--topo"] {
-        let out = std::process::Command::new(env!("CARGO_BIN_EXE_tca-verify"))
-            .arg(flag)
-            .output()
-            .expect("tca-verify runs");
-        assert!(!out.status.success(), "{flag} alone exited 0");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains(flag), "{flag}: {stderr}");
-        assert!(
-            out.stdout.is_empty(),
-            "{flag} alone still verified: {}",
-            String::from_utf8_lossy(&out.stdout)
-        );
+fn fixture_reports_match_their_goldens() {
+    use tca_bench::verify::{topo_mode, TopoOutput};
+    for (fixture, clean) in [
+        ("torus2d-3x3", true),
+        ("cycle-injected", false),
+        ("looping", false),
+    ] {
+        let path = format!("configs/topologies/{fixture}.topo");
+        let (json, passed) = topo_mode(&path, TopoOutput::Json).expect("fixture readable");
+        assert_eq!(passed, clean, "{fixture}: {json}");
+        assert_eq!(json, topo_file(&format!("{fixture}.golden.json")));
+    }
+    let cyclic = "configs/topologies/cycle-injected.topo";
+    let (dot, _) = topo_mode(cyclic, TopoOutput::CdgDot).expect("fixture readable");
+    assert_eq!(dot, topo_file("cycle-injected.golden.dot"));
+    // `--emit-topo` only reformats: a spec the proof rejects still dumps.
+    let spec = TopoSpec::parse(&topo_file("cycle-injected.topo")).expect("parses");
+    assert_eq!(
+        topo_mode(cyclic, TopoOutput::Topo),
+        Ok((spec.to_text(), true))
+    );
+}
+
+/// The `.topo` texts the front-end fuzz mutates: the three fixtures and
+/// the emitted text of small generator shapes, all at most 16 nodes.
+fn fuzz_corpus() -> Vec<String> {
+    let shape = |s: &str| build_topology(s).expect(s).to_text();
+    ["torus2d-3x3.topo", "cycle-injected.topo", "looping.topo"]
+        .map(topo_file)
+        .into_iter()
+        .chain(["ring-2", "ring-5", "dual-ring-4", "dual-ring-8"].map(shape))
+        .chain(["multi-ring-s-2x4", "torus2d-4x4", "torus3d-2x2x2"].map(shape))
+        .collect()
+}
+
+/// Tokens a substitution may write: keywords, attributes, node ids and
+/// counts (none above 16, except the rejected cap + 1), port names and
+/// malformed endpoints.
+const FUZZ_TOKENS: &[&str] = &[
+    "topology", "ports", "nodes", "cable", "route", "dateline", "escape", "#", "0", "1", "2", "3",
+    "16", "17", "4097", "-1", "x", "n0", "n1", "n3", "n15", "n16", "n99", "E", "W", "S", "X+",
+    "Y-", "Q", "n0:E", "n1:W", "n2:S", "n0:Q", "n9:E", ":", "n0:", "",
+];
+
+/// Applies one edit per word of `edits` to `text`. Its low two bits pick
+/// the kind, bits 2–33 a number `a` and bits 34–63 a number `b`: drop
+/// line `a`, copy it before line `b`, swap lines `a` and `b`, or replace
+/// word `b` of line `a` with fuzz token `a / 64` (each index taken modulo
+/// what it indexes).
+fn mutate(text: &str, edits: &[u64]) -> String {
+    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+    for &e in edits {
+        let (kind, a, b) = (e % 4, (e >> 2) as u32 as usize, (e >> 34) as usize);
+        let (n, i) = (lines.len(), a % lines.len().max(1));
+        match kind {
+            _ if n == 0 => break,
+            0 => drop(lines.remove(i)),
+            1 => lines.insert(b % (n + 1), lines[i].clone()),
+            2 => lines.swap(i, b % n),
+            _ => {
+                let mut words: Vec<&str> = lines[i].split_whitespace().collect();
+                if !words.is_empty() {
+                    let w = b % words.len();
+                    words[w] = FUZZ_TOKENS[(a / 64) % FUZZ_TOKENS.len()];
+                    lines[i] = words.join(" ");
+                }
+            }
+        }
+    }
+    lines.join("\n")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 512,
+        .. ProptestConfig::default()
+    })]
+
+    /// The `.topo` front end on mangled input: `TopoSpec::parse` never
+    /// panics, every spec it accepts round-trips through `to_text()`, and
+    /// every accepted spec of at most 16 nodes lints without a panic (the
+    /// prover reports each unreachable pair, so larger specs are skipped).
+    #[test]
+    fn topo_front_end_survives_mutated_files(
+        source in 0usize..10,
+        edits in proptest::collection::vec(any::<u64>(), 1..6),
+    ) {
+        let corpus = fuzz_corpus();
+        let text = mutate(&corpus[source % corpus.len()], &edits);
+        let parsed = std::panic::catch_unwind(|| TopoSpec::parse(&text));
+        prop_assert!(parsed.is_ok(), "parse panicked on:\n{}", text);
+        if let Ok(Ok(spec)) = parsed {
+            let back = TopoSpec::parse(&spec.to_text());
+            prop_assert_eq!(back.as_ref(), Ok(&spec), "round trip of:\n{}", text);
+            prop_assume!(spec.nodes <= 16);
+            let linted = std::panic::catch_unwind(|| lint_topo(&spec));
+            prop_assert!(linted.is_ok(), "lint panicked on:\n{}", text);
+        }
     }
 }

@@ -5,6 +5,7 @@
 //! thread's own tally (`thread_alloc_snapshot`), so test threads running
 //! in parallel never count each other's allocations.
 
+use tca::core::TcaClusterBuilder;
 use tca::sim::prof::thread_alloc_snapshot;
 use tca_bench::{Direction, Target};
 
@@ -104,12 +105,12 @@ fn bulk_dma_allocates_per_descriptor_not_per_tlp() {
         (Target::LocalCpu, Direction::Read),
         (Target::RemoteCpu, Direction::Write),
     ] {
-        let mut r = tca_bench::rig(2);
+        let mut c = TcaClusterBuilder::new(2).build();
         for _ in 0..2 {
-            tca_bench::dma_bandwidth(&mut r, target, dir, COUNT, SIZE);
+            tca_bench::dma_bandwidth(&mut c, target, dir, COUNT, SIZE);
         }
         let before = thread_alloc_snapshot();
-        tca_bench::dma_bandwidth(&mut r, target, dir, COUNT, SIZE);
+        tca_bench::dma_bandwidth(&mut c, target, dir, COUNT, SIZE);
         let delta = thread_alloc_snapshot().since(&before);
         assert!(
             delta.allocs < 2 * COUNT,
