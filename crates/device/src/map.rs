@@ -98,7 +98,14 @@ impl TcaMap {
 
     /// Size of one node's slice.
     pub fn slice_size(&self) -> u64 {
-        TCA_WINDOW_SIZE / self.nodes as u64
+        1 << self.slice_bits()
+    }
+
+    /// `log2` of the slice size: the window and the node count are powers
+    /// of two, so every decode below is a shift and a mask.
+    #[inline]
+    fn slice_bits(&self) -> u32 {
+        TCA_WINDOW_SIZE.trailing_zeros() - self.nodes.trailing_zeros()
     }
 
     /// Size of one block within a slice.
@@ -140,10 +147,11 @@ impl TcaMap {
             return None;
         }
         let rel = addr - TCA_WINDOW_BASE;
-        let node = (rel / self.slice_size()) as u32;
-        let in_slice = rel % self.slice_size();
-        let block = TcaBlock::ALL[(in_slice / self.block_size()) as usize];
-        Some((node, block, in_slice % self.block_size()))
+        let slice_bits = self.slice_bits();
+        let block_bits = slice_bits - 2;
+        let block = TcaBlock::ALL[(rel >> block_bits & 3) as usize];
+        let off = rel & ((1 << block_bits) - 1);
+        Some(((rel >> slice_bits) as u32, block, off))
     }
 }
 
@@ -189,12 +197,14 @@ mod tests {
 
     #[test]
     fn global_addr_classify_round_trip() {
-        let m = TcaMap::new(4);
-        for node in 0..4 {
-            for block in TcaBlock::ALL {
-                for off in [0u64, 1, 4096, m.block_size() - 1] {
-                    let g = m.global_addr(node, block, off);
-                    assert_eq!(m.classify(g), Some((node, block, off)));
+        for nodes in [1u32, 2, 4, 8, 16] {
+            let m = TcaMap::new(nodes);
+            for node in 0..nodes {
+                for block in TcaBlock::ALL {
+                    for off in [0u64, 1, 4096, m.block_size() - 1] {
+                        let g = m.global_addr(node, block, off);
+                        assert_eq!(m.classify(g), Some((node, block, off)));
+                    }
                 }
             }
         }

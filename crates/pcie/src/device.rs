@@ -20,12 +20,47 @@ use tca_sim::{Dur, MetricsHub, SimTime, SpanStore};
 #[derive(Debug)]
 #[must_use = "a credit hold must eventually be released back to the link"]
 pub struct CreditHold {
-    pub(crate) link: u32,
-    /// Direction the packet travelled.
-    pub(crate) dir: Dir,
-    pub(crate) class: FcClass,
-    pub(crate) hdr: u32,
+    /// `link << 3 | dir << 2 | class`, so a hold is two words and moves
+    /// in registers rather than through memory.
+    key: u32,
+    /// Data credits (16-byte units) of the packet; it also holds the one
+    /// header credit every TLP takes.
     pub(crate) data: u32,
+}
+
+impl CreditHold {
+    /// The credits a packet of `class` with `data` data credits took on
+    /// `link` travelling in `dir`. Links number below 2^29 (see
+    /// `Fabric::connect`).
+    #[inline]
+    pub(crate) fn new(link: u32, dir: Dir, class: FcClass, data: u32) -> CreditHold {
+        CreditHold {
+            key: link << 3 | (dir as u32) << 2 | class as u32,
+            data,
+        }
+    }
+
+    /// The link the packet crossed.
+    #[inline]
+    pub(crate) fn link(&self) -> u32 {
+        self.key >> 3
+    }
+
+    /// Direction the packet travelled.
+    #[inline]
+    pub(crate) fn dir(&self) -> Dir {
+        Dir::ALL[(self.key >> 2 & 1) as usize]
+    }
+
+    /// The packet's flow-control class.
+    #[inline]
+    pub(crate) fn class(&self) -> FcClass {
+        match self.key & 3 {
+            0 => FcClass::Posted,
+            1 => FcClass::NonPosted,
+            _ => FcClass::Completion,
+        }
+    }
 }
 
 /// Handler context: the only way a device interacts with the world.

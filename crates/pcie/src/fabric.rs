@@ -41,7 +41,6 @@ use crate::flow::CreditState;
 use crate::link::{LinkParams, WireState};
 use crate::tlp::{DeviceId, Dir, FcClass, PortIdx, Tlp, TlpKind};
 use std::any::Any;
-use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, VecDeque};
 use tca_sim::metrics::{CounterId, GaugeId, MeterId};
@@ -93,10 +92,57 @@ enum Ev {
 /// A lane FIFO: `(at, seq, item)` in ascending `(at, seq)` order.
 type LaneFifo<T> = VecDeque<(SimTime, u64, T)>;
 
-/// A non-empty lane in the lane heap, keyed by its front's `(at, seq)`.
-/// The lane number packs `link << 2 | k`: `k` is the [`Dir`] index of a
-/// wire lane, or 2 for the link's credit returns.
-type LaneKey = Reverse<(u64, u64, u32)>;
+/// A non-empty lane in the lane heap. `key` packs its front's `(at, seq)`
+/// as `at << 64 | seq`, so one u128 compare orders two lanes; `lane` packs
+/// `link << 2 | k`, where `k` is the [`Dir`] index of a wire lane, or 2 for
+/// the link's credit returns. Seqs are unique, so keys are too, and the
+/// order (reversed, for the max-heap) looks at `key` alone.
+#[derive(Clone, Copy)]
+struct LaneKey {
+    key: u128,
+    lane: u32,
+}
+
+impl LaneKey {
+    #[inline]
+    fn new(at: SimTime, seq: u64, lane: u32) -> LaneKey {
+        LaneKey {
+            key: u128::from(at.as_ps()) << 64 | u128::from(seq),
+            lane,
+        }
+    }
+
+    #[inline]
+    fn at(&self) -> SimTime {
+        SimTime::from_ps((self.key >> 64) as u64)
+    }
+
+    #[inline]
+    fn seq(&self) -> u64 {
+        self.key as u64
+    }
+}
+
+impl PartialEq for LaneKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+
+impl Eq for LaneKey {}
+
+impl PartialOrd for LaneKey {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for LaneKey {
+    #[inline]
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        other.key.cmp(&self.key)
+    }
+}
 
 /// Lane number of the TLPs on `link`'s wire in direction `dir`.
 #[inline]
@@ -126,7 +172,7 @@ fn lane_push<T>(
 ) {
     let seq = queue.take_seq();
     match fifo.back() {
-        None => heap.push(Reverse((at.as_ps(), seq, lane))),
+        None => heap.push(LaneKey::new(at, seq, lane)),
         Some(&(back, ..)) => assert!(
             at >= back,
             "lane {lane} out of time order: {at:?} after {back:?}"
@@ -142,9 +188,9 @@ fn lane_push<T>(
 fn lane_take<T>(heap: &mut BinaryHeap<LaneKey>, fifo: &mut LaneFifo<T>, lane: u32) -> T {
     let (_, _, item) = fifo.pop_front().expect("the chosen lane has a front");
     let mut top = heap.peek_mut().expect("the chosen lane heads the heap");
-    debug_assert_eq!(top.0 .2, lane, "the chosen lane heads the heap");
+    debug_assert_eq!(top.lane, lane, "the chosen lane heads the heap");
     match fifo.front() {
-        Some(&(at, seq, _)) => top.0 = (at.as_ps(), seq, lane),
+        Some(&(at, seq, _)) => *top = LaneKey::new(at, seq, lane),
         None => {
             PeekMut::pop(top);
         }
@@ -524,7 +570,9 @@ impl Fabric {
         params: LinkParams,
     ) -> LinkId {
         assert!(a != b, "cannot connect a port to itself");
+        // Lane numbers and credit holds pack the link id with 3 more bits.
         let id = self.net.links.len() as u32;
+        assert!(id < 1 << 29, "at most 2^29 links");
         for (end, pt) in [(Dir::Fwd, a), (Dir::Rev, b)] {
             assert!(
                 (pt.0 .0 as usize) < self.devices.len(),
@@ -546,7 +594,7 @@ impl Fabric {
         let mut mk_dir = |dir: Dir| {
             let p = format!("link.{id}.{dir}");
             LinkDir {
-                wire: WireState::default(),
+                wire: WireState::new(&params),
                 credits: CreditState::from_params(&params),
                 reqq: VecDeque::new(),
                 cplq: VecDeque::new(),
@@ -719,10 +767,11 @@ impl Fabric {
                 let Net { links, lanes, .. } = &mut self.net;
                 let l = &mut links[link as usize];
                 let hold = lane_take(lanes, &mut l.credit_returns, credit_lane(link));
-                l.dirs[hold.dir.index()]
+                let dir = hold.dir();
+                l.dirs[dir.index()]
                     .credits
-                    .replenish(hold.class, hold.hdr, hold.data);
-                self.net.pump_link(link, hold.dir);
+                    .replenish(hold.class(), hold.data);
+                self.net.pump_link(link, dir);
                 StepKind::CreditReturn
             }
         };
@@ -786,20 +835,15 @@ impl Fabric {
             Ev::CreditReturn { link } => {
                 let l = &self.net.links[*link as usize];
                 let (_, _, hold) = l.credit_returns.front().expect("lane front");
-                let CreditHold {
-                    dir,
-                    class,
-                    hdr,
-                    data,
-                    ..
-                } = hold;
+                let (dir, class, data) = (hold.dir(), hold.class(), hold.data);
                 let (src, port) = l.ends[dir.index()];
+                // A hold always carries one header credit.
                 let digest = Fnv64::new()
                     .write_u64(u64::from(*link))
                     .write_u64(dir.index() as u64)
-                    .write_u64(*class as u64)
-                    .write_u64(u64::from(*hdr))
-                    .write_u64(u64::from(*data))
+                    .write_u64(class as u64)
+                    .write_u64(1)
+                    .write_u64(u64::from(data))
                     .finish();
                 fl.record(
                     at,
@@ -808,7 +852,7 @@ impl Fabric {
                     Some(port.0),
                     None,
                     digest,
-                    format!("credits link{link}.{dir} {class:?} +{hdr}h/+{data}d"),
+                    format!("credits link{link}.{dir} {class:?} +1h/+{data}d"),
                 );
             }
         }
@@ -933,13 +977,7 @@ impl Fabric {
     fn deliver(&mut self, link: u32, dir: Dir, tlp: Tlp) {
         let now = self.net.queue.now();
         let (dst, port) = self.net.links[link as usize].ends[dir.flip().index()];
-        let hold = CreditHold {
-            link,
-            dir,
-            class: tlp.fc_class(),
-            hdr: 1,
-            data: tlp.data_credits(),
-        };
+        let hold = CreditHold::new(link, dir, tlp.fc_class(), tlp.data_credits());
         // Interrupts are forward progress in their own right. Writes count
         // only when the receiving device reports a commit via
         // `Ctx::note_progress` — a chip relaying a packet another hop is
@@ -1017,7 +1055,7 @@ impl Net {
     /// (receiver-side processing plus the flow-control DLLP). The delay is
     /// fixed per link, so the link's credit lane stays in time order.
     pub(crate) fn release(&mut self, hold: CreditHold) {
-        let link = hold.link;
+        let link = hold.link();
         let l = &mut self.links[link as usize];
         let at = self.queue.now() + l.params.credit_return_delay;
         let fifo = &mut l.credit_returns;
@@ -1033,7 +1071,7 @@ impl Net {
 
     /// Time of the next event, in the queue or a lane.
     fn peek_time(&self) -> Option<SimTime> {
-        let lane = self.lanes.peek().map(|k| SimTime::from_ps(k.0 .0));
+        let lane = self.lanes.peek().map(LaneKey::at);
         self.queue.peek_time().into_iter().chain(lane).min()
     }
 
@@ -1042,12 +1080,12 @@ impl Net {
     /// lane's front until the dispatch takes it.
     #[inline]
     fn pop_next(&mut self) -> Option<Ev> {
-        let Some(&Reverse((at, seq, lane))) = self.lanes.peek() else {
+        let Some(&head) = self.lanes.peek() else {
             let (_, (dst, tag)) = self.queue.pop()?;
             return Some(Ev::Timer { dst, tag });
         };
-        let at = SimTime::from_ps(at);
-        if let Some((_, (dst, tag))) = self.queue.pop_before(at, seq) {
+        let (at, lane) = (head.at(), head.lane);
+        if let Some((_, (dst, tag))) = self.queue.pop_before(at, head.seq()) {
             return Some(Ev::Timer { dst, tag });
         }
         self.queue.advance_to(at);
@@ -1135,6 +1173,7 @@ impl Net {
     fn transmit(&mut self, link: u32, dir: Dir, sender: DeviceId, tlp: Tlp) {
         let LinkState { params, dirs, .. } = &mut self.links[link as usize];
         let d = &mut dirs[dir.index()];
+        let lossy = params.error_rate_ppm > 0;
         let corrupt_p = params.error_rate_ppm as f64 / 1e6;
         let submitted = self.queue.now();
         loop {
@@ -1144,7 +1183,7 @@ impl Net {
             self.metrics.add(d.m.wire_busy_ns, tx.as_ps() / 1_000);
             self.metrics
                 .record_bytes(d.m.wire_bytes, departure, wire_bytes);
-            if corrupt_p > 0.0 && self.rng.gen_bool(corrupt_p) {
+            if lossy && self.rng.gen_bool(corrupt_p) {
                 // LCRC failure at the receiver: discard, NAK, replay. The
                 // wire time was spent; the replay waits for the NAK round
                 // trip and retransmits (possibly corrupting again).
@@ -1594,6 +1633,122 @@ mod tests {
         let q = f.queue_prof();
         assert_eq!((q.pushes, q.pops, q.peak_pending), (6, 6, 3));
         assert_eq!((f.events_executed(), f.queue_depth()), (6, 0));
+    }
+
+    /// `nodes` devices, each linked to its right and lower neighbour on a
+    /// `cols`-wide torus (a 2-node rig when `nodes` is 2 and `cols` 1).
+    fn torus(nodes: u32, cols: u32) -> Fabric {
+        let mut f = Fabric::new();
+        let ids: Vec<_> = (0..nodes).map(|_| f.add_device(TestMem::new)).collect();
+        let mut connect = |a: u32, b: u32, pa: u8, pb: u8| {
+            let (a, b) = (
+                (ids[a as usize], PortIdx(pa)),
+                (ids[b as usize], PortIdx(pb)),
+            );
+            f.connect(a, b, LinkParams::gen2_x8());
+        };
+        if cols == 1 {
+            connect(0, 1, 0, 0);
+            connect(0, 1, 1, 1);
+        } else {
+            for n in 0..nodes {
+                connect(n, n / cols * cols + (n + 1) % cols, 0, 1);
+                connect(n, (n + cols) % nodes, 2, 3);
+            }
+        }
+        f
+    }
+
+    /// Random pushes onto the wire and credit lanes of every link and into
+    /// the timer queue, many due at one instant, popped in between: each
+    /// pop must return the earliest pending `(at, seq)` of a sorted
+    /// reference, where a push's seq is its place in push order.
+    fn assert_lanes_pop_in_at_seq_order(mut f: Fabric, seed: u64) {
+        let links = f.link_count() as u64;
+        let mut rng = SimRng::seed_from_u64(seed);
+        let mut pending = std::collections::BTreeMap::new();
+        let (mut seq, mut id, mut popped) = (0u64, 0u32, 0u32);
+        for step in 0.. {
+            // Pop about one event in three, then drain.
+            let drain = step >= 15_000;
+            if drain && pending.is_empty() {
+                break;
+            }
+            if drain || rng.gen_range(3) == 0 {
+                let Some(ev) = f.net.pop_next() else {
+                    assert!(pending.is_empty());
+                    continue;
+                };
+                let Net {
+                    lanes, links: ls, ..
+                } = &mut f.net;
+                let got = match ev {
+                    Ev::Deliver { link, dir } => {
+                        let fifo = &mut ls[link as usize].dirs[dir.index()].inflight;
+                        match lane_take(lanes, fifo, wire_lane(link, dir)).kind {
+                            TlpKind::Msi { vector } => vector,
+                            _ => unreachable!(),
+                        }
+                    }
+                    Ev::CreditReturn { link } => {
+                        let fifo = &mut ls[link as usize].credit_returns;
+                        lane_take(lanes, fifo, credit_lane(link)).data
+                    }
+                    Ev::Timer { tag, .. } => tag as u32,
+                };
+                let ((at, _), want) = pending.pop_first().expect("an event was pending");
+                assert_eq!((got, f.net.queue.now()), (want, at), "pop {popped}");
+                popped += 1;
+                continue;
+            }
+            let Net {
+                queue,
+                lanes,
+                links: ls,
+                ..
+            } = &mut f.net;
+            let now = queue.now();
+            // Small steps, half of them zero, so many events tie.
+            let at = now + Dur::from_ps(rng.gen_range(4) / 2 * rng.gen_range(3));
+            let link = rng.gen_range(links) as u32;
+            let l = &mut ls[link as usize];
+            let at = match rng.gen_range(4) {
+                0 => {
+                    queue.schedule_at(at, (DeviceId(0), u64::from(id)));
+                    at
+                }
+                k @ (1 | 2) => {
+                    let dir = Dir::ALL[k as usize - 1];
+                    let fifo = &mut l.dirs[dir.index()].inflight;
+                    let at = fifo.back().map_or(at, |b| b.0.max(at));
+                    lane_push(queue, lanes, fifo, wire_lane(link, dir), at, Tlp::msi(id));
+                    at
+                }
+                _ => {
+                    let fifo = &mut l.credit_returns;
+                    let at = fifo.back().map_or(at, |b| b.0.max(at));
+                    let hold = CreditHold::new(link, Dir::Rev, FcClass::Posted, id);
+                    lane_push(queue, lanes, fifo, credit_lane(link), at, hold);
+                    at
+                }
+            };
+            pending.insert((at, seq), id);
+            (seq, id) = (seq + 1, id + 1);
+        }
+        assert!(f.net.pop_next().is_none());
+        assert_eq!(popped, id, "every event popped once");
+    }
+
+    #[test]
+    fn lanes_pop_in_at_seq_order_on_a_two_node_rig() {
+        for seed in 0..4 {
+            assert_lanes_pop_in_at_seq_order(torus(2, 1), seed);
+        }
+    }
+
+    #[test]
+    fn lanes_pop_in_at_seq_order_on_a_torus() {
+        assert_lanes_pop_in_at_seq_order(torus(64, 8), 7);
     }
 
     /// Every event of a drained fabric: its kind and time, in dispatch order.

@@ -65,16 +65,18 @@ impl CreditState {
         true
     }
 
-    /// Returns credits for one packet (an UpdateFC from the receiver).
-    pub fn replenish(&mut self, class: FcClass, hdr: u32, data: u32) {
+    /// Returns credits for one packet (an UpdateFC from the receiver): its
+    /// header credit and `data` data credits, the inverse of
+    /// [`CreditState::consume`].
+    pub fn replenish(&mut self, class: FcClass, data: u32) {
         match class {
             FcClass::Posted => {
-                self.posted_hdr += hdr;
+                self.posted_hdr += 1;
                 self.posted_data += data;
             }
-            FcClass::NonPosted => self.nonposted_hdr += hdr,
+            FcClass::NonPosted => self.nonposted_hdr += 1,
             FcClass::Completion => {
-                self.completion_hdr += hdr;
+                self.completion_hdr += 1;
                 self.completion_data += data;
             }
         }
@@ -125,7 +127,7 @@ mod tests {
         let mut c = small();
         assert!(c.consume(FcClass::NonPosted, 0));
         assert!(!c.consume(FcClass::NonPosted, 0));
-        c.replenish(FcClass::NonPosted, 1, 0);
+        c.replenish(FcClass::NonPosted, 0);
         assert!(c.consume(FcClass::NonPosted, 0));
     }
 
@@ -141,11 +143,11 @@ mod tests {
     fn replenish_restores() {
         let mut c = small();
         assert!(c.consume(FcClass::Posted, 32));
-        c.replenish(FcClass::Posted, 1, 32);
+        c.replenish(FcClass::Posted, 32);
         assert_eq!(c, {
             let mut x = small();
             x.consume(FcClass::Posted, 32);
-            x.replenish(FcClass::Posted, 1, 32);
+            x.replenish(FcClass::Posted, 32);
             x
         });
         assert!(c.consume(FcClass::Posted, 32));

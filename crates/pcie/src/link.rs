@@ -6,6 +6,7 @@
 //! `4 GB/s × 256/280 = 3.657 GB/s` for a 256-byte max payload.
 
 use crate::tlp::TLP_OVERHEAD_BYTES;
+use tca_sim::time::PS_PER_S;
 use tca_sim::{Dur, ParamDesc, ParamUnit, Parameterized, SimTime};
 
 /// PCI Express generation (lane signalling rate + line encoding).
@@ -380,12 +381,45 @@ pub struct WireState {
     /// Accumulated serialization time: how long the wire has been occupied
     /// pushing symbols (replayed transmissions included).
     pub busy_time: Dur,
+    /// Picoseconds per wire byte when the link's byte rate divides 10^12,
+    /// so that a packet's serialization time is one multiply: Gen1 at x1
+    /// to x32 and Gen2 at x1 to x16 in powers of two, so every PEACH2 port
+    /// and GPU slot. 0 for any other rate (QPI, the InfiniBand rails,
+    /// Gen3, odd lane counts), which divides per packet.
+    ps_per_byte: u64,
 }
 
 impl WireState {
+    /// An idle wire for a link with `params`, its serialization constant
+    /// worked out once.
+    pub fn new(params: &LinkParams) -> WireState {
+        let rate = params.raw_bytes_per_sec();
+        let ps_per_byte = match PS_PER_S / rate {
+            k if k * rate == PS_PER_S => k,
+            _ => 0,
+        };
+        WireState {
+            ps_per_byte,
+            ..WireState::default()
+        }
+    }
+
+    /// Time the wire is occupied by a packet of `wire_bytes` total bytes:
+    /// exactly [`LinkParams::serialize`], without its divide when the
+    /// rate allows.
+    #[inline]
+    fn serialize(&self, params: &LinkParams, wire_bytes: u64) -> Dur {
+        if self.ps_per_byte == 0 {
+            return params.serialize(wire_bytes);
+        }
+        let ps = wire_bytes.checked_mul(self.ps_per_byte);
+        Dur::from_ps(ps.expect("duration overflow"))
+    }
+
     /// Reserves the wire for a packet of `wire_bytes` starting no earlier
     /// than `now`; returns `(departure, arrival_at_other_end,
     /// serialization_time)` given the link rate and one-way latency.
+    #[inline]
     pub fn reserve(
         &mut self,
         now: SimTime,
@@ -393,7 +427,7 @@ impl WireState {
         wire_bytes: u64,
     ) -> (SimTime, SimTime, Dur) {
         let departure = self.busy_until.max(now);
-        let tx = params.serialize(wire_bytes);
+        let tx = self.serialize(params, wire_bytes);
         self.busy_until = departure + tx;
         self.wire_bytes += wire_bytes;
         self.packets += 1;
@@ -458,7 +492,7 @@ mod tests {
     #[test]
     fn wire_reserve_serializes_back_to_back() {
         let p = LinkParams::gen2_x8().with_latency(Dur::from_ns(10));
-        let mut w = WireState::default();
+        let mut w = WireState::new(&p);
         let (d1, a1, tx) = w.reserve(SimTime::ZERO, &p, 280);
         assert_eq!(tx, p.serialize(280));
         assert_eq!(d1, SimTime::ZERO);
@@ -474,11 +508,69 @@ mod tests {
     #[test]
     fn wire_idle_gap_not_backdated() {
         let p = LinkParams::gen2_x8().with_latency(Dur::ZERO);
-        let mut w = WireState::default();
+        let mut w = WireState::new(&p);
         w.reserve(SimTime::ZERO, &p, 280);
         // Much later send starts immediately.
         let (d, _, _) = w.reserve(SimTime::from_ps(1_000_000), &p, 280);
         assert_eq!(d, SimTime::from_ps(1_000_000));
+    }
+
+    /// Every wire size of one TLP (1 to MPS 4096 + overhead), then one
+    /// size whose `bytes × 10^12` overflows u64.
+    fn assert_wire_exact(p: &LinkParams) {
+        let w = WireState::new(p);
+        let rate = p.raw_bytes_per_sec();
+        let big = u64::MAX / PS_PER_S + 1;
+        for b in (1..=4096 + TLP_OVERHEAD_BYTES).chain([big]) {
+            assert_eq!(
+                w.serialize(p, b),
+                Dur::for_bytes(b, rate),
+                "{b} B at {rate} B/s"
+            );
+        }
+    }
+
+    #[test]
+    fn wire_serialize_matches_for_bytes_on_every_generation_and_width() {
+        for gen in [PcieGen::Gen1, PcieGen::Gen2, PcieGen::Gen3] {
+            for lanes in [1u8, 2, 3, 4, 8, 16, 32] {
+                let p = LinkParams {
+                    gen,
+                    lanes,
+                    ..LinkParams::gen2_x8()
+                };
+                assert_wire_exact(&p);
+            }
+        }
+    }
+
+    #[test]
+    fn wire_serialize_matches_for_bytes_on_rate_overrides() {
+        // Rates dividing 10^12 take the multiply; 300 MB/s (QPI P2P),
+        // 3.2 GB/s (QDR InfiniBand) and the others divide.
+        let exact = [1_000_000, 250_000_000, 4_000_000_000, PS_PER_S];
+        let divide = [300_000_000, 3_200_000_000, 7, 2 * PS_PER_S, u64::MAX];
+        for rate in exact {
+            let p = LinkParams::gen2_x8().with_rate(rate);
+            assert_ne!(WireState::new(&p).ps_per_byte, 0, "{rate}");
+            assert_wire_exact(&p);
+        }
+        for rate in divide {
+            let p = LinkParams::gen2_x8().with_rate(rate);
+            assert_eq!(WireState::new(&p).ps_per_byte, 0, "{rate}");
+            assert_wire_exact(&p);
+        }
+        // Every dma-sweep link takes the multiply.
+        for p in [LinkParams::gen2_x8(), LinkParams::gen2_x16()] {
+            assert_ne!(WireState::new(&p).ps_per_byte, 0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "duration overflow")]
+    fn wire_serialize_overflow_panics_like_for_bytes() {
+        let p = LinkParams::gen2_x8().with_rate(1);
+        WireState::new(&p).serialize(&p, u64::MAX / PS_PER_S + 1);
     }
 
     #[test]

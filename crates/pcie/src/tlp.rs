@@ -351,6 +351,18 @@ mod tests {
     use super::*;
 
     #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_tlp_is_seven_words() {
+        use std::mem::size_of;
+        // Every hop moves the packet into and out of a lane FIFO by value:
+        // an absent span context costs no tag word, and the payload handle
+        // is three words.
+        assert_eq!(size_of::<Option<TraceCtx>>(), size_of::<TraceCtx>());
+        assert_eq!(size_of::<Bytes>(), 24);
+        assert_eq!(size_of::<Tlp>(), 56);
+    }
+
+    #[test]
     fn overhead_matches_paper_formula() {
         assert_eq!(TLP_OVERHEAD_BYTES, 24);
         let tlp = Tlp::write(0x1000, vec![0u8; 256]);

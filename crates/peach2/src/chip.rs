@@ -149,6 +149,9 @@ struct DmaState {
     waiting_for_desc: bool,
     /// Current write-descriptor progress.
     wr_off: u64,
+    /// Pacing between the write descriptor's full chunks: the host-link
+    /// wire time of one MPS TLP, set when the descriptor begins.
+    wr_pace: Dur,
     read_q: VecDeque<ReadChunk>,
     data_reads: TagTable<DataRead>,
     desc_remaining: Vec<u64>,
@@ -184,6 +187,7 @@ impl DmaState {
             issue_idx: 0,
             waiting_for_desc: false,
             wr_off: 0,
+            wr_pace: Dur::ZERO,
             read_q: VecDeque::new(),
             data_reads: TagTable::default(),
             desc_remaining: Vec::new(),
@@ -547,6 +551,9 @@ impl Peach2 {
                     // DMA write: internal memory → CPU/GPU (local or remote).
                     self.dma.desc_remaining[idx as usize] = 0;
                     self.dma.wr_off = 0;
+                    let link = &self.params.host_link;
+                    let wire = u64::from(link.max_payload) + tca_pcie::TLP_OVERHEAD_BYTES;
+                    self.dma.wr_pace = link.serialize(wire);
                     ctx.timer_in(tca_sim::Dur::ZERO, T_WCHUNK);
                 } else if own_internal.contains(d.dst) {
                     // DMA read: CPU/GPU → internal memory. The legacy
@@ -647,9 +654,9 @@ impl Peach2 {
         self.dma.run_bytes += n;
         if self.dma.wr_off < d.len {
             // Pace at wire rate: the engine feeds the link exactly as fast
-            // as the link drains.
-            let wire = n + tca_pcie::TLP_OVERHEAD_BYTES;
-            ctx.timer_in(self.params.host_link.serialize(wire), T_WCHUNK);
+            // as the link drains. Only the last chunk can be short, and it
+            // sets no timer.
+            ctx.timer_in(self.dma.wr_pace, T_WCHUNK);
         } else {
             // Posted writes: the descriptor is done when its last TLP has
             // been issued (no completion to wait for, §IV-A1).
@@ -1139,6 +1146,120 @@ pub fn ring_routing(map: TcaMap, my_id: u32, n: u32) -> Vec<RouteRule> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topology::{build_ring, SubCluster};
+    use crate::{EngineKind, Peach2Driver};
+    use tca_device::node::NodeConfig;
+    use tca_device::{Gpu, HostBridge};
+    use tca_pcie::{Instrument, TLP_OVERHEAD_BYTES};
+
+    /// Streams one legacy DMA-write descriptor of `len` pattern bytes from
+    /// chip 0's SRAM to `dst(sc, dma_buf)` on a 4-node ring whose node 2
+    /// has its first GPU0 page pinned. Returns the finished fabric, the
+    /// ring, node 0's DMA buffer and the `(time, bytes)` of each write
+    /// TLP's first delivery after leaving chip 0, in issue order.
+    fn stream_write(
+        dst: fn(&SubCluster, u64) -> u64,
+        len: u64,
+    ) -> (Fabric, SubCluster, u64, Vec<(SimTime, u64)>) {
+        let mut f = Fabric::new();
+        let sc = build_ring(&mut f, 4, &NodeConfig::default(), Peach2Params::default());
+        let drv: Vec<_> = (0..4)
+            .map(|i| Peach2Driver::new(sc.map, i, sc.nodes[i as usize].host, sc.chips[i as usize]))
+            .collect();
+        for d in &drv {
+            d.init(&mut f);
+        }
+        let g = f.device_mut::<Gpu>(sc.nodes[2].gpus[0]);
+        let a = g.alloc(4096);
+        let t = g.p2p_token(a, 4096);
+        g.pin(a, 4096, t);
+        f.device_mut::<Peach2>(sc.chips[0])
+            .sram_mut()
+            .fill_pattern(0, len, 0x5a);
+        f.observe(Instrument::default().flight(1 << 16, false));
+        let d = &drv[0];
+        let first = dst(&sc, d.dma_buf);
+        d.write_descriptors(&mut f, &[Descriptor::new(d.sram_addr(0), first, len)]);
+        d.program_dma(&mut f, 1, EngineKind::Legacy);
+        d.ring_doorbell(&mut f);
+        while f.step() {}
+        // A write keeps its global address until the destination chip's
+        // port N translates it, so the first delivery of each address in
+        // the range is its first hop.
+        let mut hops: Vec<(u64, SimTime, u64)> = Vec::new();
+        for e in f.flight().expect("flight recorder on").events() {
+            let Some(w) = e.label.strip_prefix("MemWr[0x") else {
+                continue;
+            };
+            let (addr, n) = w.trim_end_matches("B]").split_once(" +").unwrap();
+            let addr = u64::from_str_radix(addr, 16).unwrap();
+            if e.kind == "deliver"
+                && (first..first + len).contains(&addr)
+                && !hops.iter().any(|h| h.0 == addr)
+            {
+                hops.push((addr, e.at, n.parse().unwrap()));
+            }
+        }
+        hops.sort();
+        let dma_buf = d.dma_buf;
+        (f, sc, dma_buf, hops.iter().map(|h| (h.1, h.2)).collect())
+    }
+
+    /// Checks that the `k`-th TLP left chip 0 `k` full-chunk wire times
+    /// after the first, as pacing each chunk by its own wire time gives:
+    /// every first hop is a Gen2 x8 link of the same rate as the host
+    /// link, so a TLP reaches it its own wire time after it is issued.
+    fn assert_paced_per_tlp(hops: &[(SimTime, u64)], len: u64) {
+        let link = Peach2Params::default().host_link;
+        let mps = u64::from(link.max_payload);
+        let wire = |n: u64| link.serialize(n + TLP_OVERHEAD_BYTES);
+        assert_eq!(hops.iter().map(|h| h.1).sum::<u64>(), len);
+        // Issue times, offset by the first hop's latency (the same for
+        // every TLP): each chunk paces the next by its own wire time.
+        let mut issued = hops[0].0 - wire(hops[0].1);
+        for (k, &(at, n)) in hops.iter().enumerate() {
+            assert_eq!(n, mps.min(len - k as u64 * mps), "TLP {k}");
+            assert_eq!(at, issued + wire(n), "TLP {k}");
+            issued += wire(n);
+        }
+    }
+
+    #[test]
+    fn a_short_tail_write_is_paced_and_delivered_like_per_tlp_pacing() {
+        // Five full TLPs and a 100-byte tail to node 0's DRAM.
+        let len = 5 * 256 + 100;
+        let (f, sc, dma_buf, hops) = stream_write(|_, dma_buf| dma_buf, len);
+        assert_eq!(hops.len(), 6);
+        assert_paced_per_tlp(&hops, len);
+        let host = f.device::<HostBridge>(sc.nodes[0].host).core();
+        let mut copy = PageMemory::new();
+        copy.write(0, &host.mem_ref().read(dma_buf, len as usize));
+        assert!(copy.verify_pattern(0, len, 0x5a).is_ok());
+    }
+
+    #[test]
+    fn a_write_straddling_a_map_block_is_routed_and_paced_per_tlp() {
+        // The last three TLPs' worth of node 1's internal block (its SRAM),
+        // then 612 bytes of node 2's GPU0 block: two nodes, two routes,
+        // both east. The boundary falls between TLPs.
+        let len = 5 * 256 + 100;
+        let head = 3 * 256;
+        let (f, sc, _, hops) = stream_write(
+            |sc, _| sc.map.block(2, TcaBlock::Gpu0).base() - 3 * 256,
+            len,
+        );
+        assert_eq!(hops.len(), 6);
+        assert_paced_per_tlp(&hops, len);
+        let mut got = f
+            .device::<Peach2>(sc.chips[1])
+            .sram()
+            .read(sc.map.block_size() - SRAM_OFFSET - head, head as usize);
+        let gpu = f.device::<Gpu>(sc.nodes[2].gpus[0]);
+        got.extend_from_slice(&gpu.gddr_ref().read(0, (len - head) as usize));
+        let mut copy = PageMemory::new();
+        copy.write(0, &got);
+        assert!(copy.verify_pattern(0, len, 0x5a).is_ok());
+    }
 
     #[test]
     fn ring_routing_four_nodes_matches_fig5_shape() {

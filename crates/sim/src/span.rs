@@ -32,16 +32,28 @@
 
 use crate::json::JsonValue;
 use crate::time::{Dur, SimTime};
+use std::num::NonZeroU64;
 
 /// Identifier of one span. Allocated from a per-store counter starting at
 /// 1, so ids are dense, deterministic, and stable across identical runs.
+/// Never 0, so an `Option<TraceCtx>` in every TLP costs no tag word.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct SpanId(u64);
+pub struct SpanId(NonZeroU64);
 
 impl SpanId {
     /// Raw 1-based counter value.
     pub fn raw(self) -> u64 {
-        self.0
+        self.0.get()
+    }
+
+    /// The id of the span at `index` in its store.
+    fn of_index(index: usize) -> SpanId {
+        SpanId(NonZeroU64::MIN.saturating_add(index as u64))
+    }
+
+    /// Index of this span in its store.
+    fn index(self) -> usize {
+        (self.0.get() - 1) as usize
     }
 }
 
@@ -168,15 +180,15 @@ impl SpanStore {
 
     fn alloc(&mut self, rec: SpanRec) -> SpanId {
         self.spans.push(rec);
-        SpanId(self.spans.len() as u64)
+        SpanId::of_index(self.spans.len() - 1)
     }
 
     fn get(&self, id: SpanId) -> &SpanRec {
-        &self.spans[(id.0 - 1) as usize]
+        &self.spans[id.index()]
     }
 
     fn get_mut(&mut self, id: SpanId) -> &mut SpanRec {
-        &mut self.spans[(id.0 - 1) as usize]
+        &mut self.spans[id.index()]
     }
 
     /// Opens a new transfer tree rooted at `name`, returning the context
@@ -187,7 +199,7 @@ impl SpanStore {
             return None;
         }
         let id = self.alloc(SpanRec {
-            root: SpanId(self.spans.len() as u64 + 1),
+            root: SpanId::of_index(self.spans.len()),
             parent: None,
             name: name.to_string(),
             device,
@@ -277,7 +289,7 @@ impl SpanStore {
             .iter()
             .enumerate()
             .filter(|(_, s)| s.parent.is_none())
-            .map(|(i, s)| (SpanId(i as u64 + 1), s.name.as_str(), s.start, s.end))
+            .map(|(i, s)| (SpanId::of_index(i), s.name.as_str(), s.start, s.end))
             .collect()
     }
 
@@ -306,7 +318,7 @@ impl SpanStore {
         // itself excluded — it is the window being decomposed).
         let mut segs: Vec<(SimTime, SimTime, usize)> = Vec::new();
         for (i, s) in self.spans.iter().enumerate() {
-            if s.root != root || SpanId(i as u64 + 1) == root {
+            if s.root != root || SpanId::of_index(i) == root {
                 continue;
             }
             if let Some(end) = s.end {
@@ -371,7 +383,7 @@ impl SpanStore {
         }
         for (i, s) in self.spans.iter().enumerate() {
             if s.parent == Some(id) {
-                self.tree_node(out, SpanId(i as u64 + 1), depth + 1);
+                self.tree_node(out, SpanId::of_index(i), depth + 1);
             }
         }
     }

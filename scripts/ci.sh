@@ -57,8 +57,10 @@ fi
 # `cargo test` above: tests/gates.rs, tests/topo_soundness.rs and
 # crates/bench/tests/cli.rs.
 
-# The full-reproduction script is too slow for CI; at least parse it.
+# The full-reproduction script is too slow for CI, and the profiler needs
+# a preloadable sampler; at least parse them.
 bash -n scripts/reproduce.sh
+bash -n scripts/profile.sh
 
 # Determinism lint: the simulation crates must never consult wall-clock
 # time or OS entropy — a single call would silently break bit-identical
